@@ -3,12 +3,12 @@
 //
 // Paper reference points: TSens is ~7x (q1) and ~6x (q2) below Elastic past
 // scale 0.001, and up to 2,200,000x below for the cyclic q3 (at scale 0.1).
-// q3 is capped at LSENS_Q3_MAX_SCALE (default 0.01) — the multiplicity
-// tables of the cyclic query grow superlinearly, the same wall the paper
-// hit ("we didn't run q3 for scale larger than 0.1 due to the memory
-// limit").
+// q3 is capped at LSENS_Q3_MAX_SCALE (default 0.1), the paper's largest q3
+// scale ("we didn't run q3 for scale larger than 0.1 due to the memory
+// limit"). Only the max of the Orders multiplicity table is needed, and
+// TSensOverGhd computes it per factor instead of materializing the table.
 //
-// Environment: LSENS_SCALES=0.0001,0.001,0.01[,0.1] LSENS_Q3_MAX_SCALE=0.01
+// Environment: LSENS_SCALES=0.0001,0.001,0.01[,0.1] LSENS_Q3_MAX_SCALE=0.1
 
 #include <cstdio>
 
@@ -54,7 +54,7 @@ int main() {
          "series: TSens exact LS and the Elastic static upper bound");
   std::vector<double> scales =
       EnvScales("LSENS_SCALES", {0.0001, 0.001, 0.01});
-  double q3_cap = EnvScales("LSENS_Q3_MAX_SCALE", {0.01})[0];
+  double q3_cap = EnvScales("LSENS_Q3_MAX_SCALE", {0.1})[0];
 
   for (double scale : scales) {
     TpchOptions topts;
@@ -66,7 +66,7 @@ int main() {
       RunOne(MakeTpchQ3(db), db, scale);
     } else {
       std::printf("q3   scale=%-8g (skipped: exceeds LSENS_Q3_MAX_SCALE, "
-                  "cyclic multiplicity tables grow superlinearly)\n",
+                  "the paper's largest q3 scale)\n",
                   scale);
     }
   }

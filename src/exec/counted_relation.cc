@@ -141,7 +141,12 @@ size_t CountedRelation::ArgMaxRow() const {
 }
 
 Count CountedRelation::Lookup(std::span<const Value> row) const {
-  LSENS_CHECK_MSG(normalized_, "Lookup requires a normalized relation");
+  const size_t i = FindRow(row);
+  return i == SIZE_MAX ? default_count_ : counts_[i];
+}
+
+size_t CountedRelation::FindRow(std::span<const Value> row) const {
+  LSENS_CHECK_MSG(normalized_, "FindRow requires a normalized relation");
   LSENS_CHECK(row.size() == arity());
   // The arity check above covers every probe of the search: Row(mid) is
   // arity-sized by construction, so the loop compares unchecked instead of
@@ -152,14 +157,14 @@ Count CountedRelation::Lookup(std::span<const Value> row) const {
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
     int cmp = CompareRowsUnchecked(Row(mid), row);
-    if (cmp == 0) return counts_[mid];
+    if (cmp == 0) return mid;
     if (cmp < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return default_count_;
+  return SIZE_MAX;
 }
 
 void CountedRelation::TruncateTopK(size_t k, ExecContext* ctx_in) {
@@ -261,6 +266,43 @@ CountedRelation GroupBySum(const CountedRelation& in,
     std::span<const Value> row = in.Row(perm[begin]);
     for (int c : cols) out.data_.push_back(row[static_cast<size_t>(c)]);
     out.counts_.push_back(total);
+  });
+  out.normalized_ = true;
+  op.set_rows_out(out.NumRows());
+  return out;
+}
+
+CountedRelation GroupByMax(const CountedRelation& in,
+                           const AttributeSet& group_attrs,
+                           std::vector<uint32_t>* arg_rows,
+                           ExecContext* ctx_in) {
+  LSENS_CHECK_MSG(!in.has_default(),
+                  "GroupByMax undefined for a defaulted (top-k) relation");
+  LSENS_CHECK(IsSubset(group_attrs, in.attrs()));
+  ExecContext& ctx = ResolveExecContext(ctx_in);
+  OpTimer op(ctx, "group_by_max", in.NumRows());
+
+  std::vector<int> cols;
+  cols.reserve(group_attrs.size());
+  for (AttrId a : group_attrs) cols.push_back(in.ColumnOf(a));
+
+  // The sort is stable (ties by row index), so the first row of each group
+  // attaining its max is also the earliest such input row. Zero-count rows
+  // never win: a group whose rows all count zero is dropped.
+  CountedRelation out(group_attrs);
+  arg_rows->clear();
+  std::vector<uint32_t>& perm = ctx.norm_perm();
+  SortRowsBy(in, cols, perm, ctx);
+  ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
+    uint32_t best = perm[begin];
+    for (size_t i = begin + 1; i < end; ++i) {
+      if (in.counts_[perm[i]] > in.counts_[best]) best = perm[i];
+    }
+    if (in.counts_[best].IsZero()) return;
+    std::span<const Value> row = in.Row(best);
+    for (int c : cols) out.data_.push_back(row[static_cast<size_t>(c)]);
+    out.counts_.push_back(in.counts_[best]);
+    arg_rows->push_back(best);
   });
   out.normalized_ = true;
   op.set_rows_out(out.NumRows());

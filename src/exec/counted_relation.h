@@ -94,6 +94,9 @@ class CountedRelation {
   // Exact-match lookup (requires normalized). Returns the row's count, or
   // default_count() if absent.
   Count Lookup(std::span<const Value> row) const;
+  // Index of the explicit row equal to `row` (requires normalized), or
+  // SIZE_MAX if absent.
+  size_t FindRow(std::span<const Value> row) const;
 
   // §5.4 top-k approximation: keeps the k highest-count rows and records the
   // k-th largest count as default_count. No-op if NumRows() <= k.
@@ -114,6 +117,8 @@ class CountedRelation {
  private:
   friend CountedRelation GroupBySum(const CountedRelation&,
                                     const AttributeSet&, ExecContext*);
+  friend CountedRelation GroupByMax(const CountedRelation&, const AttributeSet&,
+                                    std::vector<uint32_t>*, ExecContext*);
 
   AttributeSet attrs_;
   std::vector<Value> data_;   // flat row-major, arity() stride
@@ -144,6 +149,17 @@ inline int CompareRowsUnchecked(std::span<const Value> a,
 // permutation over the input, groups emitted pre-normalized.
 CountedRelation GroupBySum(const CountedRelation& in,
                            const AttributeSet& group_attrs,
+                           ExecContext* ctx = nullptr);
+
+// γ_{group_attrs} with max over cnt: one row per group carrying the largest
+// count among the group's rows, and in `arg_rows` (parallel to the output
+// rows) the index of the input row attaining it. Ties go to the earliest
+// input row, so over a normalized input the winner is the group's
+// lexicographically smallest row among those attaining the max. Same
+// machinery and preconditions as GroupBySum.
+CountedRelation GroupByMax(const CountedRelation& in,
+                           const AttributeSet& group_attrs,
+                           std::vector<uint32_t>* arg_rows,
                            ExecContext* ctx = nullptr);
 
 }  // namespace lsens

@@ -187,4 +187,17 @@ bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
   return false;
 }
 
+bool RowsUniqueOn(const CountedRelation& r, std::span<const int> cols,
+                  ExecContext& ctx) {
+  if (cols.empty()) return r.NumRows() <= 1;
+  std::vector<uint32_t>& perm = ctx.norm_perm();
+  SortRowsBy(r, cols, perm, ctx);
+  for (size_t i = 1; i < perm.size(); ++i) {
+    if (CompareRowsAt(r.Row(perm[i - 1]), r.Row(perm[i]), cols) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace lsens

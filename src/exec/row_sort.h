@@ -61,6 +61,12 @@ bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols);
 bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
                 std::vector<uint32_t>& perm, ExecContext& ctx);
 
+// True if no two rows of `r` agree on all of `cols` (with empty `cols`:
+// at most one row). Sorts through SortRowsBy, so a key that is a prefix of
+// a normalized relation costs one verification pass; scratch from `ctx`.
+bool RowsUniqueOn(const CountedRelation& r, std::span<const int> cols,
+                  ExecContext& ctx);
+
 // Invokes `emit(begin, end)` for every maximal run perm[begin..end) of rows
 // with equal values on `cols`, in sorted order.
 template <typename Fn>

@@ -12,6 +12,12 @@ StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options) {
   LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
+  for (int a : options.skip_atoms) {
+    if (a < 0 || a >= q.num_atoms()) {
+      return Status::InvalidArgument("skip_atoms entry " + std::to_string(a) +
+                                     " is outside the query");
+    }
+  }
   // Times the facade end-to-end (dispatch included) so the stats report
   // shows total sensitivity wall time next to the per-operator rows.
   OpTimer op(ResolveExecContext(options.join.ctx), "tsens.compute",

@@ -1,10 +1,12 @@
 #include "sensitivity/tsens_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "exec/exec_context.h"
+#include "exec/row_sort.h"
 #include "query/atom_scan.h"
 #include "query/eval.h"
 
@@ -33,12 +35,13 @@ void ApplyPredicates(const Atom& atom, CountedRelation* rel) {
   });
 }
 
-// Partitions pieces into attribute-connectivity components (pieces sharing
-// a variable transitively end up together; empty-attr pieces are singleton
-// components acting as scalars).
+// Partitions pieces into connectivity components over `link` (pieces whose
+// link attributes intersect transitively end up together; pieces with no
+// link attributes are singleton components — scalars, when linking by the
+// pieces' own attributes).
 std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<const CountedRelation*>& pieces) {
-  const size_t n = pieces.size();
+    const std::vector<AttributeSet>& link) {
+  const size_t n = link.size();
   std::vector<size_t> parent(n);
   for (size_t i = 0; i < n; ++i) parent[i] = i;
   std::function<size_t(size_t)> find = [&](size_t x) {
@@ -47,9 +50,7 @@ std::vector<std::vector<size_t>> ConnectivityComponents(
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      if (Intersects(pieces[i]->attrs(), pieces[j]->attrs())) {
-        parent[find(i)] = find(j);
-      }
+      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
     }
   }
   std::vector<std::vector<size_t>> components;
@@ -65,6 +66,160 @@ std::vector<std::vector<size_t>> ConnectivityComponents(
   return components;
 }
 
+// True when `group` functionally determines the `dropped` attributes of the
+// join of `pieces`, so γ_group sees exactly one join row per group. Starting
+// from K = group, a piece whose rows are unique on its attributes in K
+// determines the rest of them, and K absorbs its attributes; the test passes
+// once K covers `dropped`. Pieces are tried smallest first, and a piece that
+// failed is re-tried only after its key grew, so a large piece's failed
+// check is paid at most once per key.
+bool GroupDeterminesDropped(const std::vector<const CountedRelation*>& pieces,
+                            const AttributeSet& group,
+                            const AttributeSet& dropped, ExecContext& ctx) {
+  const size_t n = pieces.size();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return pieces[x]->NumRows() < pieces[y]->NumRows();
+  });
+  std::vector<size_t> failed_key(n, SIZE_MAX);
+  std::vector<uint8_t> absorbed(n, 0);
+  AttributeSet known = group;
+  std::vector<int> cols;
+  bool grew = true;
+  while (grew && !IsSubset(dropped, known)) {
+    grew = false;
+    for (size_t i : order) {
+      const CountedRelation& piece = *pieces[i];
+      if (absorbed[i] != 0) continue;
+      AttributeSet key = Intersect(piece.attrs(), known);
+      if (key.size() == failed_key[i]) continue;  // K only grows
+      if (key.size() < piece.arity()) {
+        cols.clear();
+        for (AttrId attr : key) cols.push_back(piece.ColumnOf(attr));
+        if (!RowsUniqueOn(piece, cols, ctx)) {
+          failed_key[i] = key.size();
+          continue;
+        }
+        known = Union(known, piece.attrs());
+        grew = true;
+      }
+      absorbed[i] = 1;
+      if (grew) break;  // retry the smaller pieces against the larger K
+    }
+  }
+  return IsSubset(dropped, known);
+}
+
+// Max and argmax of T = γ_group(⋈ pieces) without materializing T, given
+// GroupDeterminesDropped: every group value g has exactly one join row, so
+//   max_g T(g) = max_d Π_j max_{g_j} F_j(g_j, d_j)
+// where the F_j are the folds of the sub-components that pieces form when
+// linked through group attributes only (distinct F_j share only dropped
+// attributes d), filtered by `atom`'s predicates. Saturating products are
+// monotone, so the max of products is the product of the maxes. The argmax
+// is the lexicographically smallest g attaining the max — the row
+// ArgMaxRow picks on the sorted grouped table — written to `argmax` in
+// `group` order (left empty when the max is zero). Returns false when the
+// max saturates: saturated products also tie below the per-factor maxes,
+// and only the materialized table breaks those ties the same way.
+bool FactorizedMax(const std::vector<const CountedRelation*>& pieces,
+                   const AttributeSet& group, const AttributeSet& dropped,
+                   const Atom& atom, ExecContext& ctx, const JoinOptions& jopts,
+                   Count* max, std::vector<Value>* argmax) {
+  uint64_t rows_in = 0;
+  for (const CountedRelation* piece : pieces) rows_in += piece->NumRows();
+  OpTimer op(ctx, "tsens.factorized_max", rows_in);
+
+  std::vector<AttributeSet> group_part;
+  group_part.reserve(pieces.size());
+  for (const CountedRelation* piece : pieces) {
+    group_part.push_back(Intersect(piece->attrs(), group));
+  }
+  const std::vector<std::vector<size_t>> subs =
+      ConnectivityComponents(group_part);
+
+  // Per factor j: F_j (a piece itself unless folding or filtering made a
+  // copy), its per-d max table over F_j's dropped attributes, and the F_j
+  // row attaining each of those maxes.
+  const size_t k = subs.size();
+  std::vector<std::optional<CountedRelation>> owned(k);
+  std::vector<const CountedRelation*> folds(k);
+  std::vector<CountedRelation> maxes;
+  maxes.reserve(k);
+  std::vector<std::vector<uint32_t>> arg_rows(k);
+  for (size_t j = 0; j < k; ++j) {
+    if (subs[j].size() == 1) {
+      folds[j] = pieces[subs[j][0]];
+    } else {
+      std::vector<const CountedRelation*> sub_pieces;
+      for (size_t i : subs[j]) sub_pieces.push_back(pieces[i]);
+      owned[j] = FoldJoin(std::move(sub_pieces), jopts);
+      folds[j] = &*owned[j];
+    }
+    // GroupByMax's winners are lexicographic minima only over sorted rows.
+    LSENS_CHECK(folds[j]->normalized());
+    if (std::any_of(atom.predicates.begin(), atom.predicates.end(),
+                    [&](const Predicate& p) {
+                      return folds[j]->ColumnOf(p.var) >= 0;
+                    })) {
+      if (!owned[j].has_value()) owned[j] = *folds[j];
+      ApplyPredicates(atom, &*owned[j]);
+      folds[j] = &*owned[j];
+    }
+    const AttributeSet fold_dropped = Intersect(folds[j]->attrs(), dropped);
+    maxes.push_back(GroupByMax(*folds[j], fold_dropped, &arg_rows[j], &ctx));
+  }
+
+  std::vector<const CountedRelation*> max_ptrs;
+  for (const CountedRelation& m : maxes) max_ptrs.push_back(&m);
+  const CountedRelation joined = FoldJoin(std::move(max_ptrs), jopts);
+  op.set_rows_out(joined.NumRows());
+  const Count best = joined.MaxCount();
+  if (best.IsSaturated()) return false;
+  *max = best;
+  argmax->clear();
+  if (best.IsZero()) return true;
+
+  // Column routing: joined columns of each factor's d_j key, and for each
+  // group attribute of F_j its column there and its slot in `group`.
+  std::vector<std::vector<int>> d_cols(k);
+  std::vector<std::vector<std::pair<size_t, size_t>>> g_route(k);
+  for (size_t j = 0; j < k; ++j) {
+    for (AttrId attr : maxes[j].attrs()) {
+      d_cols[j].push_back(joined.ColumnOf(attr));
+    }
+    const AttributeSet& fattrs = folds[j]->attrs();
+    for (size_t c = 0; c < fattrs.size(); ++c) {
+      auto it = std::lower_bound(group.begin(), group.end(), fattrs[c]);
+      if (it != group.end() && *it == fattrs[c]) {
+        g_route[j].emplace_back(c, static_cast<size_t>(it - group.begin()));
+      }
+    }
+  }
+  // For one max-attaining d, the g attaining the max are the products of
+  // the factors' max-attaining g_j (no saturation, no zero factor), and the
+  // lexicographic minimum of a product is the product of the per-factor
+  // minima — which GroupByMax's winners are. The answer is the smallest of
+  // these candidates over all max-attaining d.
+  std::vector<Value> key;
+  std::vector<Value> candidate(group.size());
+  for (size_t r = 0; r < joined.NumRows(); ++r) {
+    if (joined.CountAt(r) != best) continue;
+    std::span<const Value> row = joined.Row(r);
+    for (size_t j = 0; j < k; ++j) {
+      key.clear();
+      for (int c : d_cols[j]) key.push_back(row[static_cast<size_t>(c)]);
+      const size_t m = maxes[j].FindRow(key);
+      LSENS_CHECK(m != SIZE_MAX);
+      std::span<const Value> winner = folds[j]->Row(arg_rows[j][m]);
+      for (const auto& [col, slot] : g_route[j]) candidate[slot] = winner[col];
+    }
+    if (argmax->empty() || candidate < *argmax) *argmax = candidate;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
@@ -75,6 +230,28 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   const int num_atoms = q.num_atoms();
   const size_t num_bags = ghd.bags.size();
   const int threads = options.join.threads;
+
+  std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
+  for (size_t v = 0; v < num_bags; ++v) {
+    for (int a : ghd.bags[v].atom_indices) {
+      if (a < 0 || a >= num_atoms) {
+        return Status::InvalidArgument("GHD bag " + std::to_string(v) +
+                                       " names atom " + std::to_string(a) +
+                                       ", outside the query");
+      }
+      if (bag_of[static_cast<size_t>(a)] != -1) {
+        return Status::InvalidArgument("atom " + std::to_string(a) +
+                                       " is in two GHD bags");
+      }
+      bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
+    }
+  }
+  for (int a = 0; a < num_atoms; ++a) {
+    if (bag_of[static_cast<size_t>(a)] == -1) {
+      return Status::InvalidArgument("GHD does not cover atom " +
+                                     std::to_string(a));
+    }
+  }
 
   // S_a: shared-variable projections with predicates applied. Relation
   // lookups stay serial (Status propagation stays simple); the per-atom
@@ -95,18 +272,6 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                   s[a] = ScanAtom(
                       *atom_rels[a], q.atom(ai), q.SharedVarsOf(ai), &wctx);
                 });
-
-  std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
-  for (size_t v = 0; v < num_bags; ++v) {
-    for (int a : ghd.bags[v].atom_indices) bag_of[static_cast<size_t>(a)] =
-        static_cast<int>(v);
-  }
-  for (int a = 0; a < num_atoms; ++a) {
-    if (bag_of[static_cast<size_t>(a)] == -1) {
-      return Status::InvalidArgument("GHD does not cover atom " +
-                                     std::to_string(a));
-    }
-  }
 
   const size_t num_trees = ghd.forest.trees.size();
   // Capture slots are pre-sized here so the concurrent tree/atom tasks
@@ -257,16 +422,53 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
 
     // Fold each attribute-connectivity component separately;
     // T_a = ⨯ components, and γ/max/argmax distribute over the product.
+    // The argmax row is stitched from the per-component argmax rows.
+    std::vector<AttributeSet> piece_attrs;
+    for (const CountedRelation* piece : pieces) {
+      piece_attrs.push_back(piece->attrs());
+    }
     std::vector<std::vector<size_t>> components =
-        ConnectivityComponents(pieces);
+        ConnectivityComponents(piece_attrs);
     std::vector<CountedRelation> comp_tables;
-    comp_tables.reserve(components.size());
     Count max_product = scale;
+    std::vector<Value> argmax(out.table_attrs.size(), 0);
+    bool argmax_known = true;
+    auto place = [&](const AttributeSet& attrs, std::span<const Value> row) {
+      for (size_t j = 0; j < attrs.size(); ++j) {
+        auto it = std::lower_bound(out.table_attrs.begin(),
+                                   out.table_attrs.end(), attrs[j]);
+        LSENS_CHECK(it != out.table_attrs.end() && *it == attrs[j]);
+        argmax[static_cast<size_t>(it - out.table_attrs.begin())] = row[j];
+      }
+    };
+    // Only max and argmax are needed unless a table is kept or captured:
+    // then a component whose group determines its join rows is maxed per
+    // factor instead of materialized (FactorizedMax).
+    const bool max_only = !options.keep_tables && options.capture == nullptr;
     for (const auto& comp : components) {
       std::vector<const CountedRelation*> comp_pieces;
-      for (size_t idx : comp) comp_pieces.push_back(pieces[idx]);
+      AttributeSet comp_attrs;
+      bool defaulted = false;
+      for (size_t idx : comp) {
+        comp_pieces.push_back(pieces[idx]);
+        comp_attrs = Union(comp_attrs, pieces[idx]->attrs());
+        defaulted = defaulted || pieces[idx]->has_default();
+      }
+      AttributeSet group = Intersect(out.table_attrs, comp_attrs);
+      if (max_only && !defaulted) {
+        const AttributeSet dropped = Difference(comp_attrs, group);
+        Count comp_max;
+        std::vector<Value> comp_argmax;
+        if (!dropped.empty() &&
+            GroupDeterminesDropped(comp_pieces, group, dropped, actx) &&
+            FactorizedMax(comp_pieces, group, dropped, q.atom(a), actx, jopts,
+                          &comp_max, &comp_argmax)) {
+          max_product *= comp_max;
+          if (!comp_max.IsZero()) place(group, comp_argmax);
+          continue;
+        }
+      }
       CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
-      AttributeSet group = Intersect(out.table_attrs, folded.attrs());
       const bool group_is_full = group == folded.attrs();
       TSensCapture::AtomComponent* cap = nullptr;
       if (options.capture != nullptr) {
@@ -282,31 +484,20 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       if (cap != nullptr && !group_is_full) cap->table = table;
       ApplyPredicates(q.atom(a), &table);
       max_product *= table.MaxCount();
-      comp_tables.push_back(std::move(table));
+      if (table.arity() > 0) {  // a scalar component carries no values
+        const size_t r = table.ArgMaxRow();
+        if (r == SIZE_MAX) {
+          argmax_known = false;  // empty or attained by a top-k default
+        } else {
+          place(table.attrs(), table.Row(r));
+        }
+      }
+      if (options.keep_tables) comp_tables.push_back(std::move(table));
     }
     out.max_sensitivity = max_product;
     out.approximate = truncation_applied;
-
-    // Stitch the argmax row from the per-component argmax rows.
-    if (!out.max_sensitivity.IsZero()) {
-      bool argmax_known = true;
-      std::vector<Value> argmax(out.table_attrs.size(), 0);
-      for (const CountedRelation& table : comp_tables) {
-        size_t r = table.ArgMaxRow();
-        if (table.arity() == 0) continue;  // scalar component, no values
-        if (r == SIZE_MAX) {
-          argmax_known = false;  // empty or attained by a top-k default
-          break;
-        }
-        std::span<const Value> row = table.Row(r);
-        for (size_t j = 0; j < table.attrs().size(); ++j) {
-          auto it = std::lower_bound(out.table_attrs.begin(),
-                                     out.table_attrs.end(), table.attrs()[j]);
-          LSENS_CHECK(it != out.table_attrs.end() && *it == table.attrs()[j]);
-          argmax[static_cast<size_t>(it - out.table_attrs.begin())] = row[j];
-        }
-      }
-      if (argmax_known) out.argmax = std::move(argmax);
+    if (!out.max_sensitivity.IsZero() && argmax_known) {
+      out.argmax = std::move(argmax);
     }
 
     if (options.keep_tables) {

@@ -7,14 +7,17 @@
 
 #include <map>
 
+#include "exec/exec_context.h"
 #include "query/enumerate.h"
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
 #include "query/parser.h"
+#include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "storage/csv.h"
 #include "test_util.h"
+#include "workload/queries.h"
 #include "workload/tpch.h"
 
 namespace lsens {
@@ -241,6 +244,140 @@ TEST_P(SeededTest, DuplicatingARowRaisesItsNeighborsNotItself) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// --- factorized multiplicity max vs materialized tables ------------------
+// When only max and argmax are needed and a group determines its join rows,
+// TSensOverGhd maxes T_a per factor instead of building it; keep_tables
+// forces the materializing path. Both must report the same bits.
+
+uint64_t FactorizedMaxCalls(const ExecContext& ctx) {
+  const OperatorStats* s = ctx.FindStats("tsens.factorized_max");
+  return s == nullptr ? 0 : s->calls;
+}
+
+// Runs `opts` once max-only and once with keep_tables, checks LS, the
+// winning atom, and every atom's max/argmax agree, and returns the max-only
+// run (its factorized-path call count in *calls).
+SensitivityResult ExpectMaxOnlyMatchesTables(const ConjunctiveQuery& q,
+                                             const Database& db,
+                                             TSensComputeOptions opts,
+                                             const std::string& what,
+                                             uint64_t* calls) {
+  ExecContext ctx;
+  opts.join.ctx = &ctx;
+  opts.keep_tables = false;
+  auto maxed = ComputeLocalSensitivity(q, db, opts);
+  EXPECT_TRUE(maxed.ok()) << what << ": " << maxed.status().ToString();
+  *calls = FactorizedMaxCalls(ctx);
+  opts.join.ctx = nullptr;
+  opts.keep_tables = true;
+  auto tables = ComputeLocalSensitivity(q, db, opts);
+  EXPECT_TRUE(tables.ok()) << what << ": " << tables.status().ToString();
+  if (!maxed.ok() || !tables.ok()) return {};
+  EXPECT_EQ(maxed->local_sensitivity, tables->local_sensitivity) << what;
+  EXPECT_EQ(maxed->argmax_atom, tables->argmax_atom) << what;
+  EXPECT_EQ(maxed->atoms.size(), tables->atoms.size()) << what;
+  for (size_t a = 0; a < maxed->atoms.size() && a < tables->atoms.size();
+       ++a) {
+    EXPECT_EQ(maxed->atoms[a].max_sensitivity,
+              tables->atoms[a].max_sensitivity)
+        << what << " atom " << a;
+    EXPECT_EQ(maxed->atoms[a].argmax, tables->atoms[a].argmax)
+        << what << " atom " << a;
+  }
+  return *std::move(maxed);
+}
+
+TEST(FactorizedMaxTest, TpchQ3MatchesMaterializedTables) {
+  for (double scale : {0.0005, 0.001, 0.002}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      TpchOptions topts;
+      topts.scale = scale;
+      topts.seed = seed;
+      Database db = MakeTpchDatabase(topts);
+      WorkloadQuery w = MakeTpchQ3(db);
+      for (bool skip : {true, false}) {
+        const std::string what = "scale " + std::to_string(scale) + " seed " +
+                                 std::to_string(seed) +
+                                 (skip ? " skip" : " no skip");
+        TSensComputeOptions opts;
+        opts.ghd = w.ghd_ptr();
+        if (skip) opts.skip_atoms = w.skip_atoms;
+        uint64_t calls = 0;
+        ExpectMaxOnlyMatchesTables(w.query, db, opts, what, &calls);
+        // Orders (CK determines NK), plus Lineitem unless skipped (OK
+        // determines NK, NK determines RK).
+        EXPECT_EQ(calls, skip ? 1u : 2u) << what;
+      }
+    }
+  }
+}
+
+TEST(FactorizedMaxTest, TpchQ3MatchesNaiveOracle) {
+  // The oracle re-evaluates q3 once per candidate tuple; scale 0.0001 keeps
+  // that to a few thousand evaluations per seed.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    TpchOptions topts;
+    topts.scale = 0.0001;
+    topts.seed = seed;
+    Database db = MakeTpchDatabase(topts);
+    WorkloadQuery w = MakeTpchQ3(db);
+    TSensComputeOptions opts;
+    opts.ghd = w.ghd_ptr();
+    uint64_t calls = 0;
+    SensitivityResult tsens = ExpectMaxOnlyMatchesTables(
+        w.query, db, opts, "seed " + std::to_string(seed), &calls);
+    EXPECT_GE(calls, 2u);
+    NaiveOptions nopts;
+    nopts.ghd = w.ghd_ptr();
+    auto naive = NaiveLocalSensitivity(w.query, db, nopts);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    EXPECT_EQ(tsens.local_sensitivity, naive->local_sensitivity)
+        << "seed " << seed;
+  }
+}
+
+TEST(FactorizedMaxTest, KeyedCyclesTakeTheFactorizedPath) {
+  Rng rng(4242);
+  for (int length : {3, 4}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      auto ex = testing::MakeRandomCycleInstance(rng, length, 8, 3,
+                                                 testing::CycleKeys::kKeyed);
+      Ghd ghd = testing::PairedCycleGhd(ex.query);
+      TSensComputeOptions opts;
+      opts.ghd = &ghd;
+      const std::string what = "length " + std::to_string(length) +
+                               " trial " + std::to_string(trial);
+      uint64_t calls = 0;
+      SensitivityResult tsens =
+          ExpectMaxOnlyMatchesTables(ex.query, ex.db, opts, what, &calls);
+      EXPECT_GE(calls, 1u) << what;
+      NaiveOptions nopts;
+      nopts.ghd = &ghd;
+      auto naive = NaiveLocalSensitivity(ex.query, ex.db, nopts);
+      ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+      EXPECT_EQ(tsens.local_sensitivity, naive->local_sensitivity) << what;
+    }
+  }
+}
+
+TEST(FactorizedMaxTest, UnkeyedCyclesFallBack) {
+  Rng rng(2424);
+  for (int length : {3, 4}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      auto ex = testing::MakeRandomCycleInstance(rng, length, 8, 3,
+                                                 testing::CycleKeys::kUnkeyed);
+      Ghd ghd = testing::PairedCycleGhd(ex.query);
+      TSensComputeOptions opts;
+      opts.ghd = &ghd;
+      const std::string what = "length " + std::to_string(length) +
+                               " trial " + std::to_string(trial);
+      uint64_t calls = 0;
+      ExpectMaxOnlyMatchesTables(ex.query, ex.db, opts, what, &calls);
+      EXPECT_EQ(calls, 0u) << what;
+    }
+  }
+}
 
 // --- TPC-H round trip through CSV (integration) --------------------------
 

@@ -13,6 +13,8 @@
 #include "sensitivity/tsens_engine.h"
 #include "sensitivity/tsens_path.h"
 #include "test_util.h"
+#include "workload/queries.h"
+#include "workload/tpch.h"
 
 namespace lsens {
 namespace {
@@ -198,6 +200,55 @@ TEST(EngineEdgeTest, PathAlgorithmRejectsBadInputs) {
             Status::Code::kUnsupported);
   EXPECT_FALSE(TSensPath(ex.query, {0, 1}, ex.db).ok());       // short order
   EXPECT_FALSE(TSensPath(ex.query, {0, 2, 1, 3}, ex.db).ok()); // not a chain
+}
+
+TEST(EngineEdgeTest, GhdOfAnotherQueryIsRejected) {
+  // q3's decomposition names atoms 5..7, which q1 (5 atoms) lacks.
+  TpchOptions topts;
+  topts.scale = 0.0002;
+  Database db = MakeTpchDatabase(topts);
+  WorkloadQuery q1 = MakeTpchQ1(db);
+  WorkloadQuery q3 = MakeTpchQ3(db);
+  TSensComputeOptions opts;
+  opts.ghd = q3.ghd_ptr();
+  EXPECT_EQ(ComputeLocalSensitivity(q1.query, db, opts).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(TSensOverGhd(q1.query, *q3.ghd, db).status().code(),
+            Status::Code::kInvalidArgument);
+}
+
+TEST(EngineEdgeTest, GhdBagAtomIndicesAreValidated) {
+  Rng rng(5);
+  auto ex = testing::MakeRandomTriangleInstance(rng, 6, 3);
+  auto good = BuildGhd(ex.query, {{0, 1}, {2}});
+  ASSERT_TRUE(good.ok());
+  for (const std::vector<int>& second_bag :
+       {std::vector<int>{-1}, std::vector<int>{3}, std::vector<int>{1},
+        std::vector<int>{2, 2}}) {
+    Ghd bad = *good;
+    bad.bags[1].atom_indices = second_bag;
+    TSensComputeOptions opts;
+    opts.ghd = &bad;
+    EXPECT_EQ(ComputeLocalSensitivity(ex.query, ex.db, opts).status().code(),
+              Status::Code::kInvalidArgument)
+        << "second bag of size " << second_bag.size();
+  }
+}
+
+TEST(EngineEdgeTest, OutOfRangeSkipAtomsAreRejected) {
+  // Figure 3 is a path query: the default facade dispatch runs TSensPath,
+  // prefer_path_algorithm = false the GHD engine. Both must refuse.
+  auto ex = MakeFigure3Example();
+  for (bool prefer_path : {true, false}) {
+    for (int skip : {-1, 4, 99}) {
+      TSensComputeOptions opts;
+      opts.prefer_path_algorithm = prefer_path;
+      opts.skip_atoms = {0, skip};
+      EXPECT_EQ(ComputeLocalSensitivity(ex.query, ex.db, opts).status().code(),
+                Status::Code::kInvalidArgument)
+          << "skip " << skip << " prefer_path " << prefer_path;
+    }
+  }
 }
 
 TEST(EngineEdgeTest, SearchGhdRefusesHugeQueries) {

@@ -3,8 +3,10 @@
 #include <algorithm>
 
 #include "exec/counted_relation.h"
+#include "exec/exec_context.h"
 #include "exec/fold_join.h"
 #include "exec/join.h"
+#include "exec/row_sort.h"
 #include "query/atom_scan.h"
 #include "query/eval.h"
 #include "test_util.h"
@@ -96,6 +98,44 @@ TEST(CountedRelationTest, GroupBySum) {
   CountedRelation total = GroupBySum(r, {});
   ASSERT_EQ(total.NumRows(), 1u);
   EXPECT_EQ(total.CountAt(0), Count(7));
+}
+
+TEST(CountedRelationTest, GroupByMaxKeepsFirstRowAttainingTheMax) {
+  // Attrs {1, 2}; grouping on attr 2 (the second column) needs a sort.
+  CountedRelation r = MakeCounted(
+      {1, 2}, {{{0, 5}, 3}, {{1, 5}, 7}, {{2, 5}, 7}, {{0, 6}, 2}, {{3, 6}, 1}});
+  std::vector<uint32_t> arg_rows;
+  CountedRelation g = GroupByMax(r, {2}, &arg_rows);
+  ASSERT_EQ(g.NumRows(), 2u);
+  ASSERT_EQ(arg_rows.size(), 2u);
+  EXPECT_TRUE(g.normalized());
+  EXPECT_EQ(g.Row(0)[0], 5);
+  EXPECT_EQ(g.CountAt(0), Count(7));
+  EXPECT_EQ(r.Row(arg_rows[0])[0], 1);  // the smaller of the tied rows
+  EXPECT_EQ(g.Row(1)[0], 6);
+  EXPECT_EQ(g.CountAt(1), Count(2));
+  EXPECT_EQ(r.Row(arg_rows[1])[0], 0);
+  // Max over everything: one arity-0 row.
+  CountedRelation all = GroupByMax(r, {}, &arg_rows);
+  ASSERT_EQ(all.NumRows(), 1u);
+  EXPECT_EQ(all.CountAt(0), Count(7));
+  EXPECT_EQ(r.Row(arg_rows[0])[0], 1);
+  Value v6[] = {6};
+  EXPECT_EQ(g.FindRow(v6), 1u);
+  Value v7[] = {7};
+  EXPECT_EQ(g.FindRow(v7), SIZE_MAX);
+}
+
+TEST(CountedRelationTest, RowsUniqueOnKeyColumns) {
+  CountedRelation r =
+      MakeCounted({1, 2}, {{{0, 5}, 1}, {{1, 5}, 1}, {{2, 6}, 1}});
+  ExecContext ctx;
+  const int first[] = {0};
+  const int second[] = {1};
+  EXPECT_TRUE(RowsUniqueOn(r, first, ctx));
+  EXPECT_FALSE(RowsUniqueOn(r, second, ctx));
+  EXPECT_FALSE(RowsUniqueOn(r, {}, ctx));
+  EXPECT_TRUE(RowsUniqueOn(MakeCounted({1}, {{{4}, 3}}), {}, ctx));
 }
 
 TEST(CountedRelationTest, TruncateTopK) {

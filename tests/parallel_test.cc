@@ -24,6 +24,8 @@
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
 #include "test_util.h"
+#include "workload/queries.h"
+#include "workload/tpch.h"
 
 namespace lsens {
 namespace {
@@ -417,6 +419,78 @@ TEST(ParallelDifferentialTest, RandomTriangleSensitivities) {
                                "triangle seed " + std::to_string(seed));
     RunSensitivityDifferential(ex, /*keep_tables=*/true, /*top_k=*/0,
                                "triangle tables seed " + std::to_string(seed));
+  }
+}
+
+// Max-only runs at threads {0, 2, 4} against the serial materializing run
+// (keep_tables): LS, the winning atom, and every atom's max/argmax agree,
+// the merged stat counters match the serial max-only run's, and
+// tsens.factorized_max shows the factorized path actually ran.
+void RunFactorizedMaxDifferential(const ConjunctiveQuery& q,
+                                  const Database& db,
+                                  const TSensComputeOptions& base,
+                                  const std::string& what) {
+  TSensComputeOptions tables_opts = base;
+  tables_opts.keep_tables = true;
+  auto tables = ComputeLocalSensitivity(q, db, tables_opts);
+  ASSERT_TRUE(tables.ok()) << what << ": " << tables.status().ToString();
+
+  ExecContext serial_ctx;
+  for (int threads : {0, 2, 4}) {
+    const std::string run = what + " threads=" + std::to_string(threads);
+    ExecContext ctx;
+    TSensComputeOptions opts = base;
+    opts.join.ctx = threads == 0 ? &serial_ctx : &ctx;
+    opts.join.threads = threads;
+    auto maxed = ComputeLocalSensitivity(q, db, opts);
+    ASSERT_TRUE(maxed.ok()) << run << ": " << maxed.status().ToString();
+    EXPECT_EQ(tables->local_sensitivity, maxed->local_sensitivity) << run;
+    EXPECT_EQ(tables->argmax_atom, maxed->argmax_atom) << run;
+    ASSERT_EQ(tables->atoms.size(), maxed->atoms.size()) << run;
+    for (size_t a = 0; a < tables->atoms.size(); ++a) {
+      EXPECT_EQ(tables->atoms[a].max_sensitivity,
+                maxed->atoms[a].max_sensitivity)
+          << run << " atom " << a;
+      EXPECT_EQ(tables->atoms[a].argmax, maxed->atoms[a].argmax)
+          << run << " atom " << a;
+    }
+    const OperatorStats* fired =
+        (threads == 0 ? serial_ctx : ctx).FindStats("tsens.factorized_max");
+    ASSERT_NE(fired, nullptr) << run;
+    EXPECT_GE(fired->calls, 1u) << run;
+    if (threads != 0) ExpectSameStats(serial_ctx, ctx, run);
+  }
+}
+
+TEST(ParallelDifferentialTest, FactorizedMaxMatchesTables) {
+  Rng rng(1212);
+  for (int length : {3, 4}) {
+    for (int seed = 0; seed < 8; ++seed) {
+      PaperExample ex = testing::MakeRandomCycleInstance(
+          rng, length, /*max_rows=*/8, /*domain_size=*/3,
+          testing::CycleKeys::kKeyed);
+      Ghd ghd = testing::PairedCycleGhd(ex.query);
+      TSensComputeOptions opts;
+      opts.ghd = &ghd;
+      RunFactorizedMaxDifferential(ex.query, ex.db, opts,
+                                   "cycle " + std::to_string(length) +
+                                       " seed " + std::to_string(seed));
+    }
+  }
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    TpchOptions topts;
+    topts.scale = 0.0005;
+    topts.seed = seed;
+    Database db = MakeTpchDatabase(topts);
+    WorkloadQuery w = MakeTpchQ3(db);
+    for (bool skip : {true, false}) {
+      TSensComputeOptions opts;
+      opts.ghd = w.ghd_ptr();
+      if (skip) opts.skip_atoms = w.skip_atoms;
+      RunFactorizedMaxDifferential(
+          w.query, db, opts,
+          "q3 seed " + std::to_string(seed) + (skip ? " skip" : " no skip"));
+    }
   }
 }
 

@@ -145,9 +145,12 @@ TEST_P(PathPropertyTest, PathAlgorithmMatchesEngineAndOracle) {
         TSensOverGhd(ex.query, MakeTrivialGhd(ex.query, *forest), ex.db);
     ASSERT_TRUE(engine.ok());
     EXPECT_EQ(path->local_sensitivity, engine->local_sensitivity);
+    EXPECT_EQ(path->argmax_atom, engine->argmax_atom);
     for (int i = 0; i < m; ++i) {
       EXPECT_EQ(path->atoms[i].max_sensitivity,
                 engine->atoms[i].max_sensitivity)
+          << "atom " << i;
+      EXPECT_EQ(path->atoms[i].argmax, engine->atoms[i].argmax)
           << "atom " << i;
     }
 
@@ -193,8 +196,7 @@ TEST_P(TrianglePropertyTest, AlternativeGhdBagsAgree) {
   Rng rng(GetParam() * 31337 + 5);
   for (int trial = 0; trial < 6; ++trial) {
     auto ex = MakeRandomTriangleInstance(rng, 6, 3);
-    Count ls[3];
-    int which = 0;
+    std::vector<SensitivityResult> results;
     for (auto bags : {std::vector<std::vector<int>>{{0, 1}, {2}},
                       std::vector<std::vector<int>>{{1, 2}, {0}},
                       std::vector<std::vector<int>>{{0, 2}, {1}}}) {
@@ -204,10 +206,21 @@ TEST_P(TrianglePropertyTest, AlternativeGhdBagsAgree) {
       opts.ghd = &*ghd;
       auto tsens = ComputeLocalSensitivity(ex.query, ex.db, opts);
       ASSERT_TRUE(tsens.ok());
-      ls[which++] = tsens->local_sensitivity;
+      results.push_back(*std::move(tsens));
     }
-    EXPECT_EQ(ls[0], ls[1]);
-    EXPECT_EQ(ls[1], ls[2]);
+    // The multiplicity tables do not depend on the bags, so neither do the
+    // maxima nor their lexmin-among-max argmax rows.
+    for (size_t g = 1; g < results.size(); ++g) {
+      EXPECT_EQ(results[0].local_sensitivity, results[g].local_sensitivity);
+      EXPECT_EQ(results[0].argmax_atom, results[g].argmax_atom);
+      for (size_t a = 0; a < results[0].atoms.size(); ++a) {
+        EXPECT_EQ(results[0].atoms[a].max_sensitivity,
+                  results[g].atoms[a].max_sensitivity)
+            << "ghd " << g << " atom " << a;
+        EXPECT_EQ(results[0].atoms[a].argmax, results[g].atoms[a].argmax)
+            << "ghd " << g << " atom " << a;
+      }
+    }
   }
 }
 

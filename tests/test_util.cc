@@ -147,6 +147,57 @@ PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,
   return ex;
 }
 
+PaperExample MakeRandomCycleInstance(Rng& rng, int length, int max_rows,
+                                     int domain_size, CycleKeys keys) {
+  LSENS_CHECK(length == 3 || length == 4);
+  const uint64_t domain = static_cast<uint64_t>(domain_size);
+  auto draw = [&] { return static_cast<Value>(rng.NextBounded(domain)); };
+  PaperExample ex;
+  for (int i = 0; i < length; ++i) {
+    std::vector<std::string> vars{"X" + std::to_string(i),
+                                  "X" + std::to_string((i + 1) % length)};
+    std::string name = "E" + std::to_string(i);
+    auto* rel = ex.db.AddRelation(name, vars);
+    const int rows = static_cast<int>(rng.NextInRange(0, max_rows));
+    if (i == 1 && keys == CycleKeys::kKeyed) {
+      // Distinct first-column values, each drawn at most once.
+      std::vector<Value> firsts(domain);
+      for (uint64_t v = 0; v < domain; ++v) firsts[v] = static_cast<Value>(v);
+      for (uint64_t v = domain; v > 1; --v) {
+        std::swap(firsts[v - 1], firsts[rng.NextBounded(v)]);
+      }
+      const size_t n = std::min(static_cast<size_t>(rows), firsts.size());
+      for (size_t r = 0; r < n; ++r) rel->AppendRow({firsts[r], draw()});
+    } else {
+      for (int r = 0; r < rows; ++r) rel->AppendRow({draw(), draw()});
+    }
+    if (keys == CycleKeys::kUnkeyed) {
+      // Negative values pass E0's predicates (rhs >= 0), so filtering never
+      // turns a column back into a key.
+      rel->AppendRow({-1, -1});
+      rel->AppendRow({-1, -2});
+      rel->AppendRow({-2, -1});
+    }
+    ex.query.AddAtom(ex.db, name, vars);
+  }
+  if (rng.NextBounded(2) == 0) {
+    Predicate p;
+    p.var = ex.query.atom(0).vars[rng.NextBounded(2)];
+    p.op = rng.NextBounded(2) == 0 ? Predicate::Op::kNe : Predicate::Op::kLe;
+    p.rhs = draw();
+    ex.query.AddPredicate(0, p);
+  }
+  return ex;
+}
+
+Ghd PairedCycleGhd(const ConjunctiveQuery& q) {
+  std::vector<std::vector<int>> bags = {{0, 1}, {2}};
+  if (q.num_atoms() == 4) bags[1].push_back(3);
+  auto ghd = BuildGhd(q, std::move(bags));
+  LSENS_CHECK(ghd.ok());
+  return *std::move(ghd);
+}
+
 PaperExample MakeStreamInstance(Rng& rng, StreamShape shape) {
   switch (shape) {
     case StreamShape::kPath:

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "query/conjunctive_query.h"
+#include "query/ghd.h"
 #include "storage/database.h"
 
 namespace lsens::testing {
@@ -48,6 +49,26 @@ PaperExample MakeRandomAcyclicInstance(Rng& rng, const RandomQuerySpec& spec);
 // Q(A,B,C) :- R1(A,B), R2(B,C), R3(C,A)  (cyclic).
 PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,
                                         int domain_size);
+
+// How MakeRandomCycleInstance shapes the data around E1's first column.
+enum class CycleKeys {
+  // E1's first column is a key (each value in at most one row), so `X0,X1`
+  // determine X2 and E0's multiplicity table takes the factorized max.
+  kKeyed,
+  // Every relation repeats values in both columns, predicates included: no
+  // column is a key and no multiplicity table takes the factorized max.
+  kUnkeyed,
+};
+
+// Random instance of the cycle query E0(X0,X1), E1(X1,X2), ...,
+// E{length-1}(X{length-1},X0) for length 3 (triangle) or 4 (4-cycle). With
+// probability 1/2 atom E0 carries a predicate on one of its variables.
+PaperExample MakeRandomCycleInstance(Rng& rng, int length, int max_rows,
+                                     int domain_size, CycleKeys keys);
+
+// The width-2 GHD of a MakeRandomCycleInstance query pairing consecutive
+// atoms: {E0,E1},{E2} for the triangle, {E0,E1},{E2,E3} for the 4-cycle.
+Ghd PairedCycleGhd(const ConjunctiveQuery& q);
 
 // --- Seeded stream workloads ---------------------------------------------
 // Shared by the streaming suites (incremental_test, plan_cache_test,
