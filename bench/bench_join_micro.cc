@@ -1,24 +1,20 @@
 // Operator micro-benchmarks (google-benchmark): the counted-relation
 // primitives every TSens pass is built from — r⋈ under each join kernel
-// (including the pre-ExecContext legacy kernels kept here as the
-// comparison baseline), γ group-by-sum, and the Yannakakis-style count
-// evaluation on TPC-H q1.
+// and kAuto (plus the hash kernel's threads axis), γ group-by-sum, and the
+// Yannakakis-style count evaluation on TPC-H q1.
 //
 // Besides the console table, the run writes a machine-readable trajectory
 // file (default BENCH_join.json, override with LSENS_BENCH_JSON):
 //   [{"name": "BM_HashJoin/10000", "rows": 10000, "ns_per_op": 2.1e6}, ...]
-// so successive PRs can diff per-kernel perf. Legacy-vs-current speedups
-// are printed at the end of the run.
+// so successive runs can diff per-kernel perf. Threads-axis speedups are
+// printed at the end of the run.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <numeric>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -43,172 +39,6 @@ CountedRelation MakeRandomCounted(Rng& rng, size_t rows, AttributeSet attrs,
   }
   rel.Normalize();
   return rel;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy kernels: the seed implementation (std::unordered_multimap build,
-// per-emission scratch allocation, comparison-sort normalize), preserved
-// verbatim in spirit so BM_Legacy* measures what the refactor replaced.
-// ---------------------------------------------------------------------------
-
-uint64_t LegacyHashKey(std::span<const Value> row,
-                       const std::vector<int>& cols) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int c : cols) {
-    h = Mix64(h ^ static_cast<uint64_t>(row[static_cast<size_t>(c)]));
-  }
-  return h;
-}
-
-struct LegacyRows {
-  size_t arity = 0;
-  std::vector<Value> data;
-  std::vector<Count> counts;
-  std::span<const Value> Row(size_t i) const {
-    return {data.data() + i * arity, arity};
-  }
-};
-
-int LegacyCompareRows(std::span<const Value> a, std::span<const Value> b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] < b[i]) return -1;
-    if (a[i] > b[i]) return 1;
-  }
-  return 0;
-}
-
-// The seed's Normalize: permutation sort with indirect full-row
-// comparisons, merge, then a zero-count filter pass.
-void LegacyNormalize(LegacyRows& r) {
-  const size_t n = r.counts.size();
-  const size_t k = r.arity;
-  if (n == 0) return;
-  std::vector<uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return LegacyCompareRows(r.Row(a), r.Row(b)) < 0;
-  });
-  std::vector<Value> new_data;
-  new_data.reserve(r.data.size());
-  std::vector<Count> new_counts;
-  new_counts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::span<const Value> row = r.Row(perm[i]);
-    if (!new_counts.empty() &&
-        LegacyCompareRows({new_data.data() + (new_counts.size() - 1) * k, k},
-                          row) == 0) {
-      new_counts.back() += r.counts[perm[i]];
-    } else {
-      new_data.insert(new_data.end(), row.begin(), row.end());
-      new_counts.push_back(r.counts[perm[i]]);
-    }
-  }
-  std::vector<Value> final_data;
-  final_data.reserve(new_data.size());
-  std::vector<Count> final_counts;
-  final_counts.reserve(new_counts.size());
-  for (size_t i = 0; i < new_counts.size(); ++i) {
-    if (new_counts[i].IsZero()) continue;
-    final_data.insert(final_data.end(), new_data.begin() + i * k,
-                      new_data.begin() + (i + 1) * k);
-    final_counts.push_back(new_counts[i]);
-  }
-  r.data = std::move(final_data);
-  r.counts = std::move(final_counts);
-}
-
-// The seed's two-column-relation natural join over `key` = the single
-// shared attribute of the bench shapes ({1,2} ⋈ {2,3}).
-LegacyRows LegacyHashJoin(const CountedRelation& a, const CountedRelation& b) {
-  const std::vector<int> a_key{1};
-  const std::vector<int> b_key{0};
-  const bool build_a = a.NumRows() < b.NumRows();
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  const std::vector<int>& build_cols = build_a ? a_key : b_key;
-  const std::vector<int>& probe_cols = build_a ? b_key : a_key;
-
-  std::unordered_multimap<uint64_t, uint32_t> table;
-  table.reserve(build.NumRows());
-  for (size_t i = 0; i < build.NumRows(); ++i) {
-    table.emplace(LegacyHashKey(build.Row(i), build_cols),
-                  static_cast<uint32_t>(i));
-  }
-
-  LegacyRows out;
-  out.arity = 3;
-  std::vector<Value> scratch;
-  for (size_t j = 0; j < probe.NumRows(); ++j) {
-    std::span<const Value> pr = probe.Row(j);
-    uint64_t h = LegacyHashKey(pr, probe_cols);
-    auto [lo, hi] = table.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      std::span<const Value> br = build.Row(it->second);
-      if (br[static_cast<size_t>(build_cols[0])] !=
-          pr[static_cast<size_t>(probe_cols[0])]) {
-        continue;
-      }
-      std::span<const Value> ra = build_a ? br : pr;
-      std::span<const Value> rb = build_a ? pr : br;
-      scratch.resize(3);
-      scratch[0] = ra[0];
-      scratch[1] = ra[1];
-      scratch[2] = rb[1];
-      out.data.insert(out.data.end(), scratch.begin(), scratch.end());
-      out.counts.push_back(build.CountAt(it->second) * probe.CountAt(j));
-    }
-  }
-  LegacyNormalize(out);
-  return out;
-}
-
-LegacyRows LegacySortMergeJoin(const CountedRelation& a,
-                               const CountedRelation& b) {
-  auto sorted_perm = [](const CountedRelation& r, int col) {
-    std::vector<uint32_t> perm(r.NumRows());
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&](uint32_t x, uint32_t y) {
-      return r.Row(x)[static_cast<size_t>(col)] <
-             r.Row(y)[static_cast<size_t>(col)];
-    });
-    return perm;
-  };
-  std::vector<uint32_t> pa = sorted_perm(a, 1);
-  std::vector<uint32_t> pb = sorted_perm(b, 0);
-
-  LegacyRows out;
-  out.arity = 3;
-  std::vector<Value> scratch;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < pa.size() && j < pb.size()) {
-    Value va = a.Row(pa[i])[1];
-    Value vb = b.Row(pb[j])[0];
-    if (va < vb) {
-      ++i;
-    } else if (va > vb) {
-      ++j;
-    } else {
-      size_t i_end = i + 1;
-      while (i_end < pa.size() && a.Row(pa[i_end])[1] == vb) ++i_end;
-      size_t j_end = j + 1;
-      while (j_end < pb.size() && b.Row(pb[j_end])[0] == va) ++j_end;
-      for (size_t x = i; x < i_end; ++x) {
-        for (size_t y = j; y < j_end; ++y) {
-          scratch.resize(3);
-          scratch[0] = a.Row(pa[x])[0];
-          scratch[1] = a.Row(pa[x])[1];
-          scratch[2] = b.Row(pb[y])[1];
-          out.data.insert(out.data.end(), scratch.begin(), scratch.end());
-          out.counts.push_back(a.CountAt(pa[x]) * b.CountAt(pb[y]));
-        }
-      }
-      i = i_end;
-      j = j_end;
-    }
-  }
-  LegacyNormalize(out);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -266,27 +96,6 @@ void BM_AutoJoin(benchmark::State& state) {
 BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_SortMergeJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_AutoJoin)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_LegacyJoin(benchmark::State& state, bool hash) {
-  Rng rng(1);
-  size_t rows = static_cast<size_t>(state.range(0));
-  CountedRelation a = MakeRandomCounted(rng, rows, {1, 2}, rows / 4 + 1);
-  CountedRelation b = MakeRandomCounted(rng, rows, {2, 3}, rows / 4 + 1);
-  for (auto _ : state) {
-    LegacyRows j = hash ? LegacyHashJoin(a, b) : LegacySortMergeJoin(a, b);
-    benchmark::DoNotOptimize(j.counts.size());
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * rows));
-}
-
-void BM_LegacyHashJoin(benchmark::State& state) { BM_LegacyJoin(state, true); }
-void BM_LegacySortMergeJoin(benchmark::State& state) {
-  BM_LegacyJoin(state, false);
-}
-BENCHMARK(BM_LegacyHashJoin)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_LegacySortMergeJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_GroupBySum(benchmark::State& state) {
   Rng rng(2);
@@ -412,31 +221,6 @@ void PrintParallelSpeedups(const std::vector<BenchEntry>& entries) {
   }
 }
 
-// Prints "BM_HashJoin/10000: 3.5x vs legacy" lines for every kernel pair
-// present in this run.
-void PrintSpeedups(const std::vector<BenchEntry>& entries) {
-  std::map<std::string, double> by_name;
-  for (const BenchEntry& e : entries) by_name[e.name] = e.ns_per_op;
-  const std::pair<const char*, const char*> pairs[] = {
-      {"BM_HashJoin", "BM_LegacyHashJoin"},
-      {"BM_SortMergeJoin", "BM_LegacySortMergeJoin"},
-  };
-  bool header = false;
-  for (const auto& [current, legacy] : pairs) {
-    for (const auto& [name, ns] : by_name) {
-      if (name.rfind(std::string(current) + "/", 0) != 0) continue;
-      std::string suffix = name.substr(std::string(current).size());
-      auto it = by_name.find(std::string(legacy) + suffix);
-      if (it == by_name.end() || ns <= 0) continue;
-      if (!header) {
-        std::printf("\nspeedup vs legacy kernels:\n");
-        header = true;
-      }
-      std::printf("  %-28s %6.2fx\n", name.c_str(), it->second / ns);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace lsens
 
@@ -464,7 +248,6 @@ int main(int argc, char** argv) {
       !lsens::bench::WriteParallelJson("BENCH_parallel_join.json", parallel)) {
     return 1;
   }
-  lsens::PrintSpeedups(json.entries());
   lsens::PrintParallelSpeedups(json.entries());
   benchmark::Shutdown();
   return 0;

@@ -38,20 +38,33 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
     // Pick the piece minimizing the joined row count; among pieces that
     // share no attribute with the accumulator (cross products) only pick
     // one if no sharing piece exists. Defaulted pieces are eligible only
-    // when covered by the accumulator's attributes.
+    // when covered by the accumulator's attributes. Only a contest between
+    // two or more sharing pieces needs exact counts: a lone sharing piece
+    // wins regardless of its size.
+    auto eligible = [&](const CountedRelation* piece) {
+      return !piece->has_default() || IsSubset(piece->attrs(), acc.attrs());
+    };
+    size_t sharing = 0;
+    for (const CountedRelation* piece : remaining) {
+      if (eligible(piece) && Intersects(piece->attrs(), acc.attrs())) {
+        ++sharing;
+      }
+    }
     size_t best = SIZE_MAX;
     size_t best_rows = std::numeric_limits<size_t>::max();
     bool best_shares = false;
     for (size_t i = 0; i < remaining.size(); ++i) {
       const CountedRelation* piece = remaining[i];
-      if (piece->has_default() && !IsSubset(piece->attrs(), acc.attrs())) {
-        continue;
-      }
+      if (!eligible(piece)) continue;
       bool shares = Intersects(piece->attrs(), acc.attrs());
-      size_t rows = piece->has_default()
-                        ? acc.NumRows()  // covering join keeps acc's rows
-                        : EstimateJoinRows(acc, *piece, options.ctx,
-                                           options.threads);
+      size_t rows = 0;
+      if (piece->has_default()) {
+        rows = acc.NumRows();  // covering join keeps acc's rows
+      } else if (!shares) {
+        rows = acc.NumRows() * piece->NumRows();  // cross product
+      } else if (sharing >= 2) {
+        rows = EstimateJoinRows(acc, *piece, options.ctx, options.threads);
+      }
       if (best == SIZE_MAX || (shares && !best_shares) ||
           (shares == best_shares && rows < best_rows)) {
         best = i;

@@ -10,11 +10,13 @@ namespace lsens {
 // Joins a set of counted relations into one, choosing the join order
 // greedily: the accumulator starts at the piece with the fewest rows (among
 // non-defaulted pieces) and each step picks the remaining piece minimizing
-// the *exact* result-row count (computed by EstimateJoinRows), preferring
-// attribute-sharing pieces over cross products. Defaulted (top-k) pieces
-// are only joined once the accumulator covers their attributes; if that
-// never happens, their truncation is undone (sound — it only tightens the
-// upper bound back to the exact value).
+// the result-row count, preferring attribute-sharing pieces over cross
+// products. Exact counts (EstimateJoinRows) are taken only when two or
+// more attribute-sharing pieces compete; a lone sharing piece is joined
+// next without one, and cross-product sizes are plain products. Defaulted
+// (top-k) pieces are only joined once the accumulator covers their
+// attributes; if that never happens, their truncation is undone (sound —
+// it only tightens the upper bound back to the exact value).
 //
 // This is the workhorse behind the paper's r⋈(X1, ..., Xp) expressions:
 // botjoins/topjoins (Eq. 7–8), multiplicity tables (Eq. 6, including the

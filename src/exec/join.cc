@@ -1,7 +1,6 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -127,10 +126,60 @@ CountedRelation CrossProduct(const CountedRelation& a,
   return out;
 }
 
-// Hash join over `table`, already built on the smaller side by the
-// estimate pass in NaturalJoin (whose wall time is reported as
-// "estimate_join_rows"; this timer covers probe/emit/normalize).
-// `est_rows` is the exact pre-merge output size.
+// Sums the probe-side run sizes against `table` — the exact pre-merge join
+// cardinality in O(|probe|). Large probes are chunk-summed on the pool;
+// partial sums are added in chunk order, so the total is exact and
+// deterministic either way.
+size_t ProbeTotalRows(const FlatGroupTable& table, const CountedRelation& probe,
+                      std::span<const int> probe_cols,
+                      std::span<const uint64_t> probe_hashes, ExecContext& ctx,
+                      int threads) {
+  const size_t n = probe.NumRows();
+  if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
+    const size_t parts = static_cast<size_t>(threads);
+    std::vector<size_t> partial(parts, 0);
+    ParallelApply(ctx, threads, parts, [&](size_t p, ExecContext&) {
+      const size_t begin = p * n / parts;
+      const size_t end = (p + 1) * n / parts;
+      size_t sum = 0;
+      for (size_t j = begin; j < end; ++j) {
+        sum += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
+      }
+      partial[p] = sum;
+    });
+    size_t total = 0;
+    for (size_t s : partial) total += s;
+    return total;
+  }
+  size_t total = 0;
+  for (size_t j = 0; j < n; ++j) {
+    total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
+  }
+  return total;
+}
+
+// Builds ctx.group_table() on the smaller side (`a` if `build_a`),
+// batch-hashes the other side's keys into ctx.hash_buf() (one column pass,
+// reused per row by every later probe), and returns the exact pre-merge
+// join cardinality. Runs are key-verified, so the count is exact even
+// under hash collisions.
+size_t BuildAndCount(const CountedRelation& a, const CountedRelation& b,
+                     const JoinLayout& layout, bool build_a, ExecContext& ctx,
+                     int threads) {
+  const CountedRelation& probe = build_a ? b : a;
+  const std::vector<int>& probe_cols =
+      build_a ? layout.b_key_cols : layout.a_key_cols;
+  ctx.group_table().Build(build_a ? a : b,
+                          build_a ? layout.a_key_cols : layout.b_key_cols);
+  HashRowKeysBatch(probe, probe_cols, ctx.gather_buf(), ctx.hash_buf());
+  return ProbeTotalRows(ctx.group_table(), probe, probe_cols, ctx.hash_buf(),
+                        ctx, threads);
+}
+
+// Hash join: a flat group table on the smaller side, probed by the larger.
+// A counting probe first takes the exact pre-merge output size, which
+// sizes the Reserve — cheaper than the reallocation doublings it replaces
+// on expanding joins.
 //
 // With threads > 1 and a probe side past kParallelProbeMinRows the probe
 // is partitioned into `threads` contiguous row ranges fanned out over the
@@ -140,14 +189,10 @@ CountedRelation CrossProduct(const CountedRelation& a,
 // emitted multiset is exactly the serial one and Count addition is
 // associative and commutative (saturating), so the normalized output — and
 // the one recorded "join.hash" stats row — is bit-identical to serial.
-//
-// `probe_hashes` holds the probe side's precomputed key hashes (the
-// estimate pass already batch-hashed them; workers read the shared array).
 CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
-                         const JoinLayout& layout, const FlatGroupTable& table,
-                         bool build_a, size_t est_rows,
-                         std::span<const uint64_t> probe_hashes,
-                         ExecContext& ctx, int threads) {
+                         const JoinLayout& layout, ExecContext& ctx,
+                         int threads) {
+  const bool build_a = a.NumRows() < b.NumRows();
   const CountedRelation& build = build_a ? a : b;
   const CountedRelation& probe = build_a ? b : a;
   const std::vector<int>& probe_cols =
@@ -155,6 +200,9 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
 
   OpTimer op(ctx, "join.hash", a.NumRows() + b.NumRows());
   op.set_build_rows(build.NumRows());
+  const size_t est_rows = BuildAndCount(a, b, layout, build_a, ctx, threads);
+  const FlatGroupTable& table = ctx.group_table();
+  std::span<const uint64_t> probe_hashes = ctx.hash_buf();
   const size_t n = probe.NumRows();
 
   auto probe_range = [&](size_t begin, size_t end, CountedRelation* out,
@@ -203,8 +251,7 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
 
 CountedRelation SortMergeJoin(const CountedRelation& a,
                               const CountedRelation& b,
-                              const JoinLayout& layout, size_t est_rows,
-                              ExecContext& ctx) {
+                              const JoinLayout& layout, ExecContext& ctx) {
   OpTimer op(ctx, "join.sort_merge", a.NumRows() + b.NumRows());
   std::vector<uint32_t>& pa = ctx.perm_a();
   std::vector<uint32_t>& pb = ctx.perm_b();
@@ -222,7 +269,6 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
   };
 
   CountedRelation out(layout.out_attrs);
-  if (est_rows != SIZE_MAX) out.Reserve(std::min(est_rows, kMaxReserveRows));
   std::vector<Value>& scratch = ctx.row_buf();
   scratch.resize(layout.out_src.size());
   size_t i = 0;
@@ -256,67 +302,6 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
   return out;
 }
 
-// Sums the probe-side run sizes against `table` — the exact pre-merge join
-// cardinality in O(|probe|). Large probes are chunk-summed on the pool;
-// partial sums are added in chunk order, so the total is exact and
-// deterministic either way.
-size_t ProbeTotalRows(const FlatGroupTable& table, const CountedRelation& probe,
-                      std::span<const int> probe_cols,
-                      std::span<const uint64_t> probe_hashes, ExecContext& ctx,
-                      int threads) {
-  const size_t n = probe.NumRows();
-  if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
-    const size_t parts = static_cast<size_t>(threads);
-    std::vector<size_t> partial(parts, 0);
-    ParallelApply(ctx, threads, parts, [&](size_t p, ExecContext&) {
-      const size_t begin = p * n / parts;
-      const size_t end = (p + 1) * n / parts;
-      size_t sum = 0;
-      for (size_t j = begin; j < end; ++j) {
-        sum += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
-      }
-      partial[p] = sum;
-    });
-    size_t total = 0;
-    for (size_t s : partial) total += s;
-    return total;
-  }
-  size_t total = 0;
-  for (size_t j = 0; j < n; ++j) {
-    total += table.Probe(probe.Row(j), probe_cols, probe_hashes[j]).size();
-  }
-  return total;
-}
-
-// The kAuto cost model, in per-row-touch units. Hash pays a build on the
-// smaller side and a hashed probe per larger-side row; sort-merge pays
-// n·log n per side *unless* that side is already ordered on the key (then
-// its scan is free), and emits from contiguous runs, which is slightly
-// cheaper per output row than dereferencing scattered build rows.
-JoinAlgorithm PickJoinAlgorithm(size_t na, size_t nb, size_t est_rows,
-                                bool sorted_a, bool sorted_b) {
-  constexpr double kHashBuild = 3.0;
-  constexpr double kHashProbe = 1.5;
-  constexpr double kMergeScan = 1.0;
-  constexpr double kSortPerCmp = 1.25;
-  constexpr double kEmitHash = 1.25;
-  constexpr double kEmitMerge = 1.0;
-  auto sort_cost = [](size_t n, bool sorted) {
-    if (sorted || n < 2) return 0.0;
-    const double nd = static_cast<double>(n);
-    return kSortPerCmp * nd * std::log2(nd);
-  };
-  const double est = est_rows == SIZE_MAX ? 0.0 : static_cast<double>(est_rows);
-  const double scan = static_cast<double>(na + nb);
-  const double merge_cost = sort_cost(na, sorted_a) + sort_cost(nb, sorted_b) +
-                            kMergeScan * scan + kEmitMerge * est;
-  const double hash_cost = kHashBuild * static_cast<double>(std::min(na, nb)) +
-                           kHashProbe * static_cast<double>(std::max(na, nb)) +
-                           kEmitHash * est;
-  return merge_cost < hash_cost ? JoinAlgorithm::kSortMerge
-                                : JoinAlgorithm::kHash;
-}
-
 }  // namespace
 
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
@@ -338,87 +323,26 @@ CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
 
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return CrossProduct(a, b, ctx);
-  const bool build_a = a.NumRows() < b.NumRows();
-  if (options.algorithm == JoinAlgorithm::kSortMerge) {
-    return SortMergeJoin(a, b, layout, /*est_rows=*/SIZE_MAX, ctx);
-  }
-
-  // kHash and kAuto share the estimate pass (recorded as
-  // "estimate_join_rows", the same work the public estimator does): it
-  // builds the flat group table the hash kernel then reuses, and its
-  // exact output count sizes the Reserve — which beats the reallocation
-  // doublings it replaces on expanding joins, measurably so in
-  // bench_join_micro. kAuto additionally feeds it to the cost model; when
-  // sort-merge wins, the table build is the price of the estimate.
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  const std::vector<int>& build_cols =
-      build_a ? layout.a_key_cols : layout.b_key_cols;
-  const std::vector<int>& probe_cols =
-      build_a ? layout.b_key_cols : layout.a_key_cols;
-  FlatGroupTable& table = ctx.group_table();
-  // One column-batch pass hashes the probe side's keys; the estimate's
-  // ProbeTotalRows and the hash kernel's emit loop both reuse them.
-  std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
-  size_t est_rows = 0;
-  {
-    OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
-    op.set_build_rows(build.NumRows());
-    table.Build(build, build_cols);
-    HashRowKeysBatch(probe, probe_cols, ctx.gather_buf(), probe_hashes);
-    est_rows = ProbeTotalRows(table, probe, probe_cols, probe_hashes, ctx,
-                              options.threads);
-    op.set_rows_out(est_rows);
-  }
-
+  bool merge = options.algorithm == JoinAlgorithm::kSortMerge;
   if (options.algorithm == JoinAlgorithm::kAuto) {
-    const JoinAlgorithm picked = PickJoinAlgorithm(
-        a.NumRows(), b.NumRows(), est_rows,
-        RowsSortedBy(a, layout.a_key_cols), RowsSortedBy(b, layout.b_key_cols));
-    if (picked == JoinAlgorithm::kSortMerge) {
-      return SortMergeJoin(a, b, layout, est_rows, ctx);
-    }
+    // Two sides already ordered on the key merge in one linear pass, with
+    // no sort and no table build; anything else hashes.
+    merge = RowsSortedBy(a, layout.a_key_cols) &&
+            RowsSortedBy(b, layout.b_key_cols);
   }
-  return HashJoin(a, b, layout, table, build_a, est_rows, probe_hashes, ctx,
-                  options.threads);
-}
-
-JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
-                                  const CountedRelation& b, ExecContext* ctx) {
-  if (a.has_default() || b.has_default()) return JoinAlgorithm::kHash;
-  JoinLayout layout = MakeLayout(a, b);
-  if (layout.key.empty()) return JoinAlgorithm::kHash;
-  return PickJoinAlgorithm(a.NumRows(), b.NumRows(),
-                           EstimateJoinRows(a, b, ctx),
-                           RowsSortedBy(a, layout.a_key_cols),
-                           RowsSortedBy(b, layout.b_key_cols));
+  if (merge) return SortMergeJoin(a, b, layout, ctx);
+  return HashJoin(a, b, layout, ctx, options.threads);
 }
 
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
                         ExecContext* ctx_in, int threads) {
-  AttributeSet key = Intersect(a.attrs(), b.attrs());
-  if (key.empty()) return a.NumRows() * b.NumRows();
+  JoinLayout layout = MakeLayout(a, b);
+  if (layout.key.empty()) return a.NumRows() * b.NumRows();
   ExecContext& ctx = ResolveExecContext(ctx_in);
   OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
-  std::vector<int> a_cols;
-  std::vector<int> b_cols;
-  for (AttrId attr : key) {
-    a_cols.push_back(a.ColumnOf(attr));
-    b_cols.push_back(b.ColumnOf(attr));
-  }
-  // Group the smaller side in the flat table, probe with the other. Runs
-  // are key-verified, so the count is exact.
   const bool build_a = a.NumRows() < b.NumRows();
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  FlatGroupTable& table = ctx.group_table();
-  op.set_build_rows(build.NumRows());
-  table.Build(build, build_a ? a_cols : b_cols);
-  std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
-  HashRowKeysBatch(probe, build_a ? b_cols : a_cols, ctx.gather_buf(),
-                   probe_hashes);
-  const size_t total = ProbeTotalRows(table, probe, build_a ? b_cols : a_cols,
-                                      probe_hashes, ctx, threads);
+  op.set_build_rows(std::min(a.NumRows(), b.NumRows()));
+  const size_t total = BuildAndCount(a, b, layout, build_a, ctx, threads);
   op.set_rows_out(total);
   return total;
 }

@@ -7,13 +7,15 @@ namespace lsens {
 
 class ExecContext;
 
-// Natural-join algorithm selection. kAuto runs the cost-based picker
-// (ChooseJoinAlgorithm): it weighs hash build/probe against sort-merge,
-// crediting sides that are already ordered on the join key (a sorted merge
-// needs no sort at all) and consulting the exact output size from the
-// estimator. kHash / kSortMerge force one kernel; both produce identical
-// normalized outputs (the paper describes its algorithms with sort-merge
-// joins, so that kernel is also the cross-check oracle).
+// Natural-join algorithm selection. kAuto decides from key order alone:
+// when both sides are already ordered on the join key (RowsSortedBy —
+// true of a normalized relation whose key leads its attribute order) it
+// runs the sort-merge kernel, a single
+// linear merge with no sort and no table build; otherwise it runs the hash
+// kernel. No output-size estimate is taken for the decision. kHash /
+// kSortMerge force one kernel; both produce identical normalized outputs
+// (the paper describes its algorithms with sort-merge joins, so that
+// kernel is also the cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -52,22 +54,14 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options = {});
 
-// The algorithm kAuto would run for NaturalJoin(a, b): a cost model over
-// the input sizes, key-order of each side (RowsSortedBy), and the exact
-// join cardinality from EstimateJoinRows. Exposed for tests and explain
-// output. Joins that never reach the hash/sort-merge decision — defaulted
-// sides and empty join keys — report kHash (their dedicated paths ignore
-// the picker).
-JoinAlgorithm ChooseJoinAlgorithm(const CountedRelation& a,
-                                  const CountedRelation& b,
-                                  ExecContext* ctx = nullptr);
-
 // Exact number of result rows NaturalJoin(a, b) would produce, computed in
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
-// collisions). Used by FoldJoin's greedy join-order heuristic and the
-// cost-based picker. `threads` > 1 chunk-sums large probe sides on the
-// global pool (the count is unchanged).
+// collisions). Recorded as "estimate_join_rows"; FoldJoin's greedy
+// join-order heuristic is its only engine caller. (The hash kernel takes
+// the same exact count inside its own "join.hash" timer to size its
+// output.) `threads` > 1 chunk-sums large probe sides on the global pool
+// (the count is unchanged).
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
                         ExecContext* ctx = nullptr, int threads = 0);
 

@@ -12,9 +12,9 @@ namespace lsens {
 class ExecContext;
 
 // Shared sort/merge machinery for the row-at-a-time operators: Normalize,
-// GroupBySum, the sort-merge join, and the cost-based algorithm picker all
-// order rows by a column subset through these helpers instead of each
-// carrying its own comparison loop.
+// GroupBySum, the sort-merge join, and the kAuto join rule all order rows
+// by a column subset through these helpers instead of each carrying its
+// own comparison loop.
 
 // Sort element: the row's first two key values (sign-flipped so unsigned
 // comparison preserves int64 order) packed into one 128-bit key, plus the
@@ -50,7 +50,7 @@ inline int CompareRowsAt(std::span<const Value> a, std::span<const Value> b,
 }
 
 // True if the rows of `r` are already sorted by `cols` (non-decreasing).
-// O(n * |cols|); the picker uses this to cost a zero-sort merge join, the
+// O(n * |cols|); kAuto uses this to pick a zero-sort merge join, the
 // sorters to skip their std::sort.
 bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols);
 

@@ -111,14 +111,9 @@ StatusOr<CountedRelation> EnumerateQuery(const ConjunctiveQuery& q,
                                          const Database& db,
                                          const JoinOptions& options,
                                          size_t max_rows) {
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    return EnumerateJoin(q, MakeTrivialGhd(q, *forest), db, options,
-                         max_rows);
-  }
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return searched.status();
-  return EnumerateJoin(q, *searched, db, options, max_rows);
+  auto plan = ChooseTSensPlan(q, /*ghd=*/nullptr, /*allow_path=*/false);
+  if (!plan.ok()) return plan.status();
+  return EnumerateJoin(q, plan->ghd, db, options, max_rows);
 }
 
 }  // namespace lsens

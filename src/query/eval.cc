@@ -64,21 +64,12 @@ StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
   return total;
 }
 
-StatusOr<Count> CountJoinForest(const ConjunctiveQuery& q,
-                                const JoinForest& forest, const Database& db,
-                                const JoinOptions& options) {
-  return CountGhd(q, MakeTrivialGhd(q, forest), db, options);
-}
-
 StatusOr<Count> CountQuery(const ConjunctiveQuery& q, const Database& db,
                            const JoinOptions& options, const Ghd* ghd) {
   LSENS_RETURN_IF_ERROR(q.Validate(db));
-  if (ghd != nullptr) return CountGhd(q, *ghd, db, options);
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) return CountJoinForest(q, *forest, db, options);
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return searched.status();
-  return CountGhd(q, *searched, db, options);
+  auto plan = ChooseTSensPlan(q, ghd, /*allow_path=*/false);
+  if (!plan.ok()) return plan.status();
+  return CountGhd(q, plan->ghd, db, options);
 }
 
 StatusOr<CountedRelation> BruteForceJoin(const ConjunctiveQuery& q,

@@ -5,18 +5,9 @@
 #include "common/status.h"
 #include "exec/fold_join.h"
 #include "query/ghd.h"
-#include "query/join_tree.h"
 #include "storage/database.h"
 
 namespace lsens {
-
-// |Q(D)| under bag semantics for an acyclic query, evaluated Yannakakis-
-// style on the join forest: one bottom-up botjoin pass per tree (counts
-// aggregate through the tree, near-linear in the input, never in the
-// output), multiplied across connected components.
-StatusOr<Count> CountJoinForest(const ConjunctiveQuery& q,
-                                const JoinForest& forest, const Database& db,
-                                const JoinOptions& options = {});
 
 // |Q(D)| for a (possibly cyclic) query via a generalized hypertree
 // decomposition: bags are folded together with their children's botjoins
@@ -25,8 +16,10 @@ StatusOr<Count> CountJoinForest(const ConjunctiveQuery& q,
 StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
                          const Database& db, const JoinOptions& options = {});
 
-// Facade: validates, decomposes (GYO, falling back to GHD search for cyclic
-// queries), and counts.
+// Facade: validates, decomposes through ChooseTSensPlan (`ghd` if given,
+// else the GYO join forest, else a searched GHD — the decomposition the
+// TSens facade runs over), and counts. Acyclic queries count
+// Yannakakis-style: near-linear in the input, never in the output.
 StatusOr<Count> CountQuery(const ConjunctiveQuery& q, const Database& db,
                            const JoinOptions& options = {},
                            const Ghd* ghd = nullptr);

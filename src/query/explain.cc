@@ -63,45 +63,36 @@ std::string RenderGhdTree(const ConjunctiveQuery& q,
 std::string ExplainQuery(const ConjunctiveQuery& q,
                          const AttributeCatalog& attrs, const Ghd* ghd) {
   std::string out = "query: " + q.ToString(attrs) + "\n";
-
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    out += "structure: acyclic (GYO)\n";
-    Ghd trivial = MakeTrivialGhd(q, *forest);
-    JoinTreeAnalysis analysis = AnalyzeJoinTree(q, *forest);
-    out += "join tree (max degree " + std::to_string(analysis.max_degree);
-    if (analysis.path_query) out += ", path query";
-    if (analysis.doubly_acyclic) out += ", doubly acyclic";
-    out += "):\n";
-    out += RenderGhdTree(q, attrs, trivial);
-    if (analysis.path_query) {
-      out += "algorithm: TSensPath (Algorithm 1, O(n log n))\n";
-    } else {
-      out += "algorithm: TSensOverGhd (Algorithm 2 over the GYO tree)\n";
-    }
+  out += IsAcyclic(q) ? "structure: acyclic (GYO)\n" : "structure: cyclic\n";
+  auto plan = ChooseTSensPlan(q, ghd, /*allow_path=*/true);
+  if (!plan.ok()) {
+    out += "no atom-partition GHD found: " + plan.status().ToString() + "\n";
     return out;
   }
-
-  out += "structure: cyclic\n";
-  Ghd searched;
-  const Ghd* use = ghd;
-  if (use == nullptr) {
-    auto found = SearchGhd(q, q.num_atoms());
-    if (!found.ok()) {
-      out += "no atom-partition GHD found: " + found.status().ToString() +
-             "\n";
-      return out;
+  const std::string width = std::to_string(plan->ghd.Width());
+  std::string algorithm = "TSensOverGhd (§5.4 GHD extension)";
+  switch (plan->source) {
+    case TSensPlan::Source::kPath:
+    case TSensPlan::Source::kGyo: {
+      const bool path = plan->source == TSensPlan::Source::kPath;
+      JoinTreeAnalysis analysis = AnalyzeJoinTree(q, plan->ghd.forest);
+      out += "join tree (max degree " + std::to_string(analysis.max_degree);
+      if (path) out += ", path query";
+      if (analysis.doubly_acyclic) out += ", doubly acyclic";
+      out += "):\n";
+      algorithm = path ? "TSensPath (Algorithm 1, O(n log n))"
+                       : "TSensOverGhd (Algorithm 2 over the GYO tree)";
+      break;
     }
-    searched = std::move(found).value();
-    use = &searched;
-    out += "decomposition: searched (width " +
-           std::to_string(searched.Width()) + ")\n";
-  } else {
-    out += "decomposition: user-supplied (width " +
-           std::to_string(use->Width()) + ")\n";
+    case TSensPlan::Source::kSupplied:
+      out += "decomposition: user-supplied (width " + width + ")\n";
+      break;
+    case TSensPlan::Source::kSearched:
+      out += "decomposition: searched (width " + width + ")\n";
+      break;
   }
-  out += RenderGhdTree(q, attrs, *use);
-  out += "algorithm: TSensOverGhd (§5.4 GHD extension)\n";
+  out += RenderGhdTree(q, attrs, plan->ghd);
+  out += "algorithm: " + algorithm + "\n";
   return out;
 }
 

@@ -15,8 +15,9 @@ class ExecContext;
 // Human-readable report of how a query will be processed: its datalog form,
 // acyclicity, the join forest or GHD (ASCII tree with link attributes), the
 // Theorem 5.1 complexity parameters (max degree, doubly-acyclic, path), and
-// which algorithm the TSens facade would pick. Intended for logs, examples,
-// and debugging decompositions.
+// which algorithm the TSens facade would pick (ChooseTSensPlan, so `ghd`,
+// when given, is the decomposition rendered, acyclic queries included).
+// Intended for logs, examples, and debugging decompositions.
 std::string ExplainQuery(const ConjunctiveQuery& q,
                          const AttributeCatalog& attrs,
                          const Ghd* ghd = nullptr);

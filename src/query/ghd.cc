@@ -154,4 +154,31 @@ int BagOf(const Ghd& ghd, int atom) {
   return -1;
 }
 
+StatusOr<TSensPlan> ChooseTSensPlan(const ConjunctiveQuery& q, const Ghd* ghd,
+                                    bool allow_path) {
+  TSensPlan plan;
+  if (ghd != nullptr) {
+    plan.source = TSensPlan::Source::kSupplied;
+    plan.ghd = *ghd;
+    return plan;
+  }
+  auto forest = BuildJoinForestGYO(q);
+  if (!forest.ok()) {
+    auto searched = SearchGhd(q, q.num_atoms());
+    if (!searched.ok()) return searched.status();
+    plan.source = TSensPlan::Source::kSearched;
+    plan.ghd = *std::move(searched);
+    return plan;
+  }
+  plan.ghd = MakeTrivialGhd(q, *forest);
+  if (allow_path) {
+    std::vector<int> order = PathOrder(q);
+    if (order.size() >= 2) {
+      plan.source = TSensPlan::Source::kPath;
+      plan.path_order = std::move(order);
+    }
+  }
+  return plan;
+}
+
 }  // namespace lsens

@@ -49,6 +49,27 @@ Ghd MakeTrivialGhd(const ConjunctiveQuery& q, const JoinForest& forest);
 // Bag index containing `atom`, or -1.
 int BagOf(const Ghd& ghd, int atom);
 
+// The engine the TSens facade (sensitivity/tsens.h) runs and the
+// decomposition it runs over. One chooser serves the facade, the
+// SensitivityCache's repair plans, ExplainQuery, and count evaluation, so
+// they cannot disagree.
+struct TSensPlan {
+  // kPath: a path query (§4), run by Algorithm 1 along `path_order`.
+  // Otherwise TSensOverGhd (Algorithm 2 / §5.4) runs over `ghd`, which the
+  // caller supplied, GYO built (one atom per bag), or SearchGhd found.
+  enum class Source { kPath, kSupplied, kGyo, kSearched };
+  Source source = Source::kGyo;
+  std::vector<int> path_order;  // kPath only
+  Ghd ghd;  // kPath carries its GYO join tree, which Algorithm 1 ignores
+};
+
+// A supplied `ghd` wins for every query. Otherwise an acyclic query takes
+// Algorithm 1 when `allow_path` and PathOrder finds a chain of at least two
+// atoms, else its GYO join forest; a cyclic query takes a minimum-width
+// SearchGhd decomposition, or that search's error.
+StatusOr<TSensPlan> ChooseTSensPlan(const ConjunctiveQuery& q, const Ghd* ghd,
+                                    bool allow_path);
+
 }  // namespace lsens
 
 #endif  // LSENS_QUERY_GHD_H_

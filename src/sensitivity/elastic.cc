@@ -168,21 +168,10 @@ StatusOr<ElasticResult> ElasticSensitivity(const ConjunctiveQuery& q,
                                            const Database& db, const Ghd* ghd,
                                            ElasticMode mode) {
   LSENS_RETURN_IF_ERROR(q.Validate(db));
-  std::vector<int> order;
-  if (ghd != nullptr) {
-    order = PlanOrderFromGhd(*ghd);
-  } else {
-    auto forest = BuildJoinForestGYO(q);
-    if (forest.ok()) {
-      order = PlanOrderFromForest(*forest);
-    } else {
-      auto searched = SearchGhd(q, q.num_atoms());
-      if (!searched.ok()) return searched.status();
-      order = PlanOrderFromGhd(*searched);
-    }
-  }
+  auto plan = ChooseTSensPlan(q, ghd, /*allow_path=*/false);
+  if (!plan.ok()) return plan.status();
   DataMaxFreqProvider mf(q, db);
-  return ElasticSensitivity(q, order, mf, mode);
+  return ElasticSensitivity(q, PlanOrderFromGhd(plan->ghd), mf, mode);
 }
 
 std::vector<int> PlanOrderFromForest(const JoinForest& forest) {

@@ -265,69 +265,47 @@ struct RepairState {
   std::vector<int> assembly_tree;  // tree per assembly unit
 };
 
-// The execution plan the facade would pick, from the cache's perspective.
+// The plan the facade picks (ChooseTSensPlan), seen as a repair mode.
 struct Plan {
   RepairState::Mode mode = RepairState::Mode::kConstant;
   bool supported = false;
-  std::string reason;      // when !supported
-  std::vector<int> order;  // kPath
-  std::optional<Ghd> ghd;  // kGhd
+  std::string reason;  // when !supported
+  TSensPlan engine;    // path order (kPath) or decomposition (kGhd)
 };
 
 namespace {
 
-// Mirrors the facade dispatch in tsens.cc ComputeLocalSensitivity exactly,
-// so the capture run below executes the same engine over the same
-// decomposition the facade would pick and BuildState consumes matching
-// tables. Only top_k and keep_tables remain unsupported: both change what
-// the engines compute (truncated tables / retained T_a's) in ways the
-// maintained state deliberately does not model, so they stay
-// version-memoized fallbacks.
+// The facade's own dispatch, so the capture run below executes the same
+// engine over the same decomposition the facade would pick and BuildState
+// consumes matching tables. Cyclic queries search their GHD once per
+// fingerprint here, pinned in the plan. Only top_k and keep_tables remain
+// unsupported: both change what the engines compute (truncated tables /
+// retained T_a's) in ways the maintained state deliberately does not
+// model, so they stay version-memoized fallbacks.
 Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
   Plan plan;
-  auto unsupported = [&](std::string reason) {
-    plan.supported = false;
-    plan.reason = std::move(reason);
-    return plan;
-  };
-  if (options.top_k > 0) return unsupported("top-k approximation");
-  if (options.keep_tables) return unsupported("keep_tables requested");
-  if (options.ghd != nullptr) {
-    plan.mode = RepairState::Mode::kGhd;
-    plan.ghd = *options.ghd;
-    plan.supported = true;
+  if (options.top_k > 0 || options.keep_tables) {
+    plan.reason =
+        options.top_k > 0 ? "top-k approximation" : "keep_tables requested";
     return plan;
   }
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    if (options.prefer_path_algorithm) {
-      std::vector<int> order = PathOrder(q);
-      if (order.size() >= 2) {
-        plan.mode = RepairState::Mode::kPath;
-        plan.order = std::move(order);
-        plan.supported = true;
-        return plan;
-      }
-    }
-    if (q.num_atoms() == 1) {
-      // A single-atom query's sensitivity is data-independent (inserting
-      // one matching tuple always changes the count by exactly 1).
-      plan.mode = RepairState::Mode::kConstant;
-      plan.supported = true;
-      return plan;
-    }
-    plan.mode = RepairState::Mode::kGhd;
-    plan.ghd = MakeTrivialGhd(q, *forest);
-    plan.supported = true;
+  auto engine = ChooseTSensPlan(q, options.ghd, options.prefer_path_algorithm);
+  if (!engine.ok()) {
+    plan.reason = "cyclic query (GHD search failed)";
     return plan;
   }
-  // Cyclic: the facade searches a GHD once per call; the cache searches it
-  // once per fingerprint and pins the result in the plan.
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return unsupported("cyclic query (GHD search failed)");
-  plan.mode = RepairState::Mode::kGhd;
-  plan.ghd = *std::move(searched);
   plan.supported = true;
+  plan.engine = *std::move(engine);
+  if (plan.engine.source == TSensPlan::Source::kPath) {
+    plan.mode = RepairState::Mode::kPath;
+  } else if (plan.engine.source == TSensPlan::Source::kGyo &&
+             q.num_atoms() == 1) {
+    // A single-atom query's sensitivity is data-independent (inserting
+    // one matching tuple always changes the count by exactly 1).
+    plan.mode = RepairState::Mode::kConstant;
+  } else {
+    plan.mode = RepairState::Mode::kGhd;
+  }
   return plan;
 }
 
@@ -834,7 +812,7 @@ std::unique_ptr<RepairState> BuildState(
   StateBuilder b{q, db, ns, stats, tick, *state, {}, {}, 0};
 
   if (plan.mode == RepairState::Mode::kPath) {
-    const std::vector<int>& order = plan.order;
+    const std::vector<int>& order = plan.engine.path_order;
     const size_t m = order.size();
     std::vector<AttrId> link(m - 1, kInvalidAttr);
     for (size_t i = 0; i + 1 < m; ++i) {
@@ -889,7 +867,7 @@ std::unique_ptr<RepairState> BuildState(
           b.MakeTracker(order[i], i + 1 == m ? TableRef{} : bot_node[i + 1]));
     }
   } else {
-    const Ghd& ghd = *plan.ghd;
+    const Ghd& ghd = plan.engine.ghd;
     const int num_atoms = q.num_atoms();
     const size_t num_bags = ghd.bags.size();
     const size_t num_trees = ghd.forest.trees.size();
@@ -1735,8 +1713,8 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     run.capture = &capture;
     StatusOr<SensitivityResult> r =
         plan.mode == RepairState::Mode::kPath
-            ? TSensPath(q, plan.order, db, run)
-            : TSensOverGhd(q, *plan.ghd, db, run);
+            ? TSensPath(q, plan.engine.path_order, db, run)
+            : TSensOverGhd(q, plan.engine.ghd, db, run);
     if (r.ok()) {
       // Install change logs first so the acquired sources start from a
       // loggable version.

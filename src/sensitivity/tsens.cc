@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "exec/exec_context.h"
-#include "query/join_tree.h"
 
 namespace lsens {
 
@@ -23,22 +22,13 @@ StatusOr<SensitivityResult> ComputeLocalSensitivity(
   OpTimer op(ResolveExecContext(options.join.ctx), "tsens.compute",
              db.TotalRows());
 
-  if (options.ghd != nullptr) {
-    return TSensOverGhd(q, *options.ghd, db, options);
+  auto plan = ChooseTSensPlan(
+      q, options.ghd, options.prefer_path_algorithm && !options.keep_tables);
+  if (!plan.ok()) return plan.status();
+  if (plan->source == TSensPlan::Source::kPath) {
+    return TSensPath(q, plan->path_order, db, options);
   }
-
-  auto forest = BuildJoinForestGYO(q);
-  if (forest.ok()) {
-    if (options.prefer_path_algorithm && !options.keep_tables) {
-      std::vector<int> order = PathOrder(q);
-      if (order.size() >= 2) return TSensPath(q, order, db, options);
-    }
-    return TSensOverGhd(q, MakeTrivialGhd(q, *forest), db, options);
-  }
-
-  auto searched = SearchGhd(q, q.num_atoms());
-  if (!searched.ok()) return searched.status();
-  return TSensOverGhd(q, *searched, db, options);
+  return TSensOverGhd(q, plan->ghd, db, options);
 }
 
 StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(

@@ -19,16 +19,19 @@ struct TSensComputeOptions : TSensOptions {
   // (ignored when keep_tables is set — Algorithm 1 does not build tables).
   bool prefer_path_algorithm = true;
 
-  // Decomposition for cyclic queries. When null and the query is cyclic,
-  // SearchGhd() finds a minimum-width atom-partition GHD (small queries
-  // only). Acyclic queries ignore this and use their GYO join forest.
+  // Decomposition to run TSensOverGhd over. When set it is used for every
+  // query, acyclic ones included (no path or GYO choice is made). When
+  // null, acyclic queries use Algorithm 1 or their GYO join forest, and
+  // cyclic ones a minimum-width atom-partition GHD from SearchGhd() (small
+  // queries only). ChooseTSensPlan (query/ghd.h) is the dispatch.
   const Ghd* ghd = nullptr;
 };
 
 // Entry point for the local sensitivity problem (Definition 2.3): computes
-// LS(Q, D) and a most sensitive tuple. Dispatches between Algorithm 1
-// (path queries), Algorithm 2 (acyclic queries via GYO join trees), and the
-// §5.4 GHD extension (cyclic queries).
+// LS(Q, D) and a most sensitive tuple. Dispatches through ChooseTSensPlan
+// between Algorithm 1 (path queries), Algorithm 2 (acyclic queries via GYO
+// join trees), and the §5.4 GHD extension (cyclic queries, or any query
+// with options.ghd set).
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options = {});

@@ -1,8 +1,8 @@
 // Differential property suite for the vectorized join core: every join
 // algorithm (flat-table hash, sort-merge, and the filtered-cross-product
 // oracle) must produce identical normalized outputs on randomized inputs,
-// the kAuto cost-based picker must make pinned choices on skewed/sorted
-// inputs, and ExecContext must collect operator stats end to end.
+// the kAuto rule must pick its kernel from key order alone (no estimate
+// pass), and ExecContext must collect operator stats end to end.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "exec/exec_context.h"
+#include "exec/fold_join.h"
 #include "exec/join.h"
 #include "exec/row_sort.h"
 #include "query/explain.h"
@@ -153,20 +154,19 @@ TEST(JoinDifferentialTest, EmptyKeyAndEmptyInputEdgeCases) {
   }
 }
 
-// --- Cost-based picker regressions ---------------------------------------
+// --- kAuto rule: key order decides, no estimate pass --------------------
 
-CountedRelation MakeSkewed(Rng& rng, AttributeSet attrs, size_t rows,
-                           size_t hot_col, Value hot_key, uint64_t domain) {
-  CountedRelation r(std::move(attrs));
-  std::vector<Value> row(r.arity());
-  for (size_t i = 0; i < rows; ++i) {
-    // 90% of rows share the hot join key: the join output explodes.
-    for (auto& v : row) v = static_cast<Value>(rng.NextBounded(domain));
-    if (rng.NextBounded(10) < 9) row[hot_col] = hot_key;
-    r.AppendRow(row, Count::One());
-  }
-  r.Normalize();
-  return r;
+// Runs NaturalJoin(a, b) under kAuto and checks from the recorded stats
+// that `kernel` ran once, `other` never did, and no estimate was taken.
+void ExpectAutoRuns(const CountedRelation& a, const CountedRelation& b,
+                    const char* kernel, const char* other) {
+  ExecContext ctx;
+  NaturalJoin(a, b, {JoinAlgorithm::kAuto, &ctx});
+  const OperatorStats* ran = ctx.FindStats(kernel);
+  ASSERT_NE(ran, nullptr) << kernel;
+  EXPECT_EQ(ran->calls, 1u);
+  EXPECT_EQ(ctx.FindStats(other), nullptr) << other;
+  EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr);
 }
 
 TEST(JoinPickerTest, PrefersSortMergeWhenBothSidesKeySorted) {
@@ -176,38 +176,39 @@ TEST(JoinPickerTest, PrefersSortMergeWhenBothSidesKeySorted) {
   CountedRelation a = MakeRandom(rng, {1, 2}, 2000, 50);
   CountedRelation b = MakeRandom(rng, {1, 3}, 2000, 50);
   ASSERT_GT(a.NumRows(), 500u);
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kSortMerge);
+  ExpectAutoRuns(a, b, "join.sort_merge", "join.hash");
 }
 
-TEST(JoinPickerTest, PrefersHashWhenSortWouldDominate) {
-  // Key {2} is a trailing column of `a` (unsorted on it), and the join is
-  // selective: sorting would dominate, hashing wins.
+TEST(JoinPickerTest, PrefersHashWhenOneSideUnsorted) {
+  // Key {2} leads `b` but trails `a`, so `a` is not ordered on it.
   Rng rng(6);
   CountedRelation a = MakeRandom(rng, {1, 2}, 2000, 2000);
   CountedRelation b = MakeRandom(rng, {2, 3}, 2000, 2000);
-  ASSERT_GT(a.NumRows(), 500u);
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kHash);
+  ASSERT_FALSE(RowsSortedBy(a, std::vector<int>{1}));
+  ASSERT_TRUE(RowsSortedBy(b, std::vector<int>{0}));
+  ExpectAutoRuns(a, b, "join.hash", "join.sort_merge");
 }
 
-TEST(JoinPickerTest, SkewFlipsThePickToSortMerge) {
-  // Same shapes as above, but 90% of rows share one join key: the output
-  // (consulted through EstimateJoinRows) dwarfs the inputs, emission
-  // dominates both kernels, and the contiguous-run merge emission wins
-  // despite the sort.
+TEST(JoinPickerTest, FoldJoinEstimatesOnlyContestedSteps) {
   Rng rng(7);
-  // The join key is attr 2: column 1 of `a`, column 0 of `b`.
-  CountedRelation a = MakeSkewed(rng, {1, 2}, 1500, 1, 42, 3000);
-  CountedRelation b = MakeSkewed(rng, {2, 3}, 1500, 0, 42, 3000);
-  ASSERT_GT(EstimateJoinRows(a, b), 100 * (a.NumRows() + b.NumRows()));
-  EXPECT_EQ(ChooseJoinAlgorithm(a, b), JoinAlgorithm::kSortMerge);
-  // And kAuto must agree with the exposed picker: pinned via the stats of
-  // the kernel that actually ran.
-  ExecContext ctx;
-  JoinOptions opts;
-  opts.ctx = &ctx;
-  NaturalJoin(a, b, opts);
-  EXPECT_NE(ctx.FindStats("join.sort_merge"), nullptr);
-  EXPECT_EQ(ctx.FindStats("join.hash"), nullptr);
+  CountedRelation small = MakeRandom(rng, {1}, 20, 50);
+  CountedRelation left = MakeRandom(rng, {1, 2}, 400, 50);
+  CountedRelation right = MakeRandom(rng, {1, 3}, 400, 50);
+  ASSERT_LT(small.NumRows(), left.NumRows());
+  ASSERT_LT(small.NumRows(), right.NumRows());
+
+  // {1} then {1,2}: a lone sharing candidate is joined without a count.
+  ExecContext lone;
+  FoldJoin({&small, &left}, {JoinAlgorithm::kAuto, &lone});
+  EXPECT_EQ(lone.FindStats("estimate_join_rows"), nullptr);
+
+  // {1} against {1,2} and {1,3}: both share attribute 1, so the first step
+  // counts each candidate exactly; the last step has one candidate left.
+  ExecContext contested;
+  FoldJoin({&small, &left, &right}, {JoinAlgorithm::kAuto, &contested});
+  const OperatorStats* est = contested.FindStats("estimate_join_rows");
+  ASSERT_NE(est, nullptr);
+  EXPECT_EQ(est->calls, 2u);
 }
 
 // --- ExecContext stats ----------------------------------------------------

@@ -117,6 +117,41 @@ TEST(ExplainTest, CyclicReportShowsDecomposition) {
   EXPECT_NE(supplied.find("E0+E1"), std::string::npos);
 }
 
+TEST(ExplainTest, SingleAtomQueryRunsTheGhdEngine) {
+  // PathOrder returns {0} for one atom, but the facade needs a chain of at
+  // least two atoms for Algorithm 1; EXPLAIN must name the engine it runs.
+  Database db;
+  db.AddRelation("R", {"A", "B"});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "R", {"A", "B"});
+  std::string report = ExplainQuery(q, db.attrs());
+  EXPECT_EQ(report.find("TSensPath"), std::string::npos) << report;
+  EXPECT_NE(report.find("algorithm: TSensOverGhd"), std::string::npos)
+      << report;
+}
+
+TEST(ExplainTest, SuppliedGhdIsRenderedForAcyclicQueries) {
+  // The facade runs a supplied GHD even when GYO succeeds, so EXPLAIN must
+  // render it instead of the GYO tree.
+  auto ex = testing::MakeFigure3Example();
+  ASSERT_TRUE(IsAcyclic(ex.query));
+  std::vector<int> all(static_cast<size_t>(ex.query.num_atoms()));
+  for (int i = 0; i < ex.query.num_atoms(); ++i) {
+    all[static_cast<size_t>(i)] = i;
+  }
+  auto ghd = BuildGhd(ex.query, {all});
+  ASSERT_TRUE(ghd.ok());
+  std::string report = ExplainQuery(ex.query, ex.db.attrs(), &*ghd);
+  EXPECT_NE(report.find("acyclic (GYO)"), std::string::npos) << report;
+  EXPECT_NE(report.find("user-supplied (width " +
+                        std::to_string(ex.query.num_atoms()) + ")"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("TSensPath"), std::string::npos) << report;
+  EXPECT_NE(report.find("algorithm: TSensOverGhd"), std::string::npos)
+      << report;
+}
+
 TEST(ExplainTest, DisconnectedQueryRendersComponents) {
   Database db;
   db.AddRelation("R", {"A"});
