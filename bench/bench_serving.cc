@@ -7,7 +7,15 @@
 // the BENCH_serving.json trajectory file ({"readers", "turns", "queries",
 // "queries_per_sec", "epochs_published", "mean_turn_deltas",
 // "max_turn_deltas", "warm_hits", "cold_hits", "cold_computes",
-// "oracle_checks", "snapshot_violations"}).
+// "oracle_checks", "snapshot_violations", "publish": [{"rows",
+// "touched_rows", "publish_ns"}, ...]}).
+//
+// The publish axis times the storage half of a writer turn on its own: one
+// 1-row ApplyDelta plus CloneSnapshot, with the previous snapshot held
+// alive as the server's current epoch would be, at 20k, 200k and 2M total
+// rows while the relation the delta touches keeps 10k. Epochs share column
+// buffers, so publish_ns should stay flat along the axis and track only
+// the touched relation's columns. It is reported, not gated.
 //
 // Exits non-zero (failing the CTest smoke) when any sampled read differs
 // from the from-scratch recompute at its pinned epoch: served answers must
@@ -23,6 +31,7 @@
 //   LSENS_SERVE_BATCH         admission cap per turn        (default 8)
 //   LSENS_BENCH_SERVING_JSON  output path (default BENCH_serving.json)
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -93,6 +102,41 @@ DatabaseDelta MakeInsertDelta(Rng& rng, long domain) {
   return delta;
 }
 
+struct PublishPoint {
+  size_t rows = 0;          // total rows in the database
+  size_t touched_rows = 0;  // rows of the relation each delta touches
+  double publish_ns = 0;    // median ApplyDelta + CloneSnapshot
+};
+
+// One size of the publish axis: a two-column relation "T" of
+// kTouchedRows that every delta inserts one row into, plus a filler
+// relation "F" that brings the total to `rows`.
+PublishPoint TimePublish(size_t rows) {
+  constexpr size_t kTouchedRows = 10000;
+  constexpr int kReps = 200;
+  Rng rng(rows);
+  Database db;
+  Relation* touched = db.AddRelation("T", {"c0", "c1"});
+  Relation* filler = db.AddRelation("F", {"c0", "c1"});
+  for (size_t r = 0; r < rows; ++r) {
+    Relation* rel = r < kTouchedRows ? touched : filler;
+    rel->AppendRow({static_cast<Value>(rng.NextBounded(1000)),
+                    static_cast<Value>(rng.NextBounded(1000))});
+  }
+  Database epoch = db.CloneSnapshot();
+  std::vector<double> ns;
+  for (int i = 0; i < kReps; ++i) {
+    RelationDelta rd;
+    rd.relation = "T";
+    rd.inserts.push_back({static_cast<Value>(i), static_cast<Value>(i)});
+    WallTimer timer;
+    if (!db.ApplyDelta({std::move(rd)}).ok()) std::abort();
+    epoch = db.CloneSnapshot();
+    ns.push_back(timer.ElapsedSeconds() * 1e9);
+  }
+  return {rows, kTouchedRows, bench::Median(std::move(ns))};
+}
+
 int Run() {
   const long readers = std::max(1L, bench::EnvInt("LSENS_SERVE_READERS", 8));
   const long turns_target = bench::EnvInt("LSENS_SERVE_TURNS", 200);
@@ -107,6 +151,14 @@ int Run() {
   bench::Banner("Concurrent sensitivity serving",
                 "reader sessions on pinned epoch snapshots vs a "
                 "free-running delta writer");
+
+  std::vector<PublishPoint> publish;
+  for (size_t total : {20000u, 200000u, 2000000u}) {
+    const PublishPoint p = TimePublish(total);
+    std::printf("publish: %9zu rows (%zu touched) %10.0f ns\n", p.rows,
+                p.touched_rows, p.publish_ns);
+    publish.push_back(p);
+  }
 
   Rng build_rng(20200614);
   Database db = MakeChainDb(build_rng, rows, domain);
@@ -221,11 +273,18 @@ int Run() {
                  ", \"warm_hits\": %" PRIu64 ", \"cold_hits\": %" PRIu64
                  ", \"cold_computes\": %" PRIu64
                  ", \"oracle_checks\": %" PRIu64
-                 ", \"snapshot_violations\": %" PRIu64 "}\n",
+                 ", \"snapshot_violations\": %" PRIu64 ", \"publish\": [",
                  readers, stats.turns, total_queries, qps,
                  stats.epochs_published, mean_turn_deltas,
                  stats.max_turn_deltas, stats.warm_hits, stats.cold_hits,
                  stats.cold_computes, oracle_checks, violations);
+    for (size_t i = 0; i < publish.size(); ++i) {
+      const PublishPoint& p = publish[i];
+      std::fprintf(f, "%s{\"rows\": %zu, \"touched_rows\": %zu, ",
+                   i > 0 ? ", " : "", p.rows, p.touched_rows);
+      std::fprintf(f, "\"publish_ns\": %.0f}", p.publish_ns);
+    }
+    std::fprintf(f, "]}\n");
     std::fclose(f);
     std::printf("wrote %s\n", path);
   } else {

@@ -20,7 +20,9 @@ struct Epoch {
   uint64_t id = 0;
   Database db;
   std::vector<std::pair<std::string, uint64_t>> versions;
-  size_t bytes = 0;
+  // db's buffers, for epoch_bytes (fixed at publish: the snapshot never
+  // mutates, and its buffers are copied before the master writes them).
+  std::vector<MemoryPart> memory;
   // lsens-lint: allow(unordered-iter) lookup-only result maps keyed by the
   // canonical query fingerprint; serving probes with find(), never walks —
   // per-query answers cannot depend on map order.
@@ -114,7 +116,7 @@ SensitivityServer::SensitivityServer(Database db, ServingConfig config)
     first->db = master_.CloneSnapshot();
   }
   first->versions = first->db.VersionVector();
-  first->bytes = first->db.MemoryBytes();
+  first->db.AppendMemoryParts(&first->memory);
   {
     std::lock_guard<std::mutex> lock(mu_);
     live_.push_back(first);
@@ -249,7 +251,7 @@ bool SensitivityServer::DoTurn() {
     next->db = master_.CloneSnapshot();
   }
   next->versions = next->db.VersionVector();
-  next->bytes = next->db.MemoryBytes();
+  next->db.AppendMemoryParts(&next->memory);
 
   // Publish: atomic swap of the current pointer, then reclaim whatever
   // retirement freed (with no pinned readers that is the previous epoch,
@@ -291,9 +293,6 @@ void SensitivityServer::ReclaimLocked() {
   });
   stats_.epochs_reclaimed += before - live_.size();
   stats_.epochs_live = live_.size();
-  uint64_t bytes = 0;
-  for (const auto& e : live_) bytes += e->bytes;
-  stats_.epoch_bytes = bytes;
 }
 
 StatusOr<SensitivityResult> SensitivityServer::ServeQuery(
@@ -383,7 +382,16 @@ uint64_t SensitivityServer::current_epoch() const {
 
 ServingStats SensitivityServer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ServingStats out = stats_;
+  // Live epochs share the buffers no turn in between wrote: count each
+  // buffer once. Summed here rather than on publish/unpin, so the pin path
+  // never pays for a gauge only stats() reads.
+  std::vector<MemoryPart> parts;
+  for (const auto& e : live_) {
+    parts.insert(parts.end(), e->memory.begin(), e->memory.end());
+  }
+  out.epoch_bytes = SumDistinctBytes(std::move(parts));
+  return out;
 }
 
 }  // namespace lsens

@@ -75,7 +75,8 @@ struct ServingStats {
   uint64_t sessions_opened = 0;
   uint64_t epochs_reclaimed = 0;  // retired snapshots actually freed
   uint64_t epochs_live = 0;       // gauge: current + still-pinned retired
-  uint64_t epoch_bytes = 0;       // gauge: bytes held by live snapshots
+  uint64_t epoch_bytes = 0;       // gauge: bytes held by live snapshots,
+                                  // each shared buffer counted once
 };
 
 // A pinned, immutable epoch view. While a pin is alive the snapshot it
@@ -158,6 +159,11 @@ class ServerSession {
 //   - Retired epochs are reclaimed when their last pin drops; a publish
 //     with no pinned readers reclaims the previous epoch immediately.
 //
+// Publishing is cheap: a snapshot shares the master's column buffers and
+// dictionary (Database::CloneSnapshot), and the master copies a column
+// only on its first write after a publish, so a turn pays for the columns
+// its deltas touch, not for the database.
+//
 // Reads never block on the writer and never see a half-applied delta: a
 // pinned snapshot is immutable by construction. Queries on an epoch are
 // answered from the epoch's warm map (written by the writer's repair pass,
@@ -192,7 +198,9 @@ class SensitivityServer {
   // code — the door through which delta producers mint codes for string
   // values before submitting them. Safe from any thread: interning is
   // append-only (codes are stable), and the same lock spans the snapshot
-  // clone inside a turn, so an epoch never copies a half-built dictionary.
+  // clone inside a turn, so an epoch never shares a half-built dictionary.
+  // The first intern after a publish copies the dictionary the epoch
+  // shares; later ones append in place.
   // Epochs published before this call simply do not contain the new code:
   // their ContainsValue range check answers false (no mis-decode), and the
   // next published epoch renders it.
@@ -243,9 +251,10 @@ class SensitivityServer {
   // Writer-owned state: the master database, the shared cache repaired
   // against it, and the writer's stats context. Only the writer thread (or
   // the owner, in manual mode / the constructor) touches these — except
-  // the master's dictionary, which InternValue may append to from any
-  // thread under dict_mu_; the snapshot clone in a turn holds the same
-  // lock so no epoch copies a dictionary mid-append.
+  // the master's dictionary, which InternValue may append to (or, when an
+  // epoch still shares it, copy and replace) from any thread under
+  // dict_mu_; the snapshot clone in a turn holds the same lock so no epoch
+  // shares a dictionary mid-append.
   Database master_;
   SensitivityCache cache_;
   ExecContext writer_ctx_;

@@ -6,7 +6,13 @@
 
 namespace lsens {
 
-Database Database::Clone() const {
+Database Database::Clone() const { return Copy(/*keep_change_logs=*/true); }
+
+Database Database::CloneSnapshot() const {
+  return Copy(/*keep_change_logs=*/false);
+}
+
+Database Database::Copy(bool keep_change_logs) const {
   Database out;
   out.attrs_ = attrs_;
   out.dict_ = dict_;
@@ -14,15 +20,9 @@ Database Database::Clone() const {
   for (const auto& name : names_) {
     auto it = relations_.find(name);
     LSENS_CHECK(it != relations_.end());
-    out.relations_.emplace(name, std::make_unique<Relation>(*it->second));
-  }
-  return out;
-}
-
-Database Database::CloneSnapshot() const {
-  Database out = Clone();
-  for (const auto& name : out.names_) {
-    out.relations_.find(name)->second->DisableChangeLog();
+    const Relation& rel = *it->second;
+    Relation copy = keep_change_logs ? rel : rel.CloneSnapshot();
+    out.relations_.emplace(name, std::make_unique<Relation>(std::move(copy)));
   }
   return out;
 }
@@ -104,11 +104,16 @@ size_t Database::TotalRows() const {
 }
 
 size_t Database::MemoryBytes() const {
-  size_t total = dict_.MemoryBytes();
+  std::vector<MemoryPart> parts;
+  AppendMemoryParts(&parts);
+  return SumDistinctBytes(std::move(parts));
+}
+
+void Database::AppendMemoryParts(std::vector<MemoryPart>* out) const {
+  out->push_back({dict_.id(), dict_->MemoryBytes()});
   for (const auto& name : names_) {
-    total += relations_.find(name)->second->MemoryBytes();
+    relations_.find(name)->second->AppendMemoryParts(out);
   }
-  return total;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Database::VersionVector() const {

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "storage/catalog.h"
+#include "storage/cow.h"
 #include "storage/dictionary.h"
 #include "storage/relation.h"
 
@@ -28,23 +29,31 @@ using DatabaseDelta = std::vector<RelationDelta>;
 // catalog (query variables) and an optional value dictionary for symbolic
 // domains. Relations are stored by unique name; self-joins are expressed by
 // materializing a second copy under a different name (the paper's model).
+//
+// Copies share storage: column buffers and the dictionary sit behind
+// copy-on-write handles (storage/cow.h), so Clone and CloneSnapshot cost a
+// handle per column, not a pass over the rows. Whichever side writes first
+// copies what it writes — one column, or the dictionary on an Intern — and
+// the other side never sees the write.
 class Database {
  public:
   Database() = default;
 
-  // Movable, not copyable (relations can be large); use Clone() when a
-  // deep copy is genuinely needed (e.g. truncation mechanisms).
+  // Movable, not implicitly copyable: Clone() names the copy. A moved-from
+  // database may only be assigned to or destroyed.
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
+  // An independent copy: same relations (columns shared until written),
+  // versions, change logs, catalog and dictionary.
   Database Clone() const;
 
-  // Deep copy for an immutable epoch snapshot: contents and version
-  // counters are preserved (so the snapshot's VersionVector still names the
-  // epoch it was taken at), but change logs are dropped — a snapshot never
-  // mutates, and the copied log would only pin memory per epoch.
+  // The copy for an immutable epoch snapshot: like Clone, but relations
+  // carry no change log (Relation::CloneSnapshot) — a snapshot never
+  // mutates, and a log would only pin memory per epoch. Version counters
+  // are kept, so the snapshot's VersionVector still names its epoch.
   Database CloneSnapshot() const;
 
   // Adds an empty relation; CHECK-fails if the name already exists.
@@ -79,6 +88,11 @@ class Database {
   // epoch accounting.
   size_t MemoryBytes() const;
 
+  // MemoryBytes split by buffer (see Relation::AppendMemoryParts; the
+  // dictionary is one more part). SumDistinctBytes over the parts of
+  // several databases counts the buffers they share once.
+  void AppendMemoryParts(std::vector<MemoryPart>* out) const;
+
   // Every relation's (name, version) in insertion order — the identity of
   // the database state an epoch snapshot captures. Two databases with equal
   // names whose version vectors match have seen the same mutation counts.
@@ -86,17 +100,23 @@ class Database {
 
   AttributeCatalog& attrs() { return attrs_; }
   const AttributeCatalog& attrs() const { return attrs_; }
-  Dictionary& dict() { return dict_; }
-  const Dictionary& dict() const { return dict_; }
+  // Writable dictionary: copies it first when a clone still shares it, so
+  // the reference is this database's own until the next Clone or
+  // CloneSnapshot — take it again after copying the database.
+  Dictionary& dict() { return dict_.Mutable(); }
+  const Dictionary& dict() const { return *dict_; }
 
  private:
+  // Clone and CloneSnapshot: both share every column and the dictionary.
+  Database Copy(bool keep_change_logs) const;
+
   std::vector<std::string> names_;  // insertion order, for stable iteration
   // lsens-lint: allow(unordered-iter) lookup-only by name; every walk over
   // the database routes through names_ so iteration order is insertion
   // order, never hash order.
   std::unordered_map<std::string, std::unique_ptr<Relation>> relations_;
   AttributeCatalog attrs_;
-  Dictionary dict_;
+  CowPtr<Dictionary> dict_;
 };
 
 }  // namespace lsens

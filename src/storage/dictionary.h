@@ -20,14 +20,15 @@ namespace lsens {
 // interned strings from raw numbers (the CSV layer depends on this when
 // rendering mixed columns).
 //
-// Codes are append-only and stable: interning never renumbers, so a deep
-// copy (Database::Clone/CloneSnapshot) stays coherent with its source — a
-// code interned *before* the copy decodes to the same string in both,
-// while a code interned afterwards is simply absent from the copy
-// (ContainsValue range-checks against the copy's own size and returns
-// false rather than mis-decoding). The serving layer relies on exactly
-// this: epoch snapshots render the codes their epoch knew, and a
-// post-publish intern becomes renderable with the next epoch.
+// Codes are append-only and stable: interning never renumbers. A database
+// copy (Database::Clone/CloneSnapshot) shares its source's dictionary until
+// one side interns, which copies the dictionary first (Database::dict()),
+// so both stay coherent — a code interned *before* the copy decodes to the
+// same string in both, while a code interned afterwards is simply absent
+// from the other side (ContainsValue range-checks against that side's own
+// size and returns false rather than mis-decoding). The serving layer
+// relies on exactly this: epoch snapshots render the codes their epoch
+// knew, and a post-publish intern becomes renderable with the next epoch.
 class Dictionary {
  public:
   static constexpr Value kBase = 1'000'000'000'000;

@@ -12,21 +12,36 @@ Relation::Relation(std::string name, std::vector<std::string> column_names)
   dict_cols_.assign(column_names_.size(), 0);
 }
 
+Relation::Relation(const Relation& other, NoChangeLog)
+    : lineage_(other.lineage_),
+      name_(other.name_),
+      column_names_(other.column_names_),
+      cols_(other.cols_),
+      dict_cols_(other.dict_cols_),
+      version_(other.version_),
+      log_base_version_(other.version_) {}
+
+void Relation::AppendRowSlow(std::span<const Value> row) {
+  if (log_enabled_) LogChange(/*insert=*/true, row);
+  for (size_t c = 0; c < row.size(); ++c) cols_[c].Mutable().push_back(row[c]);
+  ++version_;
+}
+
 std::vector<Value> Relation::Row(size_t i) const {
   std::vector<Value> row(arity());
-  for (size_t c = 0; c < cols_.size(); ++c) row[c] = cols_[c][i];
+  for (size_t c = 0; c < cols_.size(); ++c) row[c] = (*cols_[c])[i];
   return row;
 }
 
 void Relation::RowInto(size_t i, std::vector<Value>* out) const {
   out->resize(arity());
-  for (size_t c = 0; c < cols_.size(); ++c) (*out)[c] = cols_[c][i];
+  for (size_t c = 0; c < cols_.size(); ++c) (*out)[c] = (*cols_[c])[i];
 }
 
 bool Relation::RowEquals(size_t i, std::span<const Value> row) const {
   LSENS_CHECK(row.size() == arity());
   for (size_t c = 0; c < cols_.size(); ++c) {
-    if (cols_[c][i] != row[c]) return false;
+    if ((*cols_[c])[i] != row[c]) return false;
   }
   return true;
 }
@@ -43,12 +58,20 @@ void Relation::Set(size_t row, size_t col, Value v) {
     // with the entry count so CollectChangesSince offsets line up.
     ++version_;
   }
-  cols_[col][row] = v;
+  cols_[col].Mutable()[row] = v;
   ++version_;
 }
 
 void Relation::Clear() {
-  for (auto& col : cols_) col.clear();
+  for (auto& col : cols_) {
+    // A shared buffer is left to its other holders: start a fresh one
+    // instead of copying rows only to drop them.
+    if (col.Unique()) {
+      col.Mutable().clear();
+    } else {
+      col = ColumnBuffer();
+    }
+  }
   ++version_;
   // The delta "everything erased" is exactly what the log exists to avoid
   // materializing; disable instead, so readers fall back to recompute.
@@ -60,7 +83,8 @@ void Relation::SwapRemoveRow(size_t i) {
   size_t n = NumRows();
   LSENS_CHECK(i < n);
   if (log_enabled_) LogChange(/*insert=*/false, Row(i));
-  for (auto& col : cols_) {
+  for (auto& buffer : cols_) {
+    std::vector<Value>& col = buffer.Mutable();
     col[i] = col[n - 1];
     col.pop_back();
   }
@@ -78,7 +102,7 @@ void Relation::AppendRows(std::span<const Value> rows_flat) {
     }
   }
   for (size_t c = 0; c < k; ++c) {
-    auto& col = cols_[c];
+    auto& col = cols_[c].Mutable();
     col.reserve(col.size() + rows);
     for (size_t i = 0; i < rows; ++i) col.push_back(rows_flat[i * k + c]);
   }
@@ -99,7 +123,8 @@ void Relation::AppendColumns(std::span<const std::vector<Value>> columns) {
     }
   }
   for (size_t c = 0; c < k; ++c) {
-    cols_[c].insert(cols_[c].end(), columns[c].begin(), columns[c].end());
+    auto& col = cols_[c].Mutable();
+    col.insert(col.end(), columns[c].begin(), columns[c].end());
   }
   version_ += rows;
 }
@@ -116,8 +141,8 @@ void Relation::AppendRowsFrom(const Relation& src,
     }
   }
   for (size_t c = 0; c < arity(); ++c) {
-    auto& dst = cols_[c];
-    const auto& from = src.cols_[c];
+    const auto& from = *src.cols_[c];
+    auto& dst = cols_[c].Mutable();
     dst.reserve(dst.size() + rows.size());
     for (uint32_t r : rows) dst.push_back(from[r]);
   }
@@ -172,21 +197,27 @@ void Relation::EnableChangeLog(size_t capacity) {
   log_base_version_ = version_;
 }
 
-void Relation::DisableChangeLog() {
-  log_enabled_ = false;
-  log_.clear();
-  log_.shrink_to_fit();
-  log_capacity_ = 0;
-  log_base_version_ = version_;
+Relation Relation::CloneSnapshot() const {
+  return Relation(*this, NoChangeLog{});
 }
 
 size_t Relation::MemoryBytes() const {
-  size_t bytes = dict_cols_.capacity() * sizeof(uint8_t);
-  for (const auto& col : cols_) bytes += col.capacity() * sizeof(Value);
-  for (const RowChange& change : log_) {
-    bytes += sizeof(RowChange) + change.row.capacity() * sizeof(Value);
-  }
+  std::vector<MemoryPart> parts;
+  AppendMemoryParts(&parts);
+  size_t bytes = 0;
+  for (const MemoryPart& part : parts) bytes += part.bytes;
   return bytes;
+}
+
+void Relation::AppendMemoryParts(std::vector<MemoryPart>* out) const {
+  for (const auto& col : cols_) {
+    out->push_back({col.id(), col->capacity() * sizeof(Value)});
+  }
+  size_t own = dict_cols_.capacity() * sizeof(uint8_t);
+  for (const RowChange& change : log_) {
+    own += sizeof(RowChange) + change.row.capacity() * sizeof(Value);
+  }
+  out->push_back({this, own});
 }
 
 void Relation::LogChange(bool insert, std::span<const Value> row) {
@@ -274,8 +305,15 @@ int Relation::ColumnIndex(const std::string& column_name) const {
 }
 
 bool Relation::IdenticalTo(const Relation& other) const {
-  return name_ == other.name_ && column_names_ == other.column_names_ &&
-         cols_ == other.cols_;
+  if (name_ != other.name_ || column_names_ != other.column_names_) {
+    return false;
+  }
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    if (cols_[c].id() != other.cols_[c].id() && *cols_[c] != *other.cols_[c]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace lsens
