@@ -1,4 +1,4 @@
-// Columnar-storage microbenchmarks: the flat per-column layout against an
+// Columnar-storage microbenchmarks: the chunked per-column layout against an
 // in-bench row-major baseline, on the four hot shapes the columnar rewrite
 // targets — predicate scan + projection, key hashing, hash-join probe, and
 // change-log delta projection — plus the storage-footprint comparison of a
@@ -70,15 +70,20 @@ struct FamilyResult {
 uint64_t ColumnarScan(const Relation& rel, Value threshold,
                       std::vector<uint32_t>& sel,
                       std::vector<std::vector<Value>>& out) {
-  std::span<const Value> pred = rel.Column(0);
+  const ChunkedColumn pred = rel.Chunks(0);
   sel.clear();
-  for (size_t i = 0; i < pred.size(); ++i) {
-    if (pred[i] >= threshold) sel.push_back(static_cast<uint32_t>(i));
+  for (size_t k = 0; k < pred.num_chunks(); ++k) {
+    std::span<const Value> chunk = pred.chunk(k);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (chunk[i] >= threshold) {
+        sel.push_back(static_cast<uint32_t>(k * kChunkRows + i));
+      }
+    }
   }
   uint64_t checksum = kValueHashSeed;
   size_t out_col = 0;
   for (size_t c : {size_t{0}, size_t{2}}) {
-    std::span<const Value> col = rel.Column(c);
+    const ChunkedColumn col = rel.Chunks(c);
     std::vector<Value>& dst = out[out_col++];
     dst.resize(sel.size());
     for (size_t i = 0; i < sel.size(); ++i) dst[i] = col[sel[i]];
@@ -113,8 +118,14 @@ uint64_t RowMajorScan(const RowMajorTable& table, Value threshold,
 uint64_t ColumnarHash(const Relation& rel, std::vector<uint64_t>& hashes) {
   hashes.resize(rel.NumRows());
   HashValuesBatchSeed(hashes);
-  HashValuesBatchFold(rel.Column(0), hashes);
-  HashValuesBatchFold(rel.Column(1), hashes);
+  for (size_t c : {size_t{0}, size_t{1}}) {
+    const ChunkedColumn col = rel.Chunks(c);
+    for (size_t k = 0; k < col.num_chunks(); ++k) {
+      std::span<const Value> chunk = col.chunk(k);
+      std::span<uint64_t> folded(hashes.data() + k * kChunkRows, chunk.size());
+      HashValuesBatchFold(chunk, folded);
+    }
+  }
   uint64_t checksum = 0;
   for (uint64_t h : hashes) checksum ^= h;
   return checksum;
@@ -308,8 +319,8 @@ int main() {
   probe_rel.Reserve(n);
   {
     std::span<Value> dst = probe_rel.AppendRowsRaw(n, Count::One());
-    std::span<const Value> c0 = rel.Column(0);
-    std::span<const Value> c2 = rel.Column(2);
+    const ChunkedColumn c0 = rel.Chunks(0);
+    const ChunkedColumn c2 = rel.Chunks(2);
     for (size_t i = 0; i < n; ++i) {
       dst[i * 2] = c0[i] % 997;
       dst[i * 2 + 1] = c2[i];

@@ -12,10 +12,12 @@
 //
 // The publish axis times the storage half of a writer turn on its own: one
 // 1-row ApplyDelta plus CloneSnapshot, with the previous snapshot held
-// alive as the server's current epoch would be, at 20k, 200k and 2M total
-// rows while the relation the delta touches keeps 10k. Epochs share column
-// buffers, so publish_ns should stay flat along the axis and track only
-// the touched relation's columns. It is reported, not gated.
+// alive as the server's current epoch would be. It runs along two axes:
+// 20k, 200k and 2M total rows while the relation the delta touches keeps
+// 10k, then a touched relation of 10k, 100k and 1M rows at 2M total.
+// Epochs share column chunks and a delta copies only the chunks it writes,
+// so publish_ns should stay flat along both axes. It is reported, not
+// gated.
 //
 // Exits non-zero (failing the CTest smoke) when any sampled read differs
 // from the from-scratch recompute at its pinned epoch: served answers must
@@ -108,18 +110,17 @@ struct PublishPoint {
   double publish_ns = 0;    // median ApplyDelta + CloneSnapshot
 };
 
-// One size of the publish axis: a two-column relation "T" of
-// kTouchedRows that every delta inserts one row into, plus a filler
+// One point of the publish axis: a two-column relation "T" of
+// `touched_rows` that every delta inserts one row into, plus a filler
 // relation "F" that brings the total to `rows`.
-PublishPoint TimePublish(size_t rows) {
-  constexpr size_t kTouchedRows = 10000;
+PublishPoint TimePublish(size_t rows, size_t touched_rows) {
   constexpr int kReps = 200;
   Rng rng(rows);
   Database db;
   Relation* touched = db.AddRelation("T", {"c0", "c1"});
   Relation* filler = db.AddRelation("F", {"c0", "c1"});
   for (size_t r = 0; r < rows; ++r) {
-    Relation* rel = r < kTouchedRows ? touched : filler;
+    Relation* rel = r < touched_rows ? touched : filler;
     rel->AppendRow({static_cast<Value>(rng.NextBounded(1000)),
                     static_cast<Value>(rng.NextBounded(1000))});
   }
@@ -134,7 +135,7 @@ PublishPoint TimePublish(size_t rows) {
     epoch = db.CloneSnapshot();
     ns.push_back(timer.ElapsedSeconds() * 1e9);
   }
-  return {rows, kTouchedRows, bench::Median(std::move(ns))};
+  return {rows, touched_rows, bench::Median(std::move(ns))};
 }
 
 int Run() {
@@ -154,10 +155,14 @@ int Run() {
 
   std::vector<PublishPoint> publish;
   for (size_t total : {20000u, 200000u, 2000000u}) {
-    const PublishPoint p = TimePublish(total);
+    publish.push_back(TimePublish(total, 10000));
+  }
+  for (size_t touched : {100000u, 1000000u}) {
+    publish.push_back(TimePublish(2000000, touched));
+  }
+  for (const PublishPoint& p : publish) {
     std::printf("publish: %9zu rows (%zu touched) %10.0f ns\n", p.rows,
                 p.touched_rows, p.publish_ns);
-    publish.push_back(p);
   }
 
   Rng build_rng(20200614);

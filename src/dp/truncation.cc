@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -12,14 +11,20 @@ namespace lsens {
 
 namespace {
 
-// Key-frequency map over the chosen columns, read as column spans.
+// The chosen key columns as chunked column views.
+std::vector<ChunkedColumn> KeyColumns(const Relation& rel,
+                                      const std::vector<int>& key_cols) {
+  std::vector<ChunkedColumn> cols;
+  cols.reserve(key_cols.size());
+  for (int c : key_cols) cols.push_back(rel.Chunks(static_cast<size_t>(c)));
+  return cols;
+}
+
+// Key-frequency map over the chosen columns.
 std::map<std::vector<Value>, size_t> KeyFrequencies(
     const Relation& rel, const std::vector<int>& key_cols) {
   std::map<std::vector<Value>, size_t> freq;
-  std::vector<std::span<const Value>> cols(key_cols.size());
-  for (size_t j = 0; j < key_cols.size(); ++j) {
-    cols[j] = rel.Column(static_cast<size_t>(key_cols[j]));
-  }
+  const std::vector<ChunkedColumn> cols = KeyColumns(rel, key_cols);
   std::vector<Value> key(key_cols.size());
   for (size_t r = 0; r < rel.NumRows(); ++r) {
     for (size_t j = 0; j < key_cols.size(); ++j) key[j] = cols[j][r];
@@ -74,10 +79,7 @@ StatusOr<size_t> TruncateByFrequency(Database& db, const std::string& relation,
   OpTimer op(ResolveExecContext(ctx), "dp.truncate_by_frequency",
              rel->NumRows());
   auto freq = KeyFrequencies(*rel, key_cols);
-  std::vector<std::span<const Value>> cols(key_cols.size());
-  for (size_t j = 0; j < key_cols.size(); ++j) {
-    cols[j] = rel->Column(static_cast<size_t>(key_cols[j]));
-  }
+  const std::vector<ChunkedColumn> cols = KeyColumns(*rel, key_cols);
   std::vector<uint32_t> kept_rows;
   kept_rows.reserve(rel->NumRows());
   std::vector<Value> key(key_cols.size());

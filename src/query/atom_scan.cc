@@ -32,9 +32,10 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
   ExecContext& ctx = ResolveExecContext(ctx_in);
   const size_t n = rel.NumRows();
 
-  // Selection runs column-at-a-time: the first predicate scans its column
-  // and collects passing row indices, each further predicate compacts the
-  // survivor list against its own column. No row tuple is materialized.
+  // Selection runs column-at-a-time, a chunk at a time: the first
+  // predicate scans its column and collects passing row indices, each
+  // further predicate compacts the survivor list against its own column.
+  // No row tuple is materialized.
   std::vector<uint32_t>& sel = ctx.sel_buf();
   const bool all_rows = atom.predicates.empty();
   size_t n_sel = n;
@@ -42,14 +43,20 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
     sel.clear();
     sel.reserve(n);
     {
-      std::span<const Value> col = rel.Column(pred_cols[0]);
+      const ChunkedColumn col = rel.Chunks(pred_cols[0]);
       const Predicate& pred = atom.predicates[0];
-      for (size_t i = 0; i < n; ++i) {
-        if (pred.Eval(col[i])) sel.push_back(static_cast<uint32_t>(i));
+      for (size_t k = 0; k < col.num_chunks(); ++k) {
+        std::span<const Value> chunk = col.chunk(k);
+        const size_t base = k * kChunkRows;
+        for (size_t i = 0; i < chunk.size(); ++i) {
+          if (pred.Eval(chunk[i])) {
+            sel.push_back(static_cast<uint32_t>(base + i));
+          }
+        }
       }
     }
     for (size_t p = 1; p < atom.predicates.size(); ++p) {
-      std::span<const Value> col = rel.Column(pred_cols[p]);
+      const ChunkedColumn col = rel.Chunks(pred_cols[p]);
       const Predicate& pred = atom.predicates[p];
       size_t write = 0;
       for (uint32_t idx : sel) {
@@ -60,17 +67,21 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
     n_sel = sel.size();
   }
 
-  // Projection fills the output column by column: one contiguous (or
+  // Projection fills the output column by column: one chunk-wise (or
   // selection-gathered) read of each kept source column, scattered into
   // the row-major CountedRelation at stride k.
   CountedRelation out(keep);
   const size_t k = keep.size();
   std::span<Value> dst = out.AppendRowsRaw(n_sel, Count::One());
   for (size_t j = 0; j < k; ++j) {
-    std::span<const Value> col = rel.Column(keep_cols[j]);
+    const ChunkedColumn col = rel.Chunks(keep_cols[j]);
     Value* d = dst.data() + j;
     if (all_rows) {
-      for (size_t i = 0; i < n_sel; ++i) d[i * k] = col[i];
+      for (size_t ch = 0; ch < col.num_chunks(); ++ch) {
+        std::span<const Value> chunk = col.chunk(ch);
+        Value* to = d + ch * kChunkRows * k;
+        for (size_t i = 0; i < chunk.size(); ++i) to[i * k] = chunk[i];
+      }
     } else {
       for (size_t i = 0; i < n_sel; ++i) d[i * k] = col[sel[i]];
     }

@@ -46,7 +46,10 @@ std::vector<Value> RepresentativeDomain(const ConjunctiveQuery& q,
     const Relation* rel = db.Find(other.relation);
     LSENS_CHECK(rel != nullptr);
     std::set<Value> active;
-    for (Value v : rel->Column(col)) active.insert(v);
+    const ChunkedColumn values = rel->Chunks(col);
+    for (size_t k = 0; k < values.num_chunks(); ++k) {
+      for (Value v : values.chunk(k)) active.insert(v);
+    }
     if (first) {
       domain.assign(active.begin(), active.end());
       first = false;

@@ -597,29 +597,45 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
 
   // Per-tuple δ lookups are independent reads of the (normalized, hence
   // immutable) multiplicity table; each row writes only its own slot, so
-  // the chunked fan-out below returns the exact serial vector. The scan
-  // reads the relation's key and predicate columns directly — resolved to
-  // column spans once here — instead of materializing row tuples.
+  // the fan-out below returns the exact serial vector. The scan reads the
+  // relation's key and predicate columns a chunk at a time instead of
+  // materializing row tuples: each part walks the chunk pieces of its row
+  // range.
   ExecContext& ctx = ResolveExecContext(options.join.ctx);
   OpTimer op(ctx, "tsens.tuple_sens", rel.NumRows());
   const size_t n = rel.NumRows();
-  std::vector<std::span<const Value>> key_spans(cols.size());
-  for (size_t j = 0; j < cols.size(); ++j) key_spans[j] = rel.Column(cols[j]);
-  std::vector<std::span<const Value>> pred_spans(pred_cols.size());
-  for (size_t p = 0; p < pred_cols.size(); ++p) {
-    pred_spans[p] = rel.Column(pred_cols[p]);
-  }
+  std::vector<ChunkedColumn> key_columns;
+  key_columns.reserve(cols.size());
+  for (size_t c : cols) key_columns.push_back(rel.Chunks(c));
+  std::vector<ChunkedColumn> pred_columns;
+  pred_columns.reserve(pred_cols.size());
+  for (size_t c : pred_cols) pred_columns.push_back(rel.Chunks(c));
   std::vector<Count> out(n, Count::Zero());
   auto lookup_range = [&](size_t begin, size_t end) {
     std::vector<Value> key(cols.size());
-    for (size_t i = begin; i < end; ++i) {
-      bool pass = true;
-      for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
-        pass = atom.predicates[p].Eval(pred_spans[p][i]);
+    std::vector<std::span<const Value>> key_spans(cols.size());
+    std::vector<std::span<const Value>> pred_spans(pred_cols.size());
+    while (begin < end) {
+      const size_t k = begin / kChunkRows;
+      const size_t first = begin - k * kChunkRows;
+      const size_t last = std::min(end - k * kChunkRows, kChunkRows);
+      for (size_t j = 0; j < cols.size(); ++j) {
+        key_spans[j] = key_columns[j].chunk(k);
       }
-      if (!pass) continue;
-      for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
-      out[i] = as.table->Lookup(key);
+      for (size_t p = 0; p < pred_cols.size(); ++p) {
+        pred_spans[p] = pred_columns[p].chunk(k);
+      }
+      Count* slot = out.data() + k * kChunkRows;
+      for (size_t i = first; i < last; ++i) {
+        bool pass = true;
+        for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
+          pass = atom.predicates[p].Eval(pred_spans[p][i]);
+        }
+        if (!pass) continue;
+        for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
+        slot[i] = as.table->Lookup(key);
+      }
+      begin = k * kChunkRows + last;
     }
   };
   const int threads = options.join.threads;

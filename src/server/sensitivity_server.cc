@@ -22,7 +22,9 @@ struct Epoch {
   std::vector<std::pair<std::string, uint64_t>> versions;
   // db's buffers, for epoch_bytes (fixed at publish: the snapshot never
   // mutates, and its buffers are copied before the master writes them).
-  std::vector<MemoryPart> memory;
+  // Shared so stats() can sum them outside the server's mu_ without
+  // holding the epoch itself.
+  std::shared_ptr<const std::vector<MemoryPart>> memory;
   // lsens-lint: allow(unordered-iter) lookup-only result maps keyed by the
   // canonical query fingerprint; serving probes with find(), never walks —
   // per-query answers cannot depend on map order.
@@ -31,6 +33,13 @@ struct Epoch {
   std::unordered_map<std::string, SensitivityResult> cold;
   uint64_t pins = 0;
 };
+
+std::shared_ptr<const std::vector<MemoryPart>> MemoryPartsOf(
+    const Database& db) {
+  auto parts = std::make_shared<std::vector<MemoryPart>>();
+  db.AppendMemoryParts(parts.get());
+  return parts;
+}
 
 }  // namespace internal
 
@@ -116,7 +125,7 @@ SensitivityServer::SensitivityServer(Database db, ServingConfig config)
     first->db = master_.CloneSnapshot();
   }
   first->versions = first->db.VersionVector();
-  first->db.AppendMemoryParts(&first->memory);
+  first->memory = internal::MemoryPartsOf(first->db);
   {
     std::lock_guard<std::mutex> lock(mu_);
     live_.push_back(first);
@@ -251,7 +260,7 @@ bool SensitivityServer::DoTurn() {
     next->db = master_.CloneSnapshot();
   }
   next->versions = next->db.VersionVector();
-  next->db.AppendMemoryParts(&next->memory);
+  next->memory = internal::MemoryPartsOf(next->db);
 
   // Publish: atomic swap of the current pointer, then reclaim whatever
   // retirement freed (with no pinned readers that is the previous epoch,
@@ -381,15 +390,19 @@ uint64_t SensitivityServer::current_epoch() const {
 }
 
 ServingStats SensitivityServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServingStats out = stats_;
-  // Live epochs share the buffers no turn in between wrote: count each
-  // buffer once. Summed here rather than on publish/unpin, so the pin path
-  // never pays for a gauge only stats() reads.
-  std::vector<MemoryPart> parts;
-  for (const auto& e : live_) {
-    parts.insert(parts.end(), e->memory.begin(), e->memory.end());
+  ServingStats out;
+  std::vector<std::shared_ptr<const std::vector<MemoryPart>>> memory;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = stats_;
+    for (const auto& e : live_) memory.push_back(e->memory);
   }
+  // Live epochs share the chunks no turn in between wrote: count each
+  // buffer once. Summed here rather than on publish/unpin, so the pin path
+  // never pays for a gauge only stats() reads, and outside mu_, so pins do
+  // not wait for it either.
+  std::vector<MemoryPart> parts;
+  for (const auto& m : memory) parts.insert(parts.end(), m->begin(), m->end());
   out.epoch_bytes = SumDistinctBytes(std::move(parts));
   return out;
 }

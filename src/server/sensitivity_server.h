@@ -159,10 +159,11 @@ class ServerSession {
 //   - Retired epochs are reclaimed when their last pin drops; a publish
 //     with no pinned readers reclaims the previous epoch immediately.
 //
-// Publishing is cheap: a snapshot shares the master's column buffers and
-// dictionary (Database::CloneSnapshot), and the master copies a column
-// only on its first write after a publish, so a turn pays for the columns
-// its deltas touch, not for the database.
+// Publishing is cheap: a snapshot shares the master's column chunks and
+// dictionary (Database::CloneSnapshot), and the master copies a chunk only
+// on its first write after a publish, so a turn pays for the chunks its
+// deltas touch (plus one chunk table per touched column), not for the
+// database.
 //
 // Reads never block on the writer and never see a half-applied delta: a
 // pinned snapshot is immutable by construction. Queries on an epoch are

@@ -49,6 +49,7 @@ template <typename T>
 class CowPtr {
  public:
   CowPtr() : rep_(new Rep()) {}
+  explicit CowPtr(T value) : rep_(new Rep(std::move(value))) {}
   CowPtr(const CowPtr& other) noexcept : rep_(other.rep_) {
     rep_->refs.fetch_add(1, std::memory_order_relaxed);
   }

@@ -119,7 +119,7 @@ Status LoadCsvText(Database& db, const std::string& relation,
 
   // Cells parse straight into per-column buffers — the same shape as the
   // relation's columnar storage — and the whole file lands with one
-  // AppendColumns call (one contiguous copy per column). String cells
+  // AppendColumns call (one contiguous copy per column chunk). String cells
   // intern through the database dictionary; any column that interned at
   // least one cell is marked dictionary-encoded in the catalog.
   std::vector<std::vector<Value>> columns(header.size());

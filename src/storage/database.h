@@ -30,11 +30,12 @@ using DatabaseDelta = std::vector<RelationDelta>;
 // domains. Relations are stored by unique name; self-joins are expressed by
 // materializing a second copy under a different name (the paper's model).
 //
-// Copies share storage: column buffers and the dictionary sit behind
-// copy-on-write handles (storage/cow.h), so Clone and CloneSnapshot cost a
-// handle per column, not a pass over the rows. Whichever side writes first
-// copies what it writes — one column, or the dictionary on an Intern — and
-// the other side never sees the write.
+// Copies share storage: column chunks, chunk tables and the dictionary sit
+// behind copy-on-write handles (storage/cow.h), so Clone and CloneSnapshot
+// cost a handle per column, not a pass over the rows. Whichever side
+// writes first copies what it writes — a column's chunk table and the
+// chunks a write lands in, or the dictionary on an Intern — and the other
+// side never sees the write.
 class Database {
  public:
   Database() = default;

@@ -18,30 +18,62 @@ Relation::Relation(const Relation& other, NoChangeLog)
       column_names_(other.column_names_),
       cols_(other.cols_),
       dict_cols_(other.dict_cols_),
+      num_rows_(other.num_rows_),
       version_(other.version_),
       log_base_version_(other.version_) {}
 
 void Relation::AppendRowSlow(std::span<const Value> row) {
   if (log_enabled_) LogChange(/*insert=*/true, row);
-  for (size_t c = 0; c < row.size(); ++c) cols_[c].Mutable().push_back(row[c]);
+  const bool opens = num_rows_ % kChunkRows == 0;
+  for (size_t c = 0; c < row.size(); ++c) {
+    ChunkTable& table = cols_[c].Mutable();
+    if (opens) OpenChunk(&table);
+    table.back().Mutable().push_back(row[c]);
+  }
+  ++num_rows_;
   ++version_;
 }
 
+void Relation::OpenChunk(ChunkTable* table) {
+  ColumnChunk chunk;
+  chunk.reserve(kChunkRows);
+  table->emplace_back(std::move(chunk));
+}
+
+template <typename Fill>
+void Relation::AppendToColumn(CowPtr<ChunkTable>& column, size_t rows,
+                              size_t count, const Fill& fill) {
+  ChunkTable& table = column.Mutable();
+  for (size_t i = 0; i < count;) {
+    const size_t offset = (rows + i) % kChunkRows;
+    if (offset == 0) OpenChunk(&table);
+    const size_t take = std::min(count - i, kChunkRows - offset);
+    fill(table.back().Mutable(), i, take);
+    i += take;
+  }
+}
+
 std::vector<Value> Relation::Row(size_t i) const {
-  std::vector<Value> row(arity());
-  for (size_t c = 0; c < cols_.size(); ++c) row[c] = (*cols_[c])[i];
+  std::vector<Value> row;
+  RowInto(i, &row);
   return row;
 }
 
 void Relation::RowInto(size_t i, std::vector<Value>* out) const {
   out->resize(arity());
-  for (size_t c = 0; c < cols_.size(); ++c) (*out)[c] = (*cols_[c])[i];
+  const size_t k = i / kChunkRows;
+  const size_t offset = i % kChunkRows;
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    (*out)[c] = (*(*cols_[c])[k])[offset];
+  }
 }
 
 bool Relation::RowEquals(size_t i, std::span<const Value> row) const {
   LSENS_CHECK(row.size() == arity());
+  const size_t k = i / kChunkRows;
+  const size_t offset = i % kChunkRows;
   for (size_t c = 0; c < cols_.size(); ++c) {
-    if ((*cols_[c])[i] != row[c]) return false;
+    if ((*(*cols_[c])[k])[offset] != row[c]) return false;
   }
   return true;
 }
@@ -58,20 +90,15 @@ void Relation::Set(size_t row, size_t col, Value v) {
     // with the entry count so CollectChangesSince offsets line up.
     ++version_;
   }
-  cols_[col].Mutable()[row] = v;
+  cols_[col].Mutable()[row / kChunkRows].Mutable()[row % kChunkRows] = v;
   ++version_;
 }
 
 void Relation::Clear() {
-  for (auto& col : cols_) {
-    // A shared buffer is left to its other holders: start a fresh one
-    // instead of copying rows only to drop them.
-    if (col.Unique()) {
-      col.Mutable().clear();
-    } else {
-      col = ColumnBuffer();
-    }
-  }
+  // Fresh tables: chunks a copy still shares are left to it, the rest are
+  // freed, and nothing is copied.
+  for (auto& col : cols_) col = CowPtr<ChunkTable>();
+  num_rows_ = 0;
   ++version_;
   // The delta "everything erased" is exactly what the log exists to avoid
   // materializing; disable instead, so readers fall back to recompute.
@@ -80,14 +107,24 @@ void Relation::Clear() {
 }
 
 void Relation::SwapRemoveRow(size_t i) {
-  size_t n = NumRows();
-  LSENS_CHECK(i < n);
+  LSENS_CHECK(i < num_rows_);
   if (log_enabled_) LogChange(/*insert=*/false, Row(i));
-  for (auto& buffer : cols_) {
-    std::vector<Value>& col = buffer.Mutable();
-    col[i] = col[n - 1];
-    col.pop_back();
+  const size_t last = num_rows_ - 1;
+  // A tail chunk holding only the last row is dropped, not copied.
+  const bool drops_tail = last % kChunkRows == 0;
+  for (auto& column : cols_) {
+    ChunkTable& table = column.Mutable();
+    if (i != last) {
+      const Value moved = (*table.back())[last % kChunkRows];
+      table[i / kChunkRows].Mutable()[i % kChunkRows] = moved;
+    }
+    if (drops_tail) {
+      table.pop_back();
+    } else {
+      table.back().Mutable().pop_back();
+    }
   }
+  --num_rows_;
   ++version_;
 }
 
@@ -102,10 +139,14 @@ void Relation::AppendRows(std::span<const Value> rows_flat) {
     }
   }
   for (size_t c = 0; c < k; ++c) {
-    auto& col = cols_[c].Mutable();
-    col.reserve(col.size() + rows);
-    for (size_t i = 0; i < rows; ++i) col.push_back(rows_flat[i * k + c]);
+    AppendToColumn(cols_[c], num_rows_, rows,
+                   [&](ColumnChunk& chunk, size_t i, size_t take) {
+                     for (size_t r = i; r < i + take; ++r) {
+                       chunk.push_back(rows_flat[r * k + c]);
+                     }
+                   });
   }
+  num_rows_ += rows;
   version_ += rows;
 }
 
@@ -123,9 +164,13 @@ void Relation::AppendColumns(std::span<const std::vector<Value>> columns) {
     }
   }
   for (size_t c = 0; c < k; ++c) {
-    auto& col = cols_[c].Mutable();
-    col.insert(col.end(), columns[c].begin(), columns[c].end());
+    const Value* from = columns[c].data();
+    AppendToColumn(cols_[c], num_rows_, rows,
+                   [&](ColumnChunk& chunk, size_t i, size_t take) {
+                     chunk.insert(chunk.end(), from + i, from + i + take);
+                   });
   }
+  num_rows_ += rows;
   version_ += rows;
 }
 
@@ -141,11 +186,15 @@ void Relation::AppendRowsFrom(const Relation& src,
     }
   }
   for (size_t c = 0; c < arity(); ++c) {
-    const auto& from = *src.cols_[c];
-    auto& dst = cols_[c].Mutable();
-    dst.reserve(dst.size() + rows.size());
-    for (uint32_t r : rows) dst.push_back(from[r]);
+    const ChunkedColumn from = src.Chunks(c);
+    AppendToColumn(cols_[c], num_rows_, rows.size(),
+                   [&](ColumnChunk& chunk, size_t i, size_t take) {
+                     for (size_t r = i; r < i + take; ++r) {
+                       chunk.push_back(from[rows[r]]);
+                     }
+                   });
   }
+  num_rows_ += rows.size();
   version_ += rows.size();
 }
 
@@ -210,8 +259,12 @@ size_t Relation::MemoryBytes() const {
 }
 
 void Relation::AppendMemoryParts(std::vector<MemoryPart>* out) const {
-  for (const auto& col : cols_) {
-    out->push_back({col.id(), col->capacity() * sizeof(Value)});
+  for (const auto& table : cols_) {
+    const size_t table_bytes = table->capacity() * sizeof(CowPtr<ColumnChunk>);
+    out->push_back({table.id(), table_bytes});
+    for (const auto& chunk : *table) {
+      out->push_back({chunk.id(), chunk->capacity() * sizeof(Value)});
+    }
   }
   size_t own = dict_cols_.capacity() * sizeof(uint8_t);
   for (const RowChange& change : log_) {
@@ -305,12 +358,20 @@ int Relation::ColumnIndex(const std::string& column_name) const {
 }
 
 bool Relation::IdenticalTo(const Relation& other) const {
-  if (name_ != other.name_ || column_names_ != other.column_names_) {
+  if (name_ != other.name_ || column_names_ != other.column_names_ ||
+      num_rows_ != other.num_rows_) {
     return false;
   }
+  // Equal row counts mean equal chunk boundaries; shared tables and chunks
+  // are equal without a look.
   for (size_t c = 0; c < cols_.size(); ++c) {
-    if (cols_[c].id() != other.cols_[c].id() && *cols_[c] != *other.cols_[c]) {
-      return false;
+    if (cols_[c].id() == other.cols_[c].id()) continue;
+    const ChunkTable& mine = *cols_[c];
+    const ChunkTable& theirs = *other.cols_[c];
+    for (size_t k = 0; k < mine.size(); ++k) {
+      if (mine[k].id() != theirs[k].id() && *mine[k] != *theirs[k]) {
+        return false;
+      }
     }
   }
   return true;

@@ -33,24 +33,60 @@ struct ProjectedRowChange {
   std::vector<Value> key;
 };
 
+// Rows per column chunk. Every chunk of a column but its last holds exactly
+// kChunkRows values and the last holds 1 to kChunkRows, so row i lives at
+// offset i % kChunkRows of chunk i / kChunkRows in every column. A chunk
+// reserves kChunkRows values when it opens and never reallocates.
+inline constexpr size_t kChunkRows = 4096;
+
+// One column's storage: a table of copy-on-write chunk handles.
+using ColumnChunk = std::vector<Value>;
+using ChunkTable = std::vector<CowPtr<ColumnChunk>>;
+
+// Read-only view of one column of a Relation, valid until the relation is
+// next mutated. Point reads go through operator[]; loops over a whole
+// column walk chunk(k) spans, which are contiguous.
+class ChunkedColumn {
+ public:
+  Value operator[](size_t row) const {
+    return (*chunks_[row / kChunkRows])[row % kChunkRows];
+  }
+  size_t num_chunks() const { return num_chunks_; }
+  // Rows [k * kChunkRows, k * kChunkRows + chunk(k).size()).
+  std::span<const Value> chunk(size_t k) const { return *chunks_[k]; }
+
+ private:
+  friend class Relation;
+  explicit ChunkedColumn(const ChunkTable& table)
+      : chunks_(table.data()), num_chunks_(table.size()) {}
+
+  const CowPtr<ColumnChunk>* chunks_;
+  size_t num_chunks_;
+};
+
 // A base relation: named columns (by position; attribute binding happens in
 // the query's atoms) and columnar storage. Bag semantics: duplicate rows
 // are allowed and meaningful.
 //
-// Storage is one contiguous std::vector<Value> per column; row i is the
-// i-th element of every column vector. Each column sits behind a
-// copy-on-write handle (storage/cow.h): copying a Relation shares its
-// column buffers, and the first write to a column that a copy still shares
-// copies that column once (keeping its capacity), so later writes go in
-// place. A snapshot therefore costs one handle per column, and a write
-// after it pays only for the columns it touches.
+// Each column is a ChunkTable: copy-on-write handles (storage/cow.h) to
+// chunks of kChunkRows values, itself behind a copy-on-write handle.
+// Copying a Relation copies one table handle per column. The first write
+// to a column that a copy still shares copies its table (one handle per
+// chunk) and then only the chunks it writes:
+//   - Set copies the chunk of its row;
+//   - an append copies the tail chunk, or opens a new one;
+//   - a swap-remove copies the row's chunk and the tail chunk, and drops
+//     a tail chunk it empties without copying it;
+//   - Clear copies nothing: it starts every column afresh.
+// A snapshot therefore costs one handle per column, and a write after it
+// pays for the chunks it touches, not for the relation.
 //
-// Scans, hash builds, and change-log projection read whole columns
+// Scans, hash builds, and change-log projection read column chunks
 // sequentially instead of striding across row tuples, which is what the
 // exec-layer kernels want; the row-level API
 // (Row/At/AppendRow/Set/SwapRemoveRow/ApplyDelta) is preserved on top and
 // pins the semantics. Row() gathers into a fresh vector — hot loops should
-// read Column() spans, reuse a buffer via RowInto(), or compare in place
+// read Chunks() spans, reuse a buffer via RowInto(), or compare in place
 // with RowEquals() instead (the lsens-lint `row-materialize` rule audits
 // exec-layer loops for this).
 //
@@ -67,20 +103,23 @@ class Relation {
     return column_names_;
   }
   size_t arity() const { return column_names_.size(); }
-  size_t NumRows() const { return cols_[0]->size(); }
+  size_t NumRows() const { return num_rows_; }
 
-  // The full column: the unit of access every columnar kernel consumes.
-  std::span<const Value> Column(size_t c) const { return *cols_[c]; }
+  // Column c split into its chunks: the unit of access every columnar
+  // kernel consumes.
+  ChunkedColumn Chunks(size_t c) const {
+    return ChunkedColumn(*cols_[c]);
+  }
 
   // Row i gathered across columns into a fresh vector. Convenience for
-  // tests and cold paths; hot loops use Column()/RowInto()/RowEquals().
+  // tests and cold paths; hot loops use Chunks()/RowInto()/RowEquals().
   std::vector<Value> Row(size_t i) const;
   // Gather row i into `*out` (resized to arity()), reusing its capacity.
   void RowInto(size_t i, std::vector<Value>* out) const;
   // True iff row i equals `row` (arity-checked once per call).
   bool RowEquals(size_t i, std::span<const Value> row) const;
 
-  Value At(size_t row, size_t col) const { return (*cols_[col])[row]; }
+  Value At(size_t row, size_t col) const { return Chunks(col)[row]; }
   // Point overwrite. Bumps the version; the changelog (which speaks in
   // whole-row inserts/erases) records erase(old row) + insert(new row).
   void Set(size_t row, size_t col, Value v);
@@ -93,9 +132,13 @@ class Relation {
       AppendRowSlow(row);
       return;
     }
+    const bool opens = num_rows_ % kChunkRows == 0;
     for (size_t c = 0; c < row.size(); ++c) {
-      cols_[c].MutableUnshared().push_back(row[c]);
+      ChunkTable& table = cols_[c].MutableUnshared();
+      if (opens) OpenChunk(&table);
+      table.back().MutableUnshared().push_back(row[c]);
     }
+    ++num_rows_;
     ++version_;
   }
   void AppendRow(std::initializer_list<Value> row) {
@@ -103,14 +146,14 @@ class Relation {
   }
 
   // Bulk append of `rows_flat.size() / arity()` rows stored row-major
-  // (rows_flat.size() must be a multiple of the arity). One reserve and
-  // one strided scatter per column; versioning and the changelog observe
-  // the same per-row granularity as the equivalent AppendRow loop.
+  // (rows_flat.size() must be a multiple of the arity). One strided
+  // scatter per column, a chunk at a time; versioning and the changelog
+  // observe the same per-row granularity as the equivalent AppendRow loop.
   void AppendRows(std::span<const Value> rows_flat);
 
   // Bulk append of pre-split columns: columns[c] holds the new values of
   // column c, all the same length. The columnar twin of AppendRows — one
-  // contiguous copy per column, no row-major staging. The CSV loader
+  // contiguous copy per chunk, no row-major staging. The CSV loader
   // parses straight into such buffers.
   void AppendColumns(std::span<const std::vector<Value>> columns);
 
@@ -119,9 +162,12 @@ class Relation {
   // mechanisms to rebuild a filtered relation without materializing rows.
   void AppendRowsFrom(const Relation& src, std::span<const uint32_t> rows);
 
+  // Sizes every column's chunk table for `rows` rows; chunks reserve
+  // their own capacity as they open.
   void Reserve(size_t rows) {
+    const size_t chunks = (rows + kChunkRows - 1) / kChunkRows;
     for (auto& col : cols_) {
-      if (col->capacity() < rows) col.Mutable().reserve(rows);
+      if (col->capacity() < chunks) col.Mutable().reserve(chunks);
     }
   }
   // Drops every row. Bumps the version and disables the changelog (the
@@ -174,21 +220,22 @@ class Relation {
   void EnableChangeLog(size_t capacity);
   bool change_log_enabled() const { return log_enabled_; }
 
-  // A copy for an immutable snapshot: shares every column buffer, keeps
-  // the contents, schema and version(), and carries no change log (a
+  // A copy for an immutable snapshot: shares every column's chunk table,
+  // keeps the contents, schema and version(), and carries no change log (a
   // snapshot never mutates, so a log would only pin memory). The copy
   // constructor shares columns the same way but copies the log too.
   Relation CloneSnapshot() const;
 
   // Bytes held by column storage plus the retained change-log entries, for
   // epoch/eviction accounting (same spirit as DynTable::MemoryBytes). A
-  // column buffer shared with a copy counts in full here; see
+  // chunk or table shared with a copy counts in full here; see
   // AppendMemoryParts to count it once across relations.
   size_t MemoryBytes() const;
 
-  // MemoryBytes split by buffer: one part per column buffer, owned by the
-  // buffer (copies that share it report the same owner), plus one part
-  // owned by this relation for its dictionary flags and change log.
+  // MemoryBytes split by buffer. For each column in order: one part for
+  // its chunk table, then one per chunk, each owned by the buffer (copies
+  // that share it report the same owner). Last, one part owned by this
+  // relation for its dictionary flags and change log.
   void AppendMemoryParts(std::vector<MemoryPart>* out) const;
 
   // Appends the changes that lead from version `since` to version() onto
@@ -235,8 +282,6 @@ class Relation {
   bool IdenticalTo(const Relation& other) const;
 
  private:
-  using ColumnBuffer = CowPtr<std::vector<Value>>;
-
   // CloneSnapshot's copy: everything but the change log.
   struct NoChangeLog {};
   Relation(const Relation& other, NoChangeLog);
@@ -245,24 +290,37 @@ class Relation {
   // AppendRow when it logs or a copy may share a column: out of line, so
   // the copy path stays off the inlined per-row path.
   [[gnu::noinline]] void AppendRowSlow(std::span<const Value> row);
+  // Appends a fresh chunk (capacity kChunkRows) to `table`.
+  [[gnu::noinline]] static void OpenChunk(ChunkTable* table);
+  // Appends `count` values to a column that holds `rows`, a chunk at a
+  // time: fill(chunk, i, take) appends new values i .. i + take - 1 to
+  // `chunk`, which has room for them. Fills the tail chunk (copying it
+  // first if a copy shares it) before opening new ones.
+  template <typename Fill>
+  static void AppendToColumn(CowPtr<ChunkTable>& column, size_t rows,
+                             size_t count, const Fill& fill);
 
   // Shared by this relation and every copy made from it, directly or
   // through other copies; AppendRow's one test per row. Two invariants
-  // make a unique lineage_ mean that no other relation holds any column:
-  //   - column handles are copied only with the whole relation (copy
+  // make a unique lineage_ mean that no other relation holds any column
+  // table or chunk:
+  //   - table handles are copied only with the whole relation (copy
   //     construction and assignment, and the CloneSnapshot constructor),
-  //     and each of those copies lineage_ too. Any new path that hands a
-  //     column handle to another holder must copy lineage_ with it;
+  //     and each of those copies lineage_ too. Chunk handles are copied
+  //     only with their table, when a shared table is written. Any new
+  //     path that hands a table or chunk handle to another holder must
+  //     copy lineage_ with it;
   //   - lineage_ is declared first, so a copy's destructor releases it
-  //     after its columns, and the acquire in lineage_.Unique() orders
-  //     every access that copy made before the write.
+  //     after its tables and chunks, and the acquire in lineage_.Unique()
+  //     orders every access that copy made before the write.
   // Without it each row would pay one acquire per column: tpch setup_s
   // read 12-14% slower.
   CowPtr<char> lineage_;
   std::string name_;
   std::vector<std::string> column_names_;
-  std::vector<ColumnBuffer> cols_;  // one shared buffer per column
-  std::vector<uint8_t> dict_cols_;  // per-column dictionary flags
+  std::vector<CowPtr<ChunkTable>> cols_;  // one chunk table per column
+  std::vector<uint8_t> dict_cols_;        // per-column dictionary flags
+  size_t num_rows_ = 0;
 
   uint64_t version_ = 0;
   bool log_enabled_ = false;

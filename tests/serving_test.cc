@@ -394,7 +394,7 @@ TEST(ServingFreeRunningTest, StressEveryReadBitIdenticalAcross200Turns) {
 
 // Readers hold their pins across writer turns and release them only after
 // the writer has retired the pinned epoch, so the last release of a retired
-// epoch — and with it the drop of the column buffers and dictionary it
+// epoch — and with it the drop of the chunks and dictionary it
 // shared with the master — runs on a reader thread while the writer applies
 // the next deltas to the master. Under tsan this checks those releases
 // against the writer's copies and publishes; everywhere it checks that a
@@ -419,8 +419,11 @@ TEST(ServingFreeRunningTest, ReadersReleaseRetiredEpochsWhileWriterApplies) {
     for (const std::string& name : db.relation_names()) {
       const Relation* rel = db.Find(name);
       for (size_t c = 0; c < rel->arity(); ++c) {
-        for (Value v : rel->Column(c)) {
-          h = h * 1000003u + static_cast<uint64_t>(v);
+        const ChunkedColumn col = rel->Chunks(c);
+        for (size_t k = 0; k < col.num_chunks(); ++k) {
+          for (Value v : col.chunk(k)) {
+            h = h * 1000003u + static_cast<uint64_t>(v);
+          }
         }
         h = h * 1000003u + rel->NumRows();
       }
@@ -546,9 +549,10 @@ TEST(ServingReclamationTest, PinKeepsEpochAliveAcrossTurns) {
     EpochPin current = session->Pin();
     EXPECT_EQ(current.epoch(), 1u + kTurns);
     current_bytes = current.db().MemoryBytes();
-    // The two live epochs differ only in R1: every turn copied R1's columns
-    // on its first write, and R2-R4 and the dictionary are one set of
-    // buffers that both epochs share and the gauge counts once.
+    // The two live epochs differ only in R1: every turn copied R1's chunk
+    // tables and tail chunks on its first write, and R2-R4 and the
+    // dictionary are one set of buffers that both epochs share and the
+    // gauge counts once.
     EXPECT_GT(stats.epoch_bytes, current_bytes);
     EXPECT_LT(stats.epoch_bytes, pinned_bytes + current_bytes);
     EXPECT_LT(stats.epoch_bytes, 2 * current_bytes);
@@ -571,6 +575,49 @@ TEST(ServingReclamationTest, PinKeepsEpochAliveAcrossTurns) {
   EXPECT_EQ(stats.epochs_reclaimed, static_cast<uint64_t>(kTurns));
   EXPECT_EQ(stats.epochs_live, 1u);
   EXPECT_EQ(stats.epoch_bytes, current_bytes);
+  server.Shutdown();
+}
+
+// Two live epochs that differ by a 1-row delta on a relation of nine
+// chunks share every chunk the delta did not write. The swap-remove copied
+// the removed row's chunk and the tail chunk of each column, and each
+// column's chunk table, so the gauge holds the current epoch plus at most
+// those and the pinned relation's own bookkeeping.
+TEST(ServingReclamationTest, EpochsOneRowApartShareAllButTheWrittenChunks) {
+  constexpr size_t kRows = 8 * kChunkRows + 100;
+  Database db;
+  Relation* big = db.AddRelation("B", {"x", "y"});
+  for (size_t i = 0; i < kRows; ++i) {
+    big->AppendRow({static_cast<Value>(i), static_cast<Value>(i % 7)});
+  }
+  ServingConfig config;
+  config.manual_turns = true;
+  SensitivityServer server(std::move(db), config);
+  auto session = server.OpenSession("pinner");
+  EpochPin pin = session->Pin();
+
+  RelationDelta rd;
+  rd.relation = "B";
+  rd.delete_rows.push_back(3);
+  ASSERT_TRUE(server.SubmitDelta({rd}).ok());
+  ASSERT_TRUE(server.TurnEpoch());
+
+  const ServingStats stats = server.stats();
+  EXPECT_EQ(stats.epochs_live, 2u);
+  EpochPin current = session->Pin();
+  const Relation& pinned = *pin.db().Find("B");
+  ASSERT_EQ(pinned.NumRows(), kRows);
+  ASSERT_EQ(current.db().Find("B")->NumRows(), kRows - 1);
+  std::vector<MemoryPart> parts;
+  pinned.AppendMemoryParts(&parts);
+  const size_t table_bytes = parts.front().bytes;  // column 0's table
+  const size_t own_bytes = parts.back().bytes;
+  const size_t chunk_bytes = kChunkRows * sizeof(Value);
+  const size_t current_bytes = current.db().MemoryBytes();
+  const size_t bound = current_bytes + own_bytes +
+                       pinned.arity() * (2 * chunk_bytes + table_bytes);
+  EXPECT_GT(stats.epoch_bytes, current_bytes);
+  EXPECT_LE(stats.epoch_bytes, bound);
   server.Shutdown();
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -206,8 +207,8 @@ TEST(DatabaseTest, ClonePreservesCatalogAndDict) {
 // flat row-major buffer and keeps an unbounded change log; the relation must
 // agree on contents, versions, and every change-log read at every step.
 // Copies held across the stream pin copy-on-write: each still reads as the
-// model did when it was taken, and shares a column buffer with the original
-// exactly until the original's first write to that column.
+// model did when it was taken, and shares a chunk with the original exactly
+// until the original's first write to that chunk.
 // ---------------------------------------------------------------------------
 
 // The pre-columnar storage layout, semantics transcribed from the API docs:
@@ -222,6 +223,13 @@ struct RowMajorModel {
   uint64_t version = 0;
   uint64_t log_base = 0;       // the version before log[0]
   std::vector<RowChange> log;  // unbounded since log_base
+  // Every (row, column) a mutation wrote since the caller last cleared it;
+  // column kAllColumns stands for every column. A swap-remove writes the
+  // removed row's slot and the last row's.
+  static constexpr size_t kAllColumns = SIZE_MAX;
+  std::vector<std::pair<size_t, size_t>> writes;
+  // The fewest rows held since the caller last set it.
+  size_t low_rows = 0;
 
   size_t NumRows() const { return data.size() / arity; }
   std::vector<Value> Row(size_t i) const {
@@ -229,11 +237,13 @@ struct RowMajorModel {
             data.begin() + static_cast<long>((i + 1) * arity)};
   }
   void AppendRow(std::span<const Value> row) {
+    writes.emplace_back(NumRows(), kAllColumns);
     log.push_back(RowChange{true, {row.begin(), row.end()}});
     data.insert(data.end(), row.begin(), row.end());
     ++version;
   }
   void Set(size_t row, size_t col, Value v) {
+    writes.emplace_back(row, col);
     std::vector<Value> old = Row(row);
     std::vector<Value> updated = old;
     updated[col] = v;
@@ -244,11 +254,14 @@ struct RowMajorModel {
   }
   void SwapRemoveRow(size_t i) {
     const size_t n = NumRows();
+    writes.emplace_back(i, kAllColumns);
+    writes.emplace_back(n - 1, kAllColumns);
     log.push_back(RowChange{false, Row(i)});
     for (size_t c = 0; c < arity; ++c) {
       data[i * arity + c] = data[(n - 1) * arity + c];
     }
     data.resize((n - 1) * arity);
+    low_rows = std::min(low_rows, n - 1);
     ++version;
   }
   void ApplyDelta(const std::vector<std::vector<Value>>& inserts,
@@ -259,38 +272,81 @@ struct RowMajorModel {
     }
     for (const auto& row : inserts) AppendRow(row);
   }
-  // Clear drops every row and stops the log; the stream restarts logging
-  // right away, so the retained window begins at the new version.
+  // Clear drops every row and stops the log.
   void Clear() {
     data.clear();
+    low_rows = 0;
     ++version;
+    RestartLog();
+  }
+  // The relation's log restarts (EnableChangeLog): the retained window
+  // begins at the current version.
+  void RestartLog() {
     log.clear();
     log_base = version;
   }
 };
 
-void ExpectMatchesModel(const Relation& rel, const RowMajorModel& model) {
+std::vector<Value> RandomRow(Rng& rng, size_t arity) {
+  std::vector<Value> row(arity);
+  for (auto& v : row) v = rng.NextInRange(-4, 4);
+  return row;
+}
+
+// Appends `rows` random rows to both sides in one AppendColumns call.
+void AppendRandomColumns(Rng& rng, size_t rows, Relation* rel,
+                         RowMajorModel* model) {
+  std::vector<std::vector<Value>> columns(model->arity);
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<Value> row = RandomRow(rng, model->arity);
+    for (size_t c = 0; c < model->arity; ++c) columns[c].push_back(row[c]);
+    model->AppendRow(row);
+  }
+  rel->AppendColumns(columns);
+}
+
+void ExpectRowMatchesModel(const Relation& rel, const RowMajorModel& model,
+                           size_t i, std::vector<Value>* scratch) {
+  const std::vector<Value> want = model.Row(i);
+  ASSERT_EQ(rel.Row(i), want) << "row " << i;
+  rel.RowInto(i, scratch);
+  ASSERT_EQ(*scratch, want) << "row " << i;
+  ASSERT_TRUE(rel.RowEquals(i, want)) << "row " << i;
+  for (size_t c = 0; c < model.arity; ++c) {
+    ASSERT_EQ(rel.At(i, c), want[c]) << "row " << i << " col " << c;
+  }
+}
+
+// Column views must agree with the model everywhere and keep the chunk
+// layout: every chunk but the last full, the last non-empty. The row views
+// are checked on `rows` (every row when null).
+void ExpectMatchesModel(const Relation& rel, const RowMajorModel& model,
+                        const std::vector<size_t>* rows = nullptr) {
   ASSERT_EQ(rel.NumRows(), model.NumRows());
   ASSERT_EQ(rel.version(), model.version);
-  // Row view, point view, and column view must all agree with the model.
-  std::vector<Value> scratch;
-  for (size_t i = 0; i < model.NumRows(); ++i) {
-    const std::vector<Value> want = model.Row(i);
-    ASSERT_EQ(rel.Row(i), want) << "row " << i;
-    rel.RowInto(i, &scratch);
-    ASSERT_EQ(scratch, want) << "row " << i;
-    ASSERT_TRUE(rel.RowEquals(i, want)) << "row " << i;
-    for (size_t c = 0; c < model.arity; ++c) {
-      ASSERT_EQ(rel.At(i, c), want[c]) << "row " << i << " col " << c;
+  const size_t n = model.NumRows();
+  for (size_t c = 0; c < model.arity; ++c) {
+    const ChunkedColumn col = rel.Chunks(c);
+    ASSERT_EQ(col.num_chunks(), (n + kChunkRows - 1) / kChunkRows);
+    for (size_t k = 0; k < col.num_chunks(); ++k) {
+      std::span<const Value> chunk = col.chunk(k);
+      ASSERT_EQ(chunk.size(), std::min(kChunkRows, n - k * kChunkRows))
+          << "col " << c << " chunk " << k;
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        const size_t row = k * kChunkRows + i;
+        ASSERT_EQ(chunk[i], model.data[row * model.arity + c])
+            << "col " << c << " row " << row;
+        ASSERT_EQ(col[row], chunk[i]) << "col " << c << " row " << row;
+      }
     }
   }
-  for (size_t c = 0; c < model.arity; ++c) {
-    std::span<const Value> col = rel.Column(c);
-    ASSERT_EQ(col.size(), model.NumRows());
-    for (size_t i = 0; i < col.size(); ++i) {
-      ASSERT_EQ(col[i], model.data[i * model.arity + c])
-          << "col " << c << " row " << i;
+  std::vector<Value> scratch;
+  if (rows == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      ExpectRowMatchesModel(rel, model, i, &scratch);
     }
+  } else {
+    for (size_t i : *rows) ExpectRowMatchesModel(rel, model, i, &scratch);
   }
 }
 
@@ -320,92 +376,100 @@ void ExpectLogMatchesModel(const Relation& rel, const RowMajorModel& model,
   ASSERT_EQ(rel.NumChangesSince(since), want.size());
 }
 
-// Per-column capacity in values, read off the relation's memory parts (one
-// part per column buffer, in column order).
-std::vector<size_t> ColumnCapacities(const Relation& rel) {
+// Per-column chunk-table capacity in handles, read off the relation's
+// memory parts (per column: the table's part, then one part per chunk).
+std::vector<size_t> TableCapacities(const Relation& rel) {
   std::vector<MemoryPart> parts;
   rel.AppendMemoryParts(&parts);
   std::vector<size_t> caps;
+  size_t part = 0;
   for (size_t c = 0; c < rel.arity(); ++c) {
-    caps.push_back(parts[c].bytes / sizeof(Value));
+    caps.push_back(parts[part].bytes / sizeof(CowPtr<ColumnChunk>));
+    part += 1 + rel.Chunks(c).num_chunks();
   }
   return caps;
 }
 
+// Where each chunk of each column lives: chunks[c][k] is chunk k's data.
+std::vector<std::vector<const Value*>> ChunkAddresses(const Relation& rel) {
+  std::vector<std::vector<const Value*>> out(rel.arity());
+  for (size_t c = 0; c < rel.arity(); ++c) {
+    const ChunkedColumn col = rel.Chunks(c);
+    for (size_t k = 0; k < col.num_chunks(); ++k) {
+      out[c].push_back(col.chunk(k).data());
+    }
+  }
+  return out;
+}
+
 // A copy of the streamed relation, taken at a random step and kept alive
 // while the stream goes on mutating the original. It must keep reading as
-// the model read at that step, and share each column buffer with the
-// original until the original first writes that column.
+// the model read at that step, and share each chunk with the original
+// until the original first writes that chunk.
 struct HeldCopy {
   Relation rel;
-  RowMajorModel model;        // the model at the anchor
-  bool with_log = false;      // copy constructor (true) or CloneSnapshot
-  std::vector<bool> written;  // columns the original wrote since
+  RowMajorModel model;    // the model at the anchor
+  bool with_log = false;  // copy constructor (true) or CloneSnapshot
+  bool cleared = false;   // the original was cleared since
+  // Per column: the chunks the original wrote since.
+  std::vector<std::set<size_t>> written;
 };
 
 // `logged` streams keep the change log on and replay it at every step;
 // unlogged ones take AppendRow's one-test path whenever no copy is held.
-void RunDifferentialStream(uint64_t seed, bool logged) {
+// The relation starts with `initial_rows` rows, and a Clear reloads that
+// many, so a stream of a few rows a step keeps crossing the chunk
+// boundaries around its size.
+void RunDifferentialStream(uint64_t seed, bool logged, size_t initial_rows) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " logged " +
+               std::to_string(logged) + " rows " +
+               std::to_string(initial_rows));
   Rng rng(seed);
   const size_t arity = 1 + rng.NextBounded(3);
   std::vector<std::string> names;
   for (size_t c = 0; c < arity; ++c) names.push_back("C" + std::to_string(c));
   constexpr size_t kLogCapacity = 1 << 14;  // nothing leaves the window
   Relation rel("R", names);
-  if (logged) rel.EnableChangeLog(kLogCapacity);
   RowMajorModel model;
   model.arity = arity;
   model.logged = logged;
+  AppendRandomColumns(rng, initial_rows, &rel, &model);
+  if (logged) rel.EnableChangeLog(kLogCapacity);
+  model.RestartLog();
   std::vector<HeldCopy> copies;
   constexpr size_t kMaxCopies = 4;
-
-  auto random_row = [&] {
-    std::vector<Value> row(arity);
-    for (auto& v : row) v = rng.NextInRange(-4, 4);
-    return row;
-  };
+  // Up to this many rows a relation is checked in full at every step;
+  // above it, the row views of the original are checked on the written
+  // rows plus a few at random, and a held copy on a sample of its rows.
+  constexpr size_t kCheckEveryRowUpTo = 128;
 
   for (int step = 0; step < 400; ++step) {
     const size_t n = model.NumRows();
-    // Columns this step writes, and whether a write to column c must go in
-    // place: no held copy still shares it, and the step cannot grow it.
-    std::vector<bool> touched(arity, false);
-    auto touch_all = [&] { touched.assign(arity, true); };
-    bool in_place = false;
-    std::vector<const Value*> before(arity);
-    for (size_t c = 0; c < arity; ++c) before[c] = rel.Column(c).data();
+    model.writes.clear();
+    model.low_rows = n;
+    bool cleared = false;
+    const std::vector<std::vector<const Value*>> before = ChunkAddresses(rel);
     switch (rng.NextBounded(12)) {
       case 0: {  // single append
-        std::vector<Value> row = random_row();
+        std::vector<Value> row = RandomRow(rng, arity);
         rel.AppendRow(row);
         model.AppendRow(row);
-        touch_all();
         break;
       }
       case 1: {  // bulk row-major append
         const size_t rows = rng.NextBounded(4);
         std::vector<Value> flat;
         for (size_t i = 0; i < rows; ++i) {
-          std::vector<Value> row = random_row();
+          std::vector<Value> row = RandomRow(rng, arity);
           flat.insert(flat.end(), row.begin(), row.end());
           model.AppendRow(row);
         }
         rel.AppendRows(flat);
-        if (rows > 0) touch_all();
         break;
       }
-      case 2: {  // bulk columnar append
-        const size_t rows = rng.NextBounded(4);
-        std::vector<std::vector<Value>> columns(arity);
-        for (size_t i = 0; i < rows; ++i) {
-          std::vector<Value> row = random_row();
-          for (size_t c = 0; c < arity; ++c) columns[c].push_back(row[c]);
-          model.AppendRow(row);
-        }
-        rel.AppendColumns(columns);
-        if (rows > 0) touch_all();
+      case 2:  // bulk columnar append
+        AppendRandomColumns(rng, rng.NextBounded(4), &rel, &model);
         break;
-      }
       case 3: {  // point overwrite
         if (n == 0) break;
         const size_t row = rng.NextBounded(n);
@@ -413,8 +477,6 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
         const Value v = rng.NextInRange(-4, 4);
         rel.Set(row, col, v);
         model.Set(row, col, v);
-        touched[col] = true;
-        in_place = true;
         break;
       }
       case 4: {  // swap-remove
@@ -422,14 +484,12 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
         const size_t row = rng.NextBounded(n);
         rel.SwapRemoveRow(row);
         model.SwapRemoveRow(row);
-        touch_all();
-        in_place = true;
         break;
       }
       case 5: {  // batched delta
         std::vector<std::vector<Value>> inserts;
         for (size_t i = rng.NextBounded(3); i-- > 0;) {
-          inserts.push_back(random_row());
+          inserts.push_back(RandomRow(rng, arity));
         }
         std::vector<size_t> deletes;
         if (n > 0) {
@@ -444,7 +504,6 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
         }
         ASSERT_TRUE(rel.ApplyDelta(inserts, deletes).ok());
         model.ApplyDelta(inserts, deletes);
-        if (!inserts.empty() || !deletes.empty()) touch_all();
         break;
       }
       case 6: {  // gather-append from a held copy (or a fresh relation)
@@ -452,7 +511,7 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
         RowMajorModel fresh_model;
         fresh_model.arity = arity;
         for (size_t i = rng.NextBounded(4); i-- > 0;) {
-          std::vector<Value> row = random_row();
+          std::vector<Value> row = RandomRow(rng, arity);
           fresh.AppendRow(row);
           fresh_model.AppendRow(row);
         }
@@ -468,17 +527,14 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
         }
         rel.AppendRowsFrom(src, rows);
         for (uint32_t r : rows) model.AppendRow(src_model.Row(r));
-        if (!rows.empty()) touch_all();
         break;
       }
-      case 7: {  // reserve: writes exactly the columns it must grow
+      case 7: {  // reserve: sizes the chunk tables, writes no chunk
         const size_t target = n + rng.NextBounded(2 * n + 8);
-        const std::vector<size_t> caps = ColumnCapacities(rel);
         rel.Reserve(target);
-        for (size_t c = 0; c < arity; ++c) touched[c] = caps[c] < target;
-        const std::vector<size_t> grown = ColumnCapacities(rel);
+        const std::vector<size_t> caps = TableCapacities(rel);
         for (size_t c = 0; c < arity; ++c) {
-          ASSERT_GE(grown[c], target) << "col " << c;
+          ASSERT_GE(caps[c] * kChunkRows, target) << "col " << c;
         }
         break;
       }
@@ -486,82 +542,147 @@ void RunDifferentialStream(uint64_t seed, bool logged) {
       case 9: {  // hold a copy: a snapshot, or a full copy with its log
         const bool with_log = rng.NextBounded(2) == 0;
         Relation copy = with_log ? rel : rel.CloneSnapshot();
-        copies.push_back(HeldCopy{std::move(copy), model, with_log,
-                                  std::vector<bool>(arity, false)});
+        copies.push_back(HeldCopy{std::move(copy), model, with_log, false,
+                                  std::vector<std::set<size_t>>(arity)});
         if (copies.size() > kMaxCopies) {
           const size_t victim = rng.NextBounded(copies.size());
+          ExpectMatchesModel(copies[victim].rel, copies[victim].model);
           copies.erase(copies.begin() + static_cast<long>(victim));
         }
         break;
       }
-      case 10: {  // drop a held copy: its columns may become unshared
+      case 10: {  // drop a held copy: its chunks may become unshared
         if (copies.empty()) break;
         const size_t victim = rng.NextBounded(copies.size());
+        ExpectMatchesModel(copies[victim].rel, copies[victim].model);
         copies.erase(copies.begin() + static_cast<long>(victim));
         break;
       }
-      case 11: {  // clear (rarely), then restart the log
+      case 11: {  // clear (rarely) and reload, then restart the log
         if (rng.NextBounded(4) != 0) break;
         rel.Clear();
         ASSERT_FALSE(rel.change_log_enabled());
-        if (logged) rel.EnableChangeLog(kLogCapacity);
         model.Clear();
-        touch_all();
+        AppendRandomColumns(rng, initial_rows, &rel, &model);
+        if (logged) rel.EnableChangeLog(kLogCapacity);
+        model.RestartLog();
+        cleared = true;
         break;
       }
     }
-    ExpectMatchesModel(rel, model);
-    if (logged) ExpectLogMatchesModel(rel, model, rng);
 
-    // Set and swap-remove never grow a column: a column no copy shares is
-    // written in place, at the same address.
-    for (size_t c = 0; c < arity && in_place; ++c) {
-      if (!touched[c]) continue;
-      bool shared = false;
-      for (const HeldCopy& held : copies) shared |= !held.written[c];
-      if (!shared) {
-        ASSERT_EQ(rel.Column(c).data(), before[c])
-            << "unshared col " << c << " was copied at step " << step;
+    // Chunks this step wrote, per column, and the rows whose row views
+    // get checked: the written ones plus a few at random.
+    std::vector<std::set<size_t>> touched(arity);
+    std::vector<size_t> check_rows;
+    for (const auto& [row, col] : model.writes) {
+      for (size_t c = 0; c < arity; ++c) {
+        if (col == c || col == RowMajorModel::kAllColumns) {
+          touched[c].insert(row / kChunkRows);
+        }
+      }
+      if (row < model.NumRows()) check_rows.push_back(row);
+    }
+    for (int i = 0; i < 8 && model.NumRows() > 0; ++i) {
+      check_rows.push_back(rng.NextBounded(model.NumRows()));
+    }
+    const std::vector<size_t>* rows =
+        model.NumRows() <= kCheckEveryRowUpTo ? nullptr : &check_rows;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(rel, model, rows));
+    if (logged) {
+      ASSERT_NO_FATAL_FAILURE(ExpectLogMatchesModel(rel, model, rng));
+    }
+
+    // The original's chunks: one it did not write keeps its address (the
+    // write copied at most its table), and so does one it wrote that no
+    // held copy shared and that was never emptied (a chunk never
+    // reallocates). A Clear starts afresh.
+    const std::vector<std::vector<const Value*>> after = ChunkAddresses(rel);
+    for (size_t c = 0; c < arity && !cleared; ++c) {
+      for (size_t k = 0; k < std::min(before[c].size(), after[c].size());
+           ++k) {
+        bool shared = false;
+        for (const HeldCopy& held : copies) {
+          shared |= !held.cleared && held.written[c].count(k) == 0 &&
+                    k < held.rel.Chunks(c).num_chunks();
+        }
+        const bool kept = k * kChunkRows < model.low_rows;
+        if (touched[c].count(k) == 0 || (!shared && kept)) {
+          ASSERT_EQ(after[c][k], before[c][k])
+              << "col " << c << " chunk " << k << " moved at step " << step;
+        }
       }
     }
 
-    for (size_t k = 0; k < copies.size(); ++k) {
-      HeldCopy& held = copies[k];
+    for (size_t h = 0; h < copies.size(); ++h) {
+      HeldCopy& held = copies[h];
       const std::string what =
-          "copy " + std::to_string(k) + " at step " + std::to_string(step);
+          "copy " + std::to_string(h) + " at step " + std::to_string(step);
+      held.cleared |= cleared;
       for (size_t c = 0; c < arity; ++c) {
-        if (touched[c]) held.written[c] = true;
+        held.written[c].insert(touched[c].begin(), touched[c].end());
       }
-      ExpectMatchesModel(held.rel, held.model);
+      // A small held copy is checked in full; a large one on a sample of
+      // rows, and in full when it is dropped or the stream ends.
+      if (held.model.NumRows() <= kCheckEveryRowUpTo) {
+        SCOPED_TRACE(what);
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(held.rel, held.model));
+      } else {
+        ASSERT_EQ(held.rel.NumRows(), held.model.NumRows()) << what;
+        std::vector<Value> scratch;
+        for (int i = 0; i < 4; ++i) {
+          ASSERT_NO_FATAL_FAILURE(ExpectRowMatchesModel(
+              held.rel, held.model, rng.NextBounded(held.model.NumRows()),
+              &scratch));
+        }
+      }
       const bool held_log = logged && held.with_log;
       ASSERT_EQ(held.rel.change_log_enabled(), held_log) << what;
-      if (held_log) ExpectLogMatchesModel(held.rel, held.model, rng);
+      if (held_log) {
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectLogMatchesModel(held.rel, held.model, rng));
+      }
+      const std::vector<std::vector<const Value*>> theirs =
+          ChunkAddresses(held.rel);
       for (size_t c = 0; c < arity; ++c) {
-        const Value* mine = rel.Column(c).data();
-        const Value* theirs = held.rel.Column(c).data();
-        if (!held.written[c]) {
-          ASSERT_EQ(mine, theirs) << what << ": col " << c
-                                  << " copied before its first write";
-        } else if (theirs != nullptr) {
-          ASSERT_NE(mine, theirs) << what << ": col " << c
-                                  << " written while shared";
+        for (size_t k = 0; k < std::min(after[c].size(), theirs[c].size());
+             ++k) {
+          if (!held.cleared && held.written[c].count(k) == 0) {
+            ASSERT_EQ(after[c][k], theirs[c][k])
+                << what << ": col " << c << " chunk " << k
+                << " copied before its first write";
+          } else {
+            ASSERT_NE(after[c][k], theirs[c][k])
+                << what << ": col " << c << " chunk " << k
+                << " written while shared";
+          }
         }
       }
     }
   }
+  for (const HeldCopy& held : copies) {
+    ExpectMatchesModel(held.rel, held.model);
+  }
+}
+
+// The stream sizes: empty, one row, and both sides of one and three chunk
+// boundaries.
+void RunDifferentialStreams(uint64_t seed) {
+  constexpr size_t k = kChunkRows;
+  for (size_t rows : {size_t{0}, size_t{1}, k - 1, k, k + 1, 3 * k + 17}) {
+    RunDifferentialStream(seed, /*logged=*/true, rows);
+    RunDifferentialStream(seed, /*logged=*/false, rows);
+  }
 }
 
 TEST(ColumnarDifferentialTest, MatchesRowMajorModelSeed1) {
-  RunDifferentialStream(1, /*logged=*/true);
-  RunDifferentialStream(1, /*logged=*/false);
+  RunDifferentialStreams(1);
 }
 TEST(ColumnarDifferentialTest, MatchesRowMajorModelSeed2) {
-  RunDifferentialStream(2, /*logged=*/true);
-  RunDifferentialStream(2, /*logged=*/false);
+  RunDifferentialStreams(2);
 }
 TEST(ColumnarDifferentialTest, MatchesRowMajorModelSeed3) {
-  RunDifferentialStream(3, /*logged=*/true);
-  RunDifferentialStream(3, /*logged=*/false);
+  RunDifferentialStreams(3);
 }
 
 TEST(ColumnarDifferentialTest, ProjectedShardsMatchShardedProjection) {
@@ -621,7 +742,7 @@ TEST(ColumnarDifferentialTest, BatchHashMatchesScalarHash) {
   // and hash-table bucketing agree everywhere or repair breaks.
   Rng rng(77);
   Relation rel("R", {"A", "B", "C"});
-  for (int i = 0; i < 500; ++i) {
+  for (size_t i = 0; i < 2 * kChunkRows + 500; ++i) {
     rel.AppendRow({static_cast<Value>(rng.NextUint64() >> 1),
                    rng.NextInRange(-1000, 1000), rng.NextInRange(0, 3)});
   }
@@ -629,7 +750,12 @@ TEST(ColumnarDifferentialTest, BatchHashMatchesScalarHash) {
   std::vector<uint64_t> batch(n);
   HashValuesBatchSeed(batch);
   for (size_t c = 0; c < rel.arity(); ++c) {
-    HashValuesBatchFold(rel.Column(c), batch);
+    const ChunkedColumn col = rel.Chunks(c);
+    for (size_t k = 0; k < col.num_chunks(); ++k) {
+      std::span<const Value> chunk = col.chunk(k);
+      std::span<uint64_t> folded(batch.data() + k * kChunkRows, chunk.size());
+      HashValuesBatchFold(chunk, folded);
+    }
   }
   for (size_t i = 0; i < n; ++i) {
     ASSERT_EQ(batch[i], HashValues(rel.Row(i))) << "row " << i;
@@ -657,8 +783,8 @@ TEST(ColumnarDifferentialTest, CloneSnapshotIsIndependent) {
   EXPECT_FALSE(sr->column_dictionary(0));
 
   // Mutations on either side are invisible to the other: the snapshot
-  // shares column buffers, and whichever side writes a shared column first
-  // copies it.
+  // shares chunk tables and chunks, and whichever side writes a shared
+  // chunk first copies it.
   r->Set(0, 0, 99);
   r->AppendRow({5, 6});
   EXPECT_EQ(sr->NumRows(), 2u);
@@ -670,52 +796,160 @@ TEST(ColumnarDifferentialTest, CloneSnapshotIsIndependent) {
 
 // --- Copy-on-write sharing --------------------------------------------------
 
+// How many chunks of each column sit at different addresses in `a` and
+// `b`, over the chunks both hold, plus the chunks only one of them holds.
+std::vector<size_t> ChunksThatDiffer(const Relation& a, const Relation& b) {
+  const std::vector<std::vector<const Value*>> mine = ChunkAddresses(a);
+  const std::vector<std::vector<const Value*>> theirs = ChunkAddresses(b);
+  std::vector<size_t> differ(a.arity(), 0);
+  for (size_t c = 0; c < a.arity(); ++c) {
+    const size_t common = std::min(mine[c].size(), theirs[c].size());
+    for (size_t k = 0; k < common; ++k) differ[c] += mine[c][k] != theirs[c][k];
+    differ[c] += std::max(mine[c].size(), theirs[c].size()) - common;
+  }
+  return differ;
+}
+
+// Bytes of a relation's tables and chunks: its memory parts but the last,
+// which the relation owns alone.
+size_t ColumnBytes(const Relation& rel) {
+  std::vector<MemoryPart> parts;
+  rel.AppendMemoryParts(&parts);
+  parts.pop_back();
+  size_t bytes = 0;
+  for (const MemoryPart& part : parts) bytes += part.bytes;
+  return bytes;
+}
+
 TEST(CopyOnWriteTest, DeltaCopiesOnlyTheRelationItTouches) {
+  constexpr size_t kChunks = 10;
+  constexpr size_t kRows = kChunks * kChunkRows - 50;
   Database db;
   Relation* r = db.AddRelation("R", {"A", "B"});
   Relation* s = db.AddRelation("S", {"C"});
-  for (int i = 0; i < 100; ++i) {
-    r->AppendRow({i, -i});
-    s->AppendRow({i});
+  for (size_t i = 0; i < kRows; ++i) {
+    r->AppendRow({static_cast<Value>(i), -static_cast<Value>(i)});
   }
+  for (int i = 0; i < 100; ++i) s->AppendRow({i});
   r->EnableChangeLog(64);
   Database snap = db.CloneSnapshot();
   const Relation* sr = snap.Find("R");
   const Relation* ss = snap.Find("S");
-  EXPECT_EQ(sr->Column(0).data(), r->Column(0).data());
-  EXPECT_EQ(sr->Column(1).data(), r->Column(1).data());
-  EXPECT_EQ(ss->Column(0).data(), s->Column(0).data());
+  EXPECT_EQ(ChunksThatDiffer(*sr, *r), (std::vector<size_t>{0, 0}));
+  EXPECT_EQ(ChunksThatDiffer(*ss, *s), (std::vector<size_t>{0}));
   EXPECT_EQ(&std::as_const(snap).dict(), &std::as_const(db).dict());
 
+  // A 1-row delete: the swap-remove copies the row's chunk (0) and the
+  // tail chunk; the other eight of each column stay shared, and S is not
+  // touched.
   RelationDelta rd;
   rd.relation = "R";
-  rd.inserts.push_back({7, 7});
+  rd.delete_rows.push_back(7);
   ASSERT_TRUE(db.ApplyDelta({rd}).ok());
-  // R's columns were copied on that first write; S was not touched.
-  EXPECT_NE(sr->Column(0).data(), r->Column(0).data());
-  EXPECT_NE(sr->Column(1).data(), r->Column(1).data());
-  EXPECT_EQ(ss->Column(0).data(), s->Column(0).data());
-  EXPECT_EQ(sr->NumRows(), 100u);
-  EXPECT_EQ(r->NumRows(), 101u);
+  EXPECT_EQ(ChunksThatDiffer(*sr, *r), (std::vector<size_t>{2, 2}));
+  EXPECT_EQ(ChunksThatDiffer(*ss, *s), (std::vector<size_t>{0}));
+  EXPECT_EQ(sr->NumRows(), kRows);
+  EXPECT_EQ(r->NumRows(), kRows - 1);
+  EXPECT_EQ(sr->At(7, 0), 7);
+  EXPECT_EQ(r->At(7, 0), static_cast<Value>(kRows - 1));
   std::vector<RowChange> log;
   ASSERT_TRUE(r->CollectChangesSince(sr->version(), &log));
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].row, (std::vector<Value>{7, 7}));
+  EXPECT_FALSE(log[0].insert);
+  EXPECT_EQ(log[0].row, (std::vector<Value>{7, -7}));
 
-  // Once R's columns are its own, writes go in place.
-  const Value* own = r->Column(0).data();
-  r->Set(0, 0, 42);
-  EXPECT_EQ(r->Column(0).data(), own);
-  EXPECT_EQ(sr->At(0, 0), 0);
-
-  // Footprint: the pair holds S and the dictionary once.
+  // Footprint: the pair holds S, the dictionary and R's eight untouched
+  // chunks per column once.
   std::vector<MemoryPart> parts;
   db.AppendMemoryParts(&parts);
   snap.AppendMemoryParts(&parts);
   const size_t together = SumDistinctBytes(parts);
-  const size_t shared = ColumnCapacities(*s)[0] * sizeof(Value) +
-                        std::as_const(db).dict().MemoryBytes();
+  const size_t shared = ColumnBytes(*s) +
+                        std::as_const(db).dict().MemoryBytes() +
+                        2 * (kChunks - 2) * kChunkRows * sizeof(Value);
   EXPECT_EQ(together, db.MemoryBytes() + snap.MemoryBytes() - shared);
+
+  // A 1-row insert against a fresh snapshot copies only the tail chunk.
+  Database snap2 = db.CloneSnapshot();
+  rd.delete_rows.clear();
+  rd.inserts.push_back({7, 7});
+  ASSERT_TRUE(db.ApplyDelta({rd}).ok());
+  EXPECT_EQ(ChunksThatDiffer(*snap2.Find("R"), *r),
+            (std::vector<size_t>{1, 1}));
+
+  // Once a chunk is R's own, writes to it go in place; a write to a chunk
+  // the snapshots still share copies that chunk alone.
+  const ChunkedColumn col = r->Chunks(0);
+  const Value* own = col.chunk(kChunks - 1).data();
+  r->Set(kRows - 2, 0, 42);
+  EXPECT_EQ(r->Chunks(0).chunk(kChunks - 1).data(), own);
+  r->Set(kChunkRows + 1, 0, 43);
+  EXPECT_EQ(ChunksThatDiffer(*snap2.Find("R"), *r),
+            (std::vector<size_t>{2, 1}));
+  EXPECT_EQ(sr->At(kChunkRows + 1, 0), static_cast<Value>(kChunkRows + 1));
+}
+
+TEST(CopyOnWriteTest, SwapRemoveAcrossChunksCopiesTheRowsChunkAndTheTail) {
+  Relation rel("R", {"A", "B"});
+  const size_t n = 3 * kChunkRows + 5;
+  for (size_t i = 0; i < n; ++i) {
+    rel.AppendRow({static_cast<Value>(i), static_cast<Value>(i % 13)});
+  }
+  const Relation snap = rel.CloneSnapshot();
+  rel.SwapRemoveRow(kChunkRows + 10);  // chunk 1; the tail is chunk 3
+  ASSERT_EQ(rel.NumRows(), n - 1);
+  EXPECT_EQ(rel.At(kChunkRows + 10, 0), static_cast<Value>(n - 1));
+  EXPECT_EQ(snap.At(kChunkRows + 10, 0), static_cast<Value>(kChunkRows + 10));
+  const std::vector<std::vector<const Value*>> mine = ChunkAddresses(rel);
+  const std::vector<std::vector<const Value*>> theirs = ChunkAddresses(snap);
+  for (size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(mine[c][0], theirs[c][0]) << "col " << c;
+    EXPECT_NE(mine[c][1], theirs[c][1]) << "col " << c;
+    EXPECT_EQ(mine[c][2], theirs[c][2]) << "col " << c;
+    EXPECT_NE(mine[c][3], theirs[c][3]) << "col " << c;
+  }
+}
+
+TEST(CopyOnWriteTest, DeleteThatEmptiesTheTailChunkDropsIt) {
+  Relation rel("R", {"A"});
+  const size_t n = 2 * kChunkRows + 1;  // the tail chunk holds one row
+  for (size_t i = 0; i < n; ++i) rel.AppendRow({static_cast<Value>(i)});
+  const Relation snap = rel.CloneSnapshot();
+  // Removing the last row drops the tail chunk without copying anything.
+  rel.SwapRemoveRow(n - 1);
+  ASSERT_EQ(rel.NumRows(), n - 1);
+  EXPECT_EQ(rel.Chunks(0).num_chunks(), 2u);
+  EXPECT_EQ(ChunksThatDiffer(rel, snap), (std::vector<size_t>{1}));
+  // Removing a row of chunk 0 now moves chunk 1's last row into it and
+  // copies both; emptying no chunk, it drops none.
+  rel.SwapRemoveRow(3);
+  EXPECT_EQ(rel.Chunks(0).num_chunks(), 2u);
+  EXPECT_EQ(rel.At(3, 0), static_cast<Value>(n - 2));
+  EXPECT_EQ(ChunksThatDiffer(rel, snap), (std::vector<size_t>{3}));
+  EXPECT_EQ(snap.At(3, 0), 3);
+  EXPECT_EQ(snap.At(n - 1, 0), static_cast<Value>(n - 1));
+}
+
+TEST(CopyOnWriteTest, AppendThatFillsAChunkOpensTheNextOne) {
+  Relation rel("R", {"A"});
+  for (size_t i = 0; i + 1 < kChunkRows; ++i) {
+    rel.AppendRow({static_cast<Value>(i)});
+  }
+  // The last free slot of chunk 0: filled in place, no reallocation.
+  const Value* first = rel.Chunks(0).chunk(0).data();
+  rel.AppendRow({-1});
+  EXPECT_EQ(rel.Chunks(0).chunk(0).data(), first);
+  ASSERT_EQ(rel.Chunks(0).num_chunks(), 1u);
+
+  // A full tail chunk stays shared with a snapshot: the append opens a
+  // new chunk instead of copying it.
+  const Relation snap = rel.CloneSnapshot();
+  rel.AppendRow({-2});
+  ASSERT_EQ(rel.Chunks(0).num_chunks(), 2u);
+  EXPECT_EQ(rel.Chunks(0).chunk(0).data(), first);
+  EXPECT_EQ(rel.Chunks(0).chunk(1).size(), 1u);
+  EXPECT_EQ(snap.NumRows(), kChunkRows);
+  EXPECT_EQ(rel.At(kChunkRows, 0), -2);
 }
 
 TEST(CopyOnWriteTest, DictionaryIsCopiedOnTheFirstInternAfterAClone) {
@@ -737,16 +971,30 @@ TEST(CopyOnWriteTest, DictionaryIsCopiedOnTheFirstInternAfterAClone) {
   EXPECT_EQ(frozen.size(), 1u);
 }
 
+// The owner of each column's chunk table, read off the memory parts.
+std::vector<const void*> TableOwners(const Relation& rel) {
+  std::vector<MemoryPart> parts;
+  rel.AppendMemoryParts(&parts);
+  std::vector<const void*> owners;
+  size_t part = 0;
+  for (size_t c = 0; c < rel.arity(); ++c) {
+    owners.push_back(parts[part].owner);
+    part += 1 + rel.Chunks(c).num_chunks();
+  }
+  return owners;
+}
+
 // A snapshot read and then destroyed on another thread while this thread
 // goes on writing the original. Columns written after the reader let go are
-// written in place, and nothing but the acquire loads in the uniqueness
-// tests (per column for Set, per relation for AppendRow) order those writes
-// after the reader's reads: the reader signals with a relaxed store, which
-// orders nothing. Under tsan this is the race pin for those loads;
-// everywhere it checks the reader saw the snapshot's values.
+// written in place, table and chunk, and nothing but the acquire loads in
+// the uniqueness tests (per table and per chunk for Set, per relation for
+// AppendRow) order those writes after the reader's reads: the reader
+// signals with a relaxed store, which orders nothing. Under tsan this is
+// the race pin for those loads; everywhere it checks the reader saw the
+// snapshot's values.
 TEST(CopyOnWriteTest, WritesAfterAnotherThreadsLastReleaseGoInPlace) {
   constexpr size_t kCols = 16;
-  constexpr size_t kRows = 64;
+  constexpr size_t kRows = 2 * kChunkRows + 64;  // three chunks per column
   std::vector<std::string> names;
   for (size_t c = 0; c < kCols; ++c) names.push_back("C" + std::to_string(c));
   Relation rel("R", names);
@@ -754,37 +1002,49 @@ TEST(CopyOnWriteTest, WritesAfterAnotherThreadsLastReleaseGoInPlace) {
     std::vector<Value> row(kCols, static_cast<Value>(i));
     rel.AppendRow(row);
   }
+  // Column c writes a row of chunk c % 3.
+  auto row_of = [](size_t c) { return (c % 3) * kChunkRows + c; };
+  auto sum_all = [](const Relation& r) {
+    int64_t sum = 0;
+    for (size_t c = 0; c < r.arity(); ++c) {
+      const ChunkedColumn col = r.Chunks(c);
+      for (size_t k = 0; k < col.num_chunks(); ++k) {
+        for (Value v : col.chunk(k)) sum += v;
+      }
+    }
+    return sum;
+  };
   for (int round = 0; round < 20; ++round) {
     auto snapshot = std::make_unique<Relation>(rel.CloneSnapshot());
-    int64_t want = 0;
-    for (size_t c = 0; c < kCols; ++c) {
-      for (Value v : snapshot->Column(c)) want += v;
-    }
+    const int64_t want = sum_all(*snapshot);
     std::atomic<bool> released{false};
     int64_t seen = 0;
-    std::thread reader([&snapshot, &released, &seen] {
-      for (size_t c = 0; c < snapshot->arity(); ++c) {
-        for (Value v : snapshot->Column(c)) seen += v;
-      }
-      snapshot.reset();  // the last release of every buffer it shared
+    std::thread reader([&snapshot, &released, &seen, &sum_all] {
+      seen = sum_all(*snapshot);
+      snapshot.reset();  // the last release of every table and chunk
       released.store(true, std::memory_order_relaxed);
     });
-    // The first half may race the reader (a shared column is copied); the
-    // second half is written after the release, in place.
-    for (size_t c = 0; c < kCols / 2; ++c) rel.Set(0, c, rel.At(0, c) + 1);
+    // The first half may race the reader (a shared table and chunk are
+    // copied); the second half is written after the release, in place.
+    for (size_t c = 0; c < kCols / 2; ++c) {
+      rel.Set(row_of(c), c, rel.At(row_of(c), c) + 1);
+    }
     while (!released.load(std::memory_order_relaxed)) {
       std::this_thread::yield();
     }
     for (size_t c = kCols / 2; c < kCols; ++c) {
-      [[maybe_unused]] const Value* before = rel.Column(c).data();
-      rel.Set(0, c, rel.At(0, c) + 1);
+      const size_t k = row_of(c) / kChunkRows;
+      [[maybe_unused]] const Value* chunk = rel.Chunks(c).chunk(k).data();
+      [[maybe_unused]] const void* table = TableOwners(rel)[c];
+      rel.Set(row_of(c), c, rel.At(row_of(c), c) + 1);
 #if defined(__x86_64__) || defined(__i386__)
       // The relaxed flag does not make the reader's release visible to the
-      // uniqueness test under the C++ memory model, so on weakly ordered
+      // uniqueness tests under the C++ memory model, so on weakly ordered
       // hardware this write may still copy (which is safe). x86 keeps
       // stores in order, so there the release is seen and the write must
       // go in place.
-      EXPECT_EQ(rel.Column(c).data(), before) << "round " << round;
+      EXPECT_EQ(rel.Chunks(c).chunk(k).data(), chunk) << "round " << round;
+      EXPECT_EQ(TableOwners(rel)[c], table) << "round " << round;
 #endif
     }
     // Appends test the lineage the snapshot shared, once per row.

@@ -1,7 +1,7 @@
 // MUST-FIRE fixture for rule row-materialize: Relation::Row() called
 // inside loop bodies in an exec-layer file, with no allow annotation.
 // Each call gathers a fresh vector — a per-row allocation the columnar
-// Column() spans exist to avoid. One range-for receiver and one indexed
+// Chunks() chunk spans exist to avoid. One range-for receiver and one indexed
 // receiver, both Relation-typed; the CountedRelation call must NOT fire
 // (its Row() returns a span).
 #include <cstddef>

@@ -1,5 +1,5 @@
 // MUST-PASS fixture for rule row-materialize, covering the sanctioned
-// shapes: Column() spans and a reused RowInto() buffer in hot loops, a
+// shapes: Chunks() chunk spans and a reused RowInto() buffer in hot loops, a
 // Row() call outside any loop (one-shot gathers are fine), and a cold
 // setup loop justified by a line-site allow. The allow must appear in the
 // audit.
@@ -11,16 +11,24 @@ namespace fixture {
 
 using Value = long long;
 
+struct ChunkedColumn {
+  size_t num_chunks() const;
+  std::span<const Value> chunk(size_t k) const;
+};
+
 struct Relation {
   std::vector<Value> Row(size_t i) const;
   void RowInto(size_t i, std::vector<Value>* out) const;
-  std::span<const Value> Column(size_t c) const;
+  ChunkedColumn Chunks(size_t c) const;
   size_t NumRows() const;
 };
 
 Value SumFirstColumn(const Relation& rel) {
   Value sum = 0;
-  for (Value v : rel.Column(0)) sum += v;
+  const ChunkedColumn col = rel.Chunks(0);
+  for (size_t k = 0; k < col.num_chunks(); ++k) {
+    for (Value v : col.chunk(k)) sum += v;
+  }
   return sum;
 }
 

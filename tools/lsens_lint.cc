@@ -405,7 +405,7 @@ std::vector<IterationSite> FindIterations(
 // ---------------------------------------------------------------------------
 // row-materialize: Relation-typed variables whose .Row() is called inside a
 // loop body in exec-layer files. Relation::Row() gathers a fresh vector per
-// call; hot loops should read Column() spans or reuse a buffer via
+// call; hot loops should read Chunks() chunk spans or reuse a buffer via
 // RowInto(). Word-boundary matching means `CountedRelation` (whose Row()
 // returns a span) never matches.
 // ---------------------------------------------------------------------------
@@ -864,7 +864,8 @@ Report RunLint(const fs::path& root) {
             {"row-materialize", rel, site.line + 1,
              "Relation::Row() on '" + site.name +
                  "' inside a loop materializes a row vector per iteration — "
-                 "read Column() spans or reuse a buffer via RowInto(), or "
+                 "read Chunks() chunk spans or reuse a buffer via RowInto(), "
+                 "or "
                  "annotate `// lsens-lint: allow(row-materialize) <reason>`"});
       }
     }

@@ -46,7 +46,7 @@
 //                Advisory, scoped to src/exec/: calling Relation::Row()
 //                inside a loop body. The columnar Relation gathers a fresh
 //                vector per Row() call, so a loop doing it is a per-row
-//                allocation the flat Column() spans (or a RowInto() buffer)
+//                allocation the Chunks() chunk spans (or a RowInto() buffer)
 //                avoid. CountedRelation::Row() returns a span and is not
 //                matched. Allowlistable with
 //                `// lsens-lint: allow(row-materialize) <reason>` for cold
