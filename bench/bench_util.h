@@ -38,43 +38,6 @@ inline double Median(std::vector<double> v) {
   return (n % 2 == 1) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// One row of the cross-PR parallel-speedup trajectory. Both
-// bench_fig7_runtime and bench_join_micro emit these so successive PRs can
-// diff ns_per_op along the threads axis.
-struct ParallelEntry {
-  std::string name;
-  double rows = 0;
-  long threads = 0;
-  double ns_per_op = 0;
-};
-
-// Writes `entries` as the BENCH_parallel.json trajectory file
-// ([{"name", "rows", "threads", "ns_per_op"}, ...]). `path` resolution:
-// the LSENS_BENCH_PARALLEL_JSON environment variable wins, then
-// `default_path`.
-inline bool WriteParallelJson(const char* default_path,
-                              const std::vector<ParallelEntry>& entries) {
-  const char* path = std::getenv("LSENS_BENCH_PARALLEL_JSON");
-  if (path == nullptr) path = default_path;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "failed to write %s\n", path);
-    return false;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < entries.size(); ++i) {
-    std::fprintf(f,
-                 "  {\"name\": \"%s\", \"rows\": %.0f, \"threads\": %ld, "
-                 "\"ns_per_op\": %.1f}%s\n",
-                 entries[i].name.c_str(), entries[i].rows, entries[i].threads,
-                 entries[i].ns_per_op, i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu entries)\n", path, entries.size());
-  return true;
-}
-
 // Prints a header banner mapping the binary to its paper artifact.
 inline void Banner(const char* artifact, const char* description) {
   constexpr char kRule[] =

@@ -54,9 +54,8 @@ class DynTable {
   // Work counters for the mutating hot path, exposed so the single-probe
   // contract is pinned by tests and cannot silently regress: a Set or
   // Adjust of an existing key costs exactly one key hash and one primary
-  // probe sequence (the multimap layout this replaced hashed and probed
-  // twice), and a row insert/erase adds at most one hash per secondary
-  // index (none for erasing a non-head chain row).
+  // probe sequence, and a row insert/erase adds at most one hash per
+  // secondary index (none for erasing a non-head chain row).
   struct Stats {
     uint64_t key_hashes = 0;  // HashKey/HashCols evaluations
     uint64_t locates = 0;     // primary-index probe sequences started

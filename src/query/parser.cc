@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <string>
 #include <vector>
 
@@ -11,7 +12,9 @@ namespace {
 // Minimal recursive-descent scanner over the rule text.
 class Scanner {
  public:
-  explicit Scanner(std::string_view text) : text_(text) {}
+  // Positions in error messages are offsets into `text`.
+  explicit Scanner(std::string_view text, size_t pos = 0)
+      : text_(text), pos_(pos) {}
 
   void SkipSpace() {
     while (pos_ < text_.size() &&
@@ -67,8 +70,14 @@ class Scanner {
       ++pos_;
     }
     if (pos_ == digits) return Error("expected integer");
-    return static_cast<Value>(
-        std::stoll(std::string(text_.substr(start, pos_ - start))));
+    // std::from_chars accepts '-' but not '+'.
+    const char* begin = text_.data() + start + (text_[start] == '+' ? 1 : 0);
+    Value value = 0;
+    if (std::from_chars(begin, text_.data() + pos_, value).ec != std::errc()) {
+      pos_ = start;
+      return Error("integer literal out of int64 range");
+    }
+    return value;
   }
 
   Status Error(const std::string& message) const {
@@ -124,7 +133,7 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Database& db) {
         return head_scan.Error("unexpected trailing text in head");
       }
     }
-    scan = Scanner(text.substr(turnstile + 2));
+    scan = Scanner(text, turnstile + 2);
   }
 
   struct PendingPredicate {
@@ -170,10 +179,6 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Database& db) {
     if (!scan.Consume(",")) return scan.Error("expected ',' between atoms");
   }
 
-  if (query.num_atoms() == 0) {
-    return Status::InvalidArgument("rule body has no atoms");
-  }
-
   // Attach predicates to the first atom binding the variable.
   for (const auto& pending : predicates) {
     AttrId var = db.attrs().Lookup(pending.var);
@@ -210,6 +215,7 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Database& db) {
           "projection)");
     }
   }
+  LSENS_RETURN_IF_ERROR(query.Validate(db));
   return query;
 }
 

@@ -248,7 +248,6 @@ bool SensitivityServer::DoTurn() {
   for (const RegisteredQuery& reg : regs) {
     TSensComputeOptions opts = config_.options;
     opts.join.ctx = &writer_ctx_;
-    opts.join.threads = config_.writer_threads;
     StatusOr<SensitivityResult> result =
         cache_.Compute(reg.query, master_, opts);
     // A query the engines cannot answer stays unwarmed; readers see the
@@ -312,7 +311,9 @@ StatusOr<SensitivityResult> SensitivityServer::ServeQuery(
   internal::Epoch& epoch = *pin.epoch_;
   TSensComputeOptions opts = config_.options;
   opts.join.ctx = &ctx;
-  opts.join.threads = config_.reader_threads;
+  // Readers may run on global-pool workers, and parallel regions never
+  // nest, so a nonzero thread count would silently serialize there anyway.
+  opts.join.threads = 0;
   const std::string key = SensitivityCache::Fingerprint(q, opts);
 
   // Warm map: filled by the writer before publish, immutable since.

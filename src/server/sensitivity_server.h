@@ -37,17 +37,10 @@ struct Epoch;
 struct ServingConfig {
   SensitivityCacheConfig cache;
 
-  // Result-affecting compute options shared by all sessions. join.ctx and
-  // capture are owned by the server and overridden per call.
+  // Compute options shared by all sessions; the server sets join.ctx and
+  // capture per call. join.threads drives the writer's repair/warm pass
+  // (sharded delta repair); reader cold computes always run serially.
   TSensComputeOptions options;
-
-  // Thread count for the writer's repair/warm pass (sharded delta repair).
-  int writer_threads = 0;
-
-  // Thread count for reader-side cold computes. Keep 0 when reader
-  // sessions run on global-pool workers — parallel regions never nest, so
-  // a nonzero value would silently serialize there anyway.
-  int reader_threads = 0;
 
   // Admission cap: queued DatabaseDelta batches coalesced into one writer
   // turn (one repair pass, one published epoch).

@@ -63,6 +63,7 @@ TEST(ParserTest, RejectsMalformedInput) {
   Database db = FigureOneDb();
   EXPECT_FALSE(ParseQuery("R1(A,B,C)", db).ok());          // no ':-'
   EXPECT_FALSE(ParseQuery(":- ", db).ok());                // no atoms
+  EXPECT_FALSE(ParseQuery(":- A = 3", db).ok());           // no atoms
   EXPECT_FALSE(ParseQuery(":- R1(A,B", db).ok());          // unclosed paren
   EXPECT_FALSE(ParseQuery(":- R1(A,,B)", db).ok());        // empty var
   EXPECT_FALSE(ParseQuery(":- R1(A,B,C) R2(A,B,D)", db).ok());  // no comma
@@ -70,6 +71,24 @@ TEST(ParserTest, RejectsMalformedInput) {
   // '==' parses '=' then fails on '= 3' -> error either way.
   EXPECT_FALSE(ParseQuery(":- R1(A,B,C), Z = 3", db).ok());  // unbound var
   EXPECT_FALSE(ParseQuery(":- R1(A,B,C), A = x", db).ok());  // non-integer
+  EXPECT_FALSE(ParseQuery(":- Nope(A)", db).ok());           // no relation
+  EXPECT_FALSE(ParseQuery(":- R3(A)", db).ok());             // wrong arity
+  EXPECT_FALSE(ParseQuery(":- R3(A,A)", db).ok());           // repeated var
+  // Literals outside int64 are errors at the literal, not aborts.
+  for (const char* literal :
+       {"99999999999999999999", "9223372036854775808",
+        "-9223372036854775809", "+99999999999999999999"}) {
+    auto q = ParseQuery(std::string(":- R3(A,E), A = ") + literal, db);
+    ASSERT_FALSE(q.ok()) << literal;
+    EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument) << literal;
+    EXPECT_NE(q.status().message().find("at position 16"), std::string::npos)
+        << q.status().ToString();
+  }
+  auto extremes = ParseQuery(
+      ":- R3(A,E), A >= -9223372036854775808, E <= +9223372036854775807", db);
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  EXPECT_EQ(extremes->atom(0).predicates[0].rhs, INT64_MIN);
+  EXPECT_EQ(extremes->atom(0).predicates[1].rhs, INT64_MAX);
 }
 
 TEST(ParserTest, ParsedQueryComputesSensitivity) {

@@ -131,13 +131,17 @@ TEST_P(PlanCacheStreamTest, SharedCacheMatchesIndependentCachesAndScratch) {
   }
   // The chain prefixes overlapped, so the shared cache must actually have
   // shared: fewer store nodes than the independent caches hold combined,
-  // and reuse on entry construction.
+  // reuse on entry construction, and fewer node repairs over the same
+  // stream than the independent caches ran combined.
   EXPECT_GT(shared.stats().shared_attaches, 0u);
   uint64_t independent_nodes = 0;
+  uint64_t independent_node_repairs = 0;
   for (const auto& cache : independent) {
     independent_nodes += cache->stats().shared_nodes;
+    independent_node_repairs += cache->stats().node_repairs;
   }
   EXPECT_LT(shared.stats().shared_nodes, independent_nodes);
+  EXPECT_LT(shared.stats().node_repairs, independent_node_repairs);
 }
 
 INSTANTIATE_TEST_SUITE_P(

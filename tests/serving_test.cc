@@ -106,9 +106,10 @@ void ExpectStatsEqual(const ServingStats& a, const ServingStats& b,
 // re-queries, delta submissions, turns, and pin releases against a
 // manual-turn server. Every answer is checked against a from-scratch
 // compute on the pinned snapshot; answers at pins held across turns must
-// still match the result recorded when the pin was taken.
+// still match the result recorded when the pin was taken. `threads` is the
+// writer's repair thread count.
 void RunScript(uint64_t seed, int num_readers, StreamShape shape,
-               ScriptRun* out) {
+               ScriptRun* out, int threads = 0) {
   Rng rng(seed * 977 + static_cast<uint64_t>(shape) * 131 +
           static_cast<uint64_t>(num_readers));
   auto ex = MakeStreamInstance(rng, shape);
@@ -118,6 +119,7 @@ void RunScript(uint64_t seed, int num_readers, StreamShape shape,
   config.manual_turns = true;
   config.max_turn_deltas = 2;
   config.cache.max_delta_fraction = 1.0;  // repair every turn if possible
+  config.options.join.threads = threads;
   SensitivityServer server(std::move(ex.db), config);
   server.RegisterQuery(ex.query);
 
@@ -233,24 +235,29 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4, 8)));
 
 // The same script replays bit-identically: results, stats ledger, and
-// final epoch id all match across two independent servers.
+// final epoch id all match across independent servers, including one whose
+// writer repairs with two threads.
 TEST(ServingDeterminismTest, SameScriptReplaysBitIdentically) {
   for (StreamShape shape :
        {StreamShape::kPath, StreamShape::kTree, StreamShape::kTriangle}) {
-    ScriptRun first, second;
+    ScriptRun first;
     RunScript(7, 4, shape, &first);
     ASSERT_FALSE(HasFatalFailure());
-    RunScript(7, 4, shape, &second);
-    ASSERT_FALSE(HasFatalFailure());
-    const std::string context =
-        "shape " + std::to_string(static_cast<int>(shape));
-    ASSERT_EQ(first.results.size(), second.results.size()) << context;
-    for (size_t i = 0; i < first.results.size(); ++i) {
-      ExpectResultsIdentical(first.results[i], second.results[i],
-                             context + " result " + std::to_string(i));
+    for (int threads : {0, 2}) {
+      ScriptRun second;
+      RunScript(7, 4, shape, &second, threads);
+      ASSERT_FALSE(HasFatalFailure());
+      const std::string context =
+          "shape " + std::to_string(static_cast<int>(shape)) + " threads " +
+          std::to_string(threads);
+      ASSERT_EQ(first.results.size(), second.results.size()) << context;
+      for (size_t i = 0; i < first.results.size(); ++i) {
+        ExpectResultsIdentical(first.results[i], second.results[i],
+                               context + " result " + std::to_string(i));
+      }
+      ExpectStatsEqual(first.stats, second.stats, context);
+      EXPECT_EQ(first.final_epoch, second.final_epoch) << context;
     }
-    ExpectStatsEqual(first.stats, second.stats, context);
-    EXPECT_EQ(first.final_epoch, second.final_epoch) << context;
   }
 }
 

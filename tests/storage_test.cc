@@ -1072,6 +1072,23 @@ TEST(DictionaryTest, MemoryBytesGrowsWithInterning) {
     d.Intern("value-" + std::to_string(i) + "-with-some-padding");
   }
   EXPECT_GT(d.MemoryBytes(), empty);
+
+  // A dictionary-encoded column plus its dictionary never costs more than
+  // a std::string per row (plus its heap block past the 15-char SSO).
+  constexpr size_t kRows = 20000;
+  Database db;
+  Relation* rel = db.AddRelation("S", {"label", "a", "b"});
+  rel->set_column_dictionary(0, true);
+  size_t string_row_bytes = 0;
+  for (size_t i = 0; i < kRows; ++i) {
+    const std::string label =
+        "label-value-" + std::to_string(i % (kRows / 16));
+    rel->AppendRow({db.dict().Intern(label), static_cast<Value>(i),
+                    static_cast<Value>(i % 7)});
+    string_row_bytes += sizeof(std::string) + 2 * sizeof(Value) +
+                        (label.size() > 15 ? label.size() + 1 : 0);
+  }
+  EXPECT_LT(db.MemoryBytes(), string_row_bytes);
 }
 
 TEST(RelationTest, DictionaryFlagsSurviveCopies) {

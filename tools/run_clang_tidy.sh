@@ -34,7 +34,7 @@ fi
 RUNNER="$(command -v run-clang-tidy || true)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# First-party TUs only: generated/fetched sources (gtest, benchmark) are
+# First-party TUs only: generated/fetched sources (gtest) are
 # not held to the profile. Filter by path prefix against the database.
 FILTER="^${ROOT}/(src|tools|tests|bench|examples)/.*\.cc$"
 
