@@ -30,14 +30,14 @@ void CountedRelation::AppendRow(std::span<const Value> row, Count count) {
   LSENS_CHECK(row.size() == arity());
   data_.insert(data_.end(), row.begin(), row.end());
   counts_.push_back(count);
-  normalized_ = false;
+  unique_ = sorted_ = false;
 }
 
 std::span<Value> CountedRelation::AppendRowsRaw(size_t n, Count count) {
   const size_t old = data_.size();
   data_.resize(old + n * arity());
   counts_.resize(counts_.size() + n, count);
-  normalized_ = false;
+  unique_ = sorted_ = false;
   return {data_.data() + old, n * arity()};
 }
 
@@ -58,14 +58,22 @@ void CountedRelation::AppendRows(const CountedRelation& other) {
   if (other.counts_.empty()) return;
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   counts_.insert(counts_.end(), other.counts_.begin(), other.counts_.end());
-  normalized_ = false;
+  unique_ = sorted_ = false;
+}
+
+void CountedRelation::MarkUnique() {
+  unique_ = true;
+  sorted_ = true;
+  for (size_t i = 1; i < NumRows() && sorted_; ++i) {
+    sorted_ = CompareRowsUnchecked(Row(i - 1), Row(i)) < 0;
+  }
 }
 
 void CountedRelation::Normalize(ExecContext* ctx_in) {
   const size_t n = NumRows();
   const size_t k = arity();
-  if (n == 0) {
-    normalized_ = true;
+  if (sorted_ || n == 0) {
+    unique_ = sorted_ = true;
     return;
   }
   ExecContext& ctx = ResolveExecContext(ctx_in);
@@ -85,7 +93,7 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
               (i == 0 || CompareRowsAt(Row(i - 1), Row(i), cols) != 0);
     }
     if (clean) {
-      normalized_ = true;
+      unique_ = sorted_ = true;
       op.set_rows_out(n);
       return;
     }
@@ -109,7 +117,7 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
   });
   data_.swap(vbuf);
   counts_.swap(cbuf);
-  normalized_ = true;
+  unique_ = sorted_ = true;
   op.set_rows_out(NumRows());
 }
 
@@ -131,7 +139,11 @@ size_t CountedRelation::ArgMaxRow() const {
   Count best = Count::Zero();
   size_t arg = SIZE_MAX;
   for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > best) {
+    // Over sorted rows the first row attaining the max is the smallest; in
+    // any other order a tie compares rows.
+    if (counts_[i] > best ||
+        (!sorted_ && arg != SIZE_MAX && counts_[i] == best &&
+         CompareRowsUnchecked(Row(i), Row(arg)) < 0)) {
       best = counts_[i];
       arg = i;
     }
@@ -146,7 +158,7 @@ Count CountedRelation::Lookup(std::span<const Value> row) const {
 }
 
 size_t CountedRelation::FindRow(std::span<const Value> row) const {
-  LSENS_CHECK_MSG(normalized_, "FindRow requires a normalized relation");
+  LSENS_CHECK_MSG(sorted_, "FindRow requires a sorted relation");
   LSENS_CHECK(row.size() == arity());
   // The arity check above covers every probe of the search: Row(mid) is
   // arity-sized by construction, so the loop compares unchecked instead of
@@ -194,14 +206,14 @@ void CountedRelation::TruncateTopK(size_t k, ExecContext* ctx_in) {
   data_ = std::move(new_data);
   counts_ = std::move(new_counts);
   default_count_ = std::max(default_count_, kth);
-  // Rows stayed in sorted order if they were; Normalize() keeps invariants.
-  if (!normalized_) Normalize(&ctx);
+  // A subset in the original order keeps unique() and sorted(); duplicate
+  // rows of a raw relation still need merging.
+  if (!unique_) Normalize(&ctx);
   op.set_rows_out(NumRows());
 }
 
 void CountedRelation::Filter(
     const std::function<bool(std::span<const Value>)>& keep) {
-  const size_t k = arity();
   std::vector<Value> new_data;
   std::vector<Count> new_counts;
   new_counts.reserve(counts_.size());
@@ -213,14 +225,18 @@ void CountedRelation::Filter(
   }
   data_ = std::move(new_data);
   counts_ = std::move(new_counts);
-  (void)k;
 }
 
-void CountedRelation::ScaleCounts(Count factor, ExecContext* ctx) {
-  for (Count& c : counts_) c *= factor;
+void CountedRelation::ScaleCounts(Count factor) {
   default_count_ *= factor;
-  // Scaling by zero can introduce zero-count rows; restore the invariant.
-  if (factor.IsZero() && !counts_.empty()) Normalize(ctx);
+  if (factor.IsZero()) {
+    // Every count becomes zero, and zero-count rows are never stored.
+    data_.clear();
+    counts_.clear();
+    unique_ = sorted_ = true;
+    return;
+  }
+  for (Count& c : counts_) c *= factor;
 }
 
 int CountedRelation::ColumnOf(AttrId attr) const {
@@ -242,7 +258,7 @@ CountedRelation GroupBySum(const CountedRelation& in,
   if (in.NumRows() == 0) return out;
   if (group_attrs.empty()) {
     // γ over nothing: a single arity-0 row carrying the total (dropped when
-    // zero, matching the normalized-relation invariant).
+    // zero: stored counts are never zero).
     const Count total = in.TotalCount();
     if (!total.IsZero()) out.counts_.push_back(total);
     op.set_rows_out(out.NumRows());
@@ -254,9 +270,9 @@ CountedRelation GroupBySum(const CountedRelation& in,
   for (AttrId a : group_attrs) cols.push_back(in.ColumnOf(a));
 
   // One sorted permutation over the input (shared machinery with
-  // Normalize; a sort is skipped when the group columns are a prefix of an
-  // already-normalized relation), groups emitted pre-merged and in order —
-  // the output is normalized by construction.
+  // Normalize; a sort is skipped when the rows are already ordered on the
+  // group columns), groups emitted pre-merged and in order — the output is
+  // sorted by construction.
   std::vector<uint32_t>& perm = ctx.norm_perm();
   SortRowsBy(in, cols, perm, ctx);
   ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
@@ -267,7 +283,6 @@ CountedRelation GroupBySum(const CountedRelation& in,
     for (int c : cols) out.data_.push_back(row[static_cast<size_t>(c)]);
     out.counts_.push_back(total);
   });
-  out.normalized_ = true;
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -286,9 +301,11 @@ CountedRelation GroupByMax(const CountedRelation& in,
   cols.reserve(group_attrs.size());
   for (AttrId a : group_attrs) cols.push_back(in.ColumnOf(a));
 
-  // The sort is stable (ties by row index), so the first row of each group
-  // attaining its max is also the earliest such input row. Zero-count rows
-  // never win: a group whose rows all count zero is dropped.
+  // Within a group the winner is the row with the largest count, ties to
+  // the lexicographically smallest row (over a sorted input the stable sort
+  // keeps a group's rows in row order, so the first attaining row already
+  // is). Zero-count rows never win: a group whose rows all count zero is
+  // dropped.
   CountedRelation out(group_attrs);
   arg_rows->clear();
   std::vector<uint32_t>& perm = ctx.norm_perm();
@@ -296,7 +313,12 @@ CountedRelation GroupByMax(const CountedRelation& in,
   ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
     uint32_t best = perm[begin];
     for (size_t i = begin + 1; i < end; ++i) {
-      if (in.counts_[perm[i]] > in.counts_[best]) best = perm[i];
+      const Count c = in.counts_[perm[i]];
+      if (c > in.counts_[best] ||
+          (!in.sorted_ && c == in.counts_[best] &&
+           CompareRowsUnchecked(in.Row(perm[i]), in.Row(best)) < 0)) {
+        best = perm[i];
+      }
     }
     if (in.counts_[best].IsZero()) return;
     std::span<const Value> row = in.Row(best);
@@ -304,7 +326,6 @@ CountedRelation GroupByMax(const CountedRelation& in,
     out.counts_.push_back(in.counts_[best]);
     arg_rows->push_back(best);
   });
-  out.normalized_ = true;
   op.set_rows_out(out.NumRows());
   return out;
 }

@@ -20,8 +20,22 @@ class ExecContext;
 // representation all sensitivity machinery works on — the r⋈ operator
 // multiplies counts, γ sums them.
 //
-// Invariants after Normalize(): rows are lexicographically sorted, unique,
-// and have non-zero counts. Most operators produce normalized outputs.
+// Two properties, tracked separately:
+//
+//   - unique(): rows are pairwise distinct and every count is non-zero.
+//     Every operator output has it: Normalize, the group-bys and ScanAtom
+//     establish it, and a join of unique inputs keeps it (each output row
+//     combines exactly one row per input, and a saturating product of
+//     non-zero counts is non-zero).
+//   - sorted(): unique() and the rows strictly increase lexicographically.
+//     Normalize, GroupBySum, GroupByMax and ScanAtom set it; a join sets it
+//     only when one linear pass finds its output already ordered. Only the
+//     readers of row order (FindRow/Lookup, public outputs) require it and
+//     sort at that boundary; join outputs are otherwise left in their
+//     (deterministic) emission order.
+//
+// AppendRow* clears both until the caller normalizes (or, for a kernel's
+// output, calls MarkUnique).
 //
 // `default_count` implements the §5.4 top-k approximation: when non-zero it
 // is the multiplicity assumed for any row *not* explicitly stored (an upper
@@ -58,14 +72,14 @@ class CountedRelation {
     AppendRow(std::span<const Value>(row.begin(), row.size()), count);
   }
   // Bulk-appends every explicit row of `other` (same attrs required).
-  // Used to concatenate the per-partition outputs of parallel joins before
-  // the single Normalize; does not touch either default_count.
+  // Used to concatenate the per-partition outputs of parallel joins; does
+  // not touch either default_count.
   void AppendRows(const CountedRelation& other);
   // Appends `n` zero-initialized rows, every one carrying `count`, and
   // returns the new rows' row-major storage for the caller to fill —
   // column-at-a-time producers (ScanAtom) write each source column with
   // one strided pass instead of materializing row tuples. The relation is
-  // not normalized until the caller says so.
+  // neither unique nor sorted until the caller normalizes it.
   std::span<Value> AppendRowsRaw(size_t n, Count count);
   // Copies column `col` of every row into `out` (sized to NumRows()): the
   // strided-gather bridge from row-major storage to the column-batch hash
@@ -76,40 +90,50 @@ class CountedRelation {
     counts_.reserve(rows);
   }
 
-  // Sorts rows, merges duplicates (summing counts), drops zero counts.
-  // Already-sorted inputs are detected and rebuilt in one pass (or not at
+  // Sorts rows, merges duplicates (summing counts), drops zero counts;
+  // afterwards sorted() holds. A sorted() relation returns at once, and
+  // already-ordered rows are detected and rebuilt in one pass (or not at
   // all). Scratch comes from `ctx` (the thread-local default when null).
   void Normalize(ExecContext* ctx = nullptr);
-  bool normalized() const { return normalized_; }
+  bool unique() const { return unique_; }
+  bool sorted() const { return sorted_; }
+
+  // Declares the rows unique with non-zero counts — the guarantee a join
+  // kernel gives over unique inputs — and sets sorted() when one linear
+  // pass finds them strictly increasing. The caller vouches for uniqueness.
+  void MarkUnique();
 
   // Σ over explicit rows (requires no default).
   Count TotalCount() const;
 
   // Max over explicit rows and the default; Zero for an empty relation.
   Count MaxCount() const;
-  // Index of a row attaining MaxCount() among explicit rows; SIZE_MAX if no
-  // explicit row attains it (empty relation, or default is the max).
+  // Index of a row attaining MaxCount() among explicit rows — the
+  // lexicographically smallest such row, whatever the row order; SIZE_MAX
+  // if no explicit row attains it (empty relation, or default is the max).
   size_t ArgMaxRow() const;
 
-  // Exact-match lookup (requires normalized). Returns the row's count, or
+  // Exact-match lookup (requires sorted()). Returns the row's count, or
   // default_count() if absent.
   Count Lookup(std::span<const Value> row) const;
-  // Index of the explicit row equal to `row` (requires normalized), or
+  // Index of the explicit row equal to `row` (requires sorted()), or
   // SIZE_MAX if absent.
   size_t FindRow(std::span<const Value> row) const;
 
-  // §5.4 top-k approximation: keeps the k highest-count rows and records the
-  // k-th largest count as default_count. No-op if NumRows() <= k.
+  // §5.4 top-k approximation: keeps the k highest-count rows (count ties go
+  // to the earlier row, so over a sorted() relation to the lexicographically
+  // smaller one) in their original order, and records the k-th largest
+  // count as default_count. A relation that is not unique() is normalized
+  // afterwards. No-op if NumRows() <= k.
   void TruncateTopK(size_t k, ExecContext* ctx = nullptr);
 
-  // Drops rows for which `keep` returns false. Preserves normalization.
+  // Drops rows for which `keep` returns false. A subset keeps its order, so
+  // unique() and sorted() are preserved.
   void Filter(const std::function<bool(std::span<const Value>)>& keep);
 
-  // Multiplies every count (and the default) by `factor`, saturating.
-  // A zero factor triggers a Normalize (zero-count rows must drop), whose
-  // scratch comes from `ctx` — pass the worker context inside parallel
-  // regions.
-  void ScaleCounts(Count factor, ExecContext* ctx = nullptr);
+  // Multiplies every count (and the default) by `factor`, saturating. A
+  // zero factor zeroes every count, so every explicit row is dropped.
+  void ScaleCounts(Count factor);
 
   // Column position of `attr` within attrs(), or -1.
   int ColumnOf(AttrId attr) const;
@@ -124,7 +148,9 @@ class CountedRelation {
   std::vector<Value> data_;   // flat row-major, arity() stride
   std::vector<Count> counts_;
   Count default_count_ = Count::Zero();
-  bool normalized_ = true;  // vacuously true while empty
+  // Both vacuously true while empty; sorted_ implies unique_.
+  bool unique_ = true;
+  bool sorted_ = true;
 };
 
 // Lexicographic row comparison helpers shared by join/group-by.
@@ -144,19 +170,20 @@ inline int CompareRowsUnchecked(std::span<const Value> a,
 }
 
 // γ_{group_attrs} with sum over cnt (the paper's group-by). `group_attrs`
-// must be a subset of in.attrs(); input must not carry a default. Runs on
-// the same sort/merge machinery as Normalize (row_sort.h): one sorted
-// permutation over the input, groups emitted pre-normalized.
+// must be a subset of in.attrs(); input must not carry a default and need
+// not be unique or sorted. Runs on the same sort/merge machinery as
+// Normalize (row_sort.h): one sorted permutation over the group columns,
+// groups emitted merged and in order, so the output is sorted().
 CountedRelation GroupBySum(const CountedRelation& in,
                            const AttributeSet& group_attrs,
                            ExecContext* ctx = nullptr);
 
 // γ_{group_attrs} with max over cnt: one row per group carrying the largest
 // count among the group's rows, and in `arg_rows` (parallel to the output
-// rows) the index of the input row attaining it. Ties go to the earliest
-// input row, so over a normalized input the winner is the group's
-// lexicographically smallest row among those attaining the max. Same
-// machinery and preconditions as GroupBySum.
+// rows) the index of the input row attaining it. Ties go to the group's
+// lexicographically smallest row among those attaining the max, whatever
+// the input's row order. Same machinery, preconditions and sorted() output
+// as GroupBySum.
 CountedRelation GroupByMax(const CountedRelation& in,
                            const AttributeSet& group_attrs,
                            std::vector<uint32_t>* arg_rows,

@@ -83,7 +83,7 @@ void DynTable::LoadRows(const CountedRelation& rel) {
     const uint64_t h = HashKey(key);
     ++stats_.key_hashes;
     ++stats_.locates;
-    // Normalized input: keys are distinct, so the locate is a guaranteed
+    // Unique input: keys are distinct, so the locate is a guaranteed
     // miss that only finds the insert slot.
     FlatRowIndex::Cursor cur =
         primary_.Locate(h, [&](uint32_t r) { return KeyEquals(r, key); });

@@ -14,9 +14,9 @@
 namespace lsens {
 
 // An incrementally maintainable group table: the mutable counterpart of a
-// normalized CountedRelation, built for the incremental sensitivity
-// subsystem (sensitivity/incremental.h). Where CountedRelation is a sorted
-// immutable snapshot rebuilt by each operator, a DynTable supports point
+// unique CountedRelation, built for the incremental sensitivity subsystem
+// (sensitivity/incremental.h). Where CountedRelation is an immutable
+// snapshot rebuilt by each operator, a DynTable supports point
 // upserts and erasures between snapshots:
 //
 //   - rows live in flat row-major storage with a free list (row ids are
@@ -69,7 +69,7 @@ class DynTable {
   size_t num_rows() const { return live_rows_; }
   bool saturated() const { return saturated_; }
 
-  // Replaces the contents with the rows of a normalized CountedRelation
+  // Replaces the contents with the rows of a unique() CountedRelation
   // (same attrs; no default). Registered secondary indexes are rebuilt;
   // row storage and every index are pre-reserved for the snapshot size so
   // the load itself never rehashes.

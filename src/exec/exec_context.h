@@ -19,9 +19,8 @@ namespace lsens {
 class ExecContextPool;
 
 // Aggregate counters for one operator kind ("join.hash", "normalize", ...).
-// Wall times of nested operators overlap: a join's time includes the time
-// of the Normalize it runs on its output, which is also reported under
-// "normalize".
+// Wall times of nested operators overlap: a fold_join's time includes the
+// joins it runs, which are also reported under "join.*".
 struct OperatorStats {
   std::string name;
   uint64_t calls = 0;
@@ -67,8 +66,8 @@ class ExecContext {
 
   // --- Arenas ------------------------------------------------------------
   // Distinct slots so concurrently-live uses inside one operator never
-  // alias (e.g. sort-merge join holds both side permutations while the
-  // final Normalize uses its own).
+  // alias (e.g. sort-merge join holds both side permutations while a
+  // Normalize uses its own).
   std::vector<uint32_t>& perm_a() { return perm_a_; }
   std::vector<uint32_t>& perm_b() { return perm_b_; }
   std::vector<uint32_t>& norm_perm() { return norm_perm_; }

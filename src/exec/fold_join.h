@@ -23,7 +23,9 @@ namespace lsens {
 // potentially cyclic joins of §5.2's hard example), bag materialization for
 // GHDs, and query-count evaluation.
 //
-// An empty `pieces` yields the unit relation.
+// Pieces must be unique(). The output has NaturalJoin's contract: unique,
+// row order unspecified but deterministic. An empty `pieces` yields the
+// unit relation.
 CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
                          const JoinOptions& options = {});
 

@@ -96,7 +96,7 @@ CountedRelation JoinWithDefault(const CountedRelation& a,
     Count c = a.CountAt(i) * multiplier;
     if (!c.IsZero()) out.AppendRow(row, c);
   }
-  out.Normalize(&ctx);
+  out.MarkUnique();  // a subset of a's unique rows, in a's order
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -121,7 +121,7 @@ CountedRelation CrossProduct(const CountedRelation& a,
               scratch);
     }
   }
-  out.Normalize(&ctx);
+  out.MarkUnique();
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -177,18 +177,18 @@ size_t BuildAndCount(const CountedRelation& a, const CountedRelation& b,
 }
 
 // Hash join: a flat group table on the smaller side, probed by the larger.
-// A counting probe first takes the exact pre-merge output size, which
-// sizes the Reserve — cheaper than the reallocation doublings it replaces
-// on expanding joins.
+// A counting probe first takes the exact output size, which sizes the
+// Reserve — cheaper than the reallocation doublings it replaces on
+// expanding joins. Output rows come in probe-row order, and within one
+// probe row in ascending build-row order (the table's runs ascend).
 //
 // With threads > 1 and a probe side past kParallelProbeMinRows the probe
 // is partitioned into `threads` contiguous row ranges fanned out over the
 // global pool: each partition probes the shared read-only table and emits
 // into its own relation (scratch from its worker context), and the parts
-// are concatenated in partition order before the single Normalize. The
-// emitted multiset is exactly the serial one and Count addition is
-// associative and commutative (saturating), so the normalized output — and
-// the one recorded "join.hash" stats row — is bit-identical to serial.
+// are concatenated in partition order. That is exactly the serial output,
+// row for row, so it — and the one recorded "join.hash" stats row — is
+// bit-identical to serial.
 CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
                          const JoinLayout& layout, ExecContext& ctx,
                          int threads) {
@@ -236,7 +236,7 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
     // never reallocates its way from est_rows/parts to est_rows.
     out.Reserve(std::min(est_rows, kMaxReserveRows));
     for (size_t p = 1; p < parts; ++p) out.AppendRows(outputs[p]);
-    out.Normalize(&ctx);
+    out.MarkUnique();
     op.set_rows_out(out.NumRows());
     return out;
   }
@@ -244,7 +244,7 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
   CountedRelation out(layout.out_attrs);
   out.Reserve(std::min(est_rows, kMaxReserveRows));
   probe_range(0, n, &out, ctx.row_buf());
-  out.Normalize(&ctx);
+  out.MarkUnique();
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -297,7 +297,7 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
       j = j_end;
     }
   }
-  out.Normalize(&ctx);
+  out.MarkUnique();
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -306,6 +306,10 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
 
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options) {
+  // O(1): the kernels emit one row per matching input pair and never merge,
+  // so a raw input's duplicates would leak into the output.
+  LSENS_CHECK_MSG(a.unique() && b.unique(),
+                  "NaturalJoin inputs must be unique (Normalize raw rows)");
   ExecContext& ctx = ResolveExecContext(options.ctx);
   // Defaulted sides: route through the covering-join path.
   if (a.has_default() || b.has_default()) {

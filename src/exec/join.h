@@ -9,13 +9,13 @@ class ExecContext;
 
 // Natural-join algorithm selection. kAuto decides from key order alone:
 // when both sides are already ordered on the join key (RowsSortedBy —
-// true of a normalized relation whose key leads its attribute order) it
-// runs the sort-merge kernel, a single
-// linear merge with no sort and no table build; otherwise it runs the hash
-// kernel. No output-size estimate is taken for the decision. kHash /
-// kSortMerge force one kernel; both produce identical normalized outputs
-// (the paper describes its algorithms with sort-merge joins, so that
-// kernel is also the cross-check oracle).
+// true of a sorted relation whose key leads its attribute order) it runs
+// the sort-merge kernel, a single linear merge with no sort and no table
+// build; otherwise it runs the hash kernel. No output-size estimate is
+// taken for the decision. kHash / kSortMerge force one kernel; both
+// produce the same rows and counts, possibly in different orders (the
+// paper describes its algorithms with sort-merge joins, so that kernel is
+// also the cross-check oracle).
 enum class JoinAlgorithm { kAuto, kHash, kSortMerge };
 
 struct JoinOptions {
@@ -45,6 +45,12 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 // The paper's r⋈ operator: natural join on the shared attributes with
 // multiplicity (cnt) propagation by product. Output attributes are the
 // sorted union; an empty intersection yields a cross product.
+//
+// Both inputs must be unique() (CHECKed). The output is unique() too; its
+// row order is unspecified but deterministic — a function of the inputs'
+// row orders, the kernel, and nothing else (thread count included) — and
+// sorted() is set when the rows happen to come out ordered. Sort it
+// (Normalize) before reading order.
 //
 // Defaulted (top-k truncated) inputs: at most one side may carry a
 // default_count, and that side's attributes must be covered by the other

@@ -1,6 +1,7 @@
 #include "exec/row_sort.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "exec/exec_context.h"
@@ -42,10 +43,8 @@ void RadixSortKeys(std::vector<SortKeyRef>& keys, std::vector<SortKeyRef>& tmp,
   }
 }
 
-// Same stable LSD radix, specialized to the fixed-width 64-bit single-key
-// element: half the element size of SortKeyRef, identical ordering (the
-// wide path zero-fills its low 64 bits for one-column sorts, so both walk
-// the same varying bytes and break ties by idx the same way).
+// Same stable LSD radix over the fixed-width packed element: half the
+// element size of SortKeyRef and at most 8 byte passes.
 void RadixSortKeys64(std::vector<SortKey64>& keys, std::vector<SortKey64>& tmp,
                      uint64_t varying) {
   tmp.resize(keys.size());
@@ -69,21 +68,66 @@ void RadixSortKeys64(std::vector<SortKey64>& keys, std::vector<SortKey64>& tmp,
   }
 }
 
-// Single-key-column sort: fills `perm` ordered by column c0, ties by row
-// index. Produces exactly the permutation the 128-bit path would (stable
-// sort of the same key sequence), just through narrower elements.
-void SortRowsBySingle(const CountedRelation& r, int c0,
+// Packed-key sort: when the value ranges (max - min) of the key columns fit
+// in 64 bits together, each row's key is the concatenation of its column
+// offsets from the column minima, the first column most significant, so
+// unsigned key order is the lexicographic order on `cols`. Fills `perm`
+// ordered by that key, ties by row index — exactly the permutation a stable
+// sort by `cols` gives. Returns false, leaving `perm` alone, when the
+// ranges need more than 64 bits.
+bool SortRowsByPacked(const CountedRelation& r, std::span<const int> cols,
                       std::vector<uint32_t>& perm, ExecContext& ctx) {
   const size_t n = r.NumRows();
+  const size_t k = cols.size();
+  const size_t stride = r.arity();
+  const Value* data = r.Row(0).data();
+  // A lone column needs no bounds: its ordered bits already are a 64-bit
+  // key. Wider keys take one strided pass per column for its bounds.
+  std::vector<uint64_t> lo(k, 0);
+  std::vector<uint64_t> hi(k, ~uint64_t{0});
+  if (k > 1) {
+    for (size_t j = 0; j < k; ++j) {
+      const Value* v = data + cols[j];
+      uint64_t min = ~uint64_t{0};
+      uint64_t max = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t x = OrderedBits(v[i * stride]);
+        min = std::min(min, x);
+        max = std::max(max, x);
+      }
+      lo[j] = min;
+      hi[j] = max;
+    }
+  }
+  // shift[j]: the bits of the columns after j.
+  std::vector<int> shift(k, 0);
+  int total = 0;
+  for (size_t j = k; j-- > 0;) {
+    shift[j] = total;
+    total += std::bit_width(hi[j] - lo[j]);
+    if (total > 64) return false;
+  }
+
   std::vector<SortKey64>& keys = ctx.sort_keys64();
   keys.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    keys[i].key = OrderedBits(r.Row(i)[static_cast<size_t>(c0)]);
+    keys[i].key = 0;
     keys[i].idx = static_cast<uint32_t>(i);
   }
-  uint64_t varying = 0;
-  for (const SortKey64& k : keys) varying |= k.key ^ keys[0].key;
+  for (size_t j = 0; j < k; ++j) {
+    // A constant column has width zero and is left out of the key (its
+    // shift may be 64).
+    if (hi[j] == lo[j]) continue;
+    const Value* v = data + cols[j];
+    const uint64_t base = lo[j];
+    const int sh = shift[j];
+    for (size_t i = 0; i < n; ++i) {
+      keys[i].key |= (OrderedBits(v[i * stride]) - base) << sh;
+    }
+  }
   if (n >= 256) {
+    uint64_t varying = 0;
+    for (const SortKey64& key : keys) varying |= key.key ^ keys[0].key;
     RadixSortKeys64(keys, ctx.sort_keys64_tmp(), varying);
   } else {
     std::sort(keys.begin(), keys.end(),
@@ -93,6 +137,7 @@ void SortRowsBySingle(const CountedRelation& r, int c0,
               });
   }
   for (size_t i = 0; i < n; ++i) perm[i] = keys[i].idx;
+  return true;
 }
 
 }  // namespace
@@ -110,26 +155,20 @@ bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
   perm.resize(n);
   std::iota(perm.begin(), perm.end(), 0);
   if (cols.empty() || RowsSortedBy(r, cols)) return true;
+  if (SortRowsByPacked(r, cols, perm, ctx)) return false;
 
-  // One key column: the fixed-width 64-bit specialization.
-  if (cols.size() == 1) {
-    SortRowsBySingle(r, cols[0], perm, ctx);
-    return false;
-  }
-
-  // The first two key columns ride inline in a 128-bit key (sign-flipped
-  // so unsigned comparison preserves int64 order); row data is only
-  // touched again when a wider key ties on both.
+  // Wider keys (two or more columns, since one column always packs): the
+  // first two key columns ride inline in a 128-bit key (sign-flipped so
+  // unsigned comparison preserves int64 order); row data is only touched
+  // again when a wider key ties on both.
   std::vector<SortKeyRef>& keys = ctx.sort_keys();
   keys.resize(n);
   const int c0 = cols[0];
-  const int c1 = cols.size() > 1 ? cols[1] : c0;
+  const int c1 = cols[1];
   for (size_t i = 0; i < n; ++i) {
     std::span<const Value> row = r.Row(i);
     const uint64_t hi = OrderedBits(row[static_cast<size_t>(c0)]);
-    const uint64_t lo = cols.size() > 1
-                            ? OrderedBits(row[static_cast<size_t>(c1)])
-                            : uint64_t{0};
+    const uint64_t lo = OrderedBits(row[static_cast<size_t>(c1)]);
     keys[i].key = (static_cast<unsigned __int128>(hi) << 64) | lo;
     keys[i].idx = static_cast<uint32_t>(i);
   }

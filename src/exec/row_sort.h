@@ -16,21 +16,23 @@ class ExecContext;
 // by a column subset through these helpers instead of each carrying its
 // own comparison loop.
 
-// Sort element: the row's first two key values (sign-flipped so unsigned
+// Wide sort element, for keys whose column ranges need more than 64 bits
+// together: the row's first two key values (sign-flipped so unsigned
 // comparison preserves int64 order) packed into one 128-bit key, plus the
 // row index. Keeping the leading values contiguous lets comparisons for
-// keys of up to two columns resolve on `key` alone (ties broken by `idx`
-// for stability); wider keys gather the row data only on a two-column
-// tie.
+// two-column keys resolve on `key` alone (ties broken by `idx` for
+// stability); wider keys gather the row data only on a two-column tie.
 struct SortKeyRef {
   unsigned __int128 key;
   uint32_t idx;
 };
 
-// Fixed-width element of the single-key-column specialization: the one key
-// value sign-flipped into a uint64, plus the row index. Half the footprint
-// of SortKeyRef, so the radix passes of the overwhelmingly common
-// one-column sort (join keys, group-by drivers) move half the bytes.
+// Packed sort element, used whenever the key columns' value ranges
+// (max - min) fit in 64 bits together — every one-column key, and most
+// multi-column keys over real domains: the concatenated column offsets in
+// one uint64, plus the row index. Half the footprint of SortKeyRef, so the
+// radix passes move half the bytes, and only the bytes that vary are
+// walked.
 struct SortKey64 {
   uint64_t key;
   uint32_t idx;
@@ -57,13 +59,15 @@ bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols);
 // Fills `perm` with a permutation of [0, r.NumRows()) ordering rows by
 // `cols`, ties broken by row index (stable). Leaves `perm` as the identity
 // without sorting when the input is already ordered; returns true in that
-// case. Scratch (the SortKeyRef array) comes from `ctx`.
+// case. Keys that pack into 64 bits sort as SortKey64, wider ones as
+// SortKeyRef; the permutation is the same either way. Scratch (the key
+// arrays) comes from `ctx`.
 bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
                 std::vector<uint32_t>& perm, ExecContext& ctx);
 
 // True if no two rows of `r` agree on all of `cols` (with empty `cols`:
 // at most one row). Sorts through SortRowsBy, so a key that is a prefix of
-// a normalized relation costs one verification pass; scratch from `ctx`.
+// a sorted relation costs one verification pass; scratch from `ctx`.
 bool RowsUniqueOn(const CountedRelation& r, std::span<const int> cols,
                   ExecContext& ctx);
 

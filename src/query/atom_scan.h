@@ -11,9 +11,9 @@ namespace lsens {
 // Ingests one atom of a query into a CountedRelation: binds columns to
 // variables, applies the atom's predicates, projects onto `keep` (must be a
 // subset of the atom's variables), and normalizes (duplicates grouped,
-// counts summed). Normalize scratch comes from `ctx` (the thread-local
-// default when null — pass the worker context when called from a parallel
-// region).
+// counts summed; the output is sorted()). Normalize scratch comes from
+// `ctx` (the thread-local default when null — pass the worker context when
+// called from a parallel region).
 //
 // This is the query layer's bridge from stored relations to the exec
 // layer's counted representation. It lives here (not on CountedRelation)

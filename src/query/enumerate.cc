@@ -12,6 +12,7 @@ namespace lsens {
 
 CountedRelation Semijoin(const CountedRelation& a, const CountedRelation& b,
                          ExecContext* ctx_in) {
+  LSENS_CHECK_MSG(a.unique(), "Semijoin input must be unique");
   AttributeSet key = Intersect(a.attrs(), b.attrs());
   if (key.empty()) {
     if (b.NumRows() > 0) return a;
@@ -36,7 +37,7 @@ CountedRelation Semijoin(const CountedRelation& a, const CountedRelation& b,
     std::span<const Value> row = a.Row(i);
     if (!table.Probe(row, a_cols).empty()) out.AppendRow(row, a.CountAt(i));
   }
-  out.Normalize(&ctx);
+  out.MarkUnique();  // a subset of a's unique rows, in a's order
   op.set_rows_out(out.NumRows());
   return out;
 }
@@ -58,7 +59,7 @@ StatusOr<CountedRelation> EnumerateJoin(const ConjunctiveQuery& q,
       auto rel = db.Get(q.atom(a).relation);
       if (!rel.ok()) return rel.status();
       atoms.push_back(
-          ScanAtom(**rel, q.atom(a), q.atom(a).VarSet()));
+          ScanAtom(**rel, q.atom(a), q.atom(a).VarSet(), options.ctx));
     }
     std::vector<const CountedRelation*> pieces;
     for (const auto& r : atoms) pieces.push_back(&r);
@@ -104,6 +105,7 @@ StatusOr<CountedRelation> EnumerateJoin(const ConjunctiveQuery& q,
       return Status::Unsupported("join output exceeds max_rows");
     }
   }
+  output.Normalize(options.ctx);  // public output: sorted rows
   return output;
 }
 

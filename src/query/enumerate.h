@@ -18,8 +18,9 @@ namespace lsens {
 // Cyclic queries go through the GHD: bags are materialized (FoldJoin) and
 // the bag tree is reduced/joined the same way.
 //
-// `max_rows` guards runaway outputs (Status::Unsupported when exceeded;
-// the output of a join can be exponential in the query size).
+// The output is sorted(). `max_rows` guards runaway outputs
+// (Status::Unsupported when exceeded; the output of a join can be
+// exponential in the query size).
 StatusOr<CountedRelation> EnumerateJoin(const ConjunctiveQuery& q,
                                         const Ghd& ghd, const Database& db,
                                         const JoinOptions& options = {},
@@ -31,8 +32,9 @@ StatusOr<CountedRelation> EnumerateQuery(const ConjunctiveQuery& q,
                                          const JoinOptions& options = {},
                                          size_t max_rows = 50'000'000);
 
-// Semijoin a ⋉ b: rows of `a` whose shared-attribute projection has a match
-// in `b`, counts untouched. An empty intersection keeps `a` iff `b` is
+// Semijoin a ⋉ b: rows of `a` (which must be unique()) whose
+// shared-attribute projection has a match in `b`, counts and row order
+// untouched. An empty intersection keeps `a` iff `b` is
 // non-empty. The membership filter runs over the flat hash-group table
 // owned by `ctx` (thread-local default when null).
 CountedRelation Semijoin(const CountedRelation& a, const CountedRelation& b,

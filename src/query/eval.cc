@@ -12,14 +12,13 @@ namespace {
 // Shared-variable projections S_a of every atom (the paper's counted base
 // relations: exclusive attributes are projected out with multiplicities).
 StatusOr<std::vector<CountedRelation>> BuildAtomInputs(
-    const ConjunctiveQuery& q, const Database& db) {
+    const ConjunctiveQuery& q, const Database& db, ExecContext* ctx) {
   std::vector<CountedRelation> inputs;
   inputs.reserve(static_cast<size_t>(q.num_atoms()));
   for (int i = 0; i < q.num_atoms(); ++i) {
     auto rel = db.Get(q.atom(i).relation);
     if (!rel.ok()) return rel.status();
-    inputs.push_back(
-        ScanAtom(**rel, q.atom(i), q.SharedVarsOf(i)));
+    inputs.push_back(ScanAtom(**rel, q.atom(i), q.SharedVarsOf(i), ctx));
   }
   return inputs;
 }
@@ -29,7 +28,7 @@ StatusOr<std::vector<CountedRelation>> BuildAtomInputs(
 StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
                          const Database& db, const JoinOptions& options) {
   LSENS_RETURN_IF_ERROR(q.Validate(db));
-  auto inputs_or = BuildAtomInputs(q, db);
+  auto inputs_or = BuildAtomInputs(q, db, options.ctx);
   if (!inputs_or.ok()) return inputs_or.status();
   const std::vector<CountedRelation>& s = *inputs_or;
 
@@ -82,12 +81,14 @@ StatusOr<CountedRelation> BruteForceJoin(const ConjunctiveQuery& q,
     auto rel = db.Get(q.atom(i).relation);
     if (!rel.ok()) return rel.status();
     full.push_back(
-        ScanAtom(**rel, q.atom(i), q.atom(i).VarSet()));
+        ScanAtom(**rel, q.atom(i), q.atom(i).VarSet(), options.ctx));
   }
   std::vector<const CountedRelation*> pieces;
   pieces.reserve(full.size());
   for (const auto& r : full) pieces.push_back(&r);
-  return FoldJoin(std::move(pieces), options);
+  CountedRelation joined = FoldJoin(std::move(pieces), options);
+  joined.Normalize(options.ctx);  // public output: sorted rows
+  return joined;
 }
 
 StatusOr<Count> BruteForceCount(const ConjunctiveQuery& q, const Database& db,

@@ -25,7 +25,8 @@ StatusOr<Count> CountQuery(const ConjunctiveQuery& q, const Database& db,
                            const Ghd* ghd = nullptr);
 
 // Test oracle: materializes the full join output over all variables by
-// folding atoms pairwise. Exponential in general — small inputs only.
+// folding atoms pairwise, returned sorted(). Exponential in general —
+// small inputs only.
 StatusOr<CountedRelation> BruteForceJoin(const ConjunctiveQuery& q,
                                          const Database& db,
                                          const JoinOptions& options = {});

@@ -30,7 +30,7 @@ std::string RenderGhdTree(const ConjunctiveQuery& q,
 // aligned row per operator (calls, rows in/out, hash-build rows, wall
 // milliseconds). Run a query or TSens pass with TSensOptions::join.ctx /
 // JoinOptions::ctx pointing at a context, then print this. Wall times of
-// nested operators overlap (a join's time includes its output Normalize).
+// nested operators overlap (a fold_join's time includes its joins).
 // Parallel runs (JoinOptions::threads > 1) report here too: worker-context
 // stats are merged back into the primary context after every parallel
 // region, so calls/rows columns are identical to a serial run's at any

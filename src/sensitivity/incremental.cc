@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -35,7 +36,7 @@ namespace lsens {
 // no single relation covers a fold — multi-atom GHD bags, multiplicity-
 // table components whose pieces share attributes, the per-tree root folds
 // behind the §5.4 cross-tree totals — a join node materializes the fold
-// itself: pieces are normalized, so every output row combines exactly one
+// itself: pieces are unique, so every output row combines exactly one
 // row per piece and its count is a pure product, recomputable per row from
 // point lookups.
 //
@@ -135,7 +136,7 @@ struct Tracker {
 //   everything in).
 //
 //   kJoin — out = r⋈(pieces...): the materialized fold of pieces no single
-//   relation covers. Pieces are normalized, so every output row combines
+//   relation covers. Pieces are unique, so every output row combines
 //   exactly one row per piece and carries their saturating count product
 //   over the scope = ∪ piece attrs.
 //
@@ -218,8 +219,31 @@ struct SharedNode {
   uint64_t last_used = 0;  // LRU tick for the spill policy
   size_t accounted_bytes = 0;  // last MemoryBytes charged to state_bytes
 
-  // Per delta pass: output keys whose count changed, for the parents.
+  // Per delta pass: output keys whose count changed, sorted, for the
+  // parents, and (parallel) each key's count before the pass.
   std::vector<std::vector<Value>> changed;
+  std::vector<Count> changed_old;
+
+  // A key's count before this delta pass: its recorded old count if the
+  // pass changed it, else the (unchanged) current one.
+  Count OldCount(std::span<const Value> key) const {
+    auto it = std::lower_bound(
+        changed.begin(), changed.end(), key,
+        [](const std::vector<Value>& a, std::span<const Value> b) {
+          return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                              b.end());
+        });
+    if (it != changed.end() && std::equal(it->begin(), it->end(), key.begin(),
+                                          key.end())) {
+      return changed_old[static_cast<size_t>(it - changed.begin())];
+    }
+    return table.Get(key);
+  }
+
+  void ClearChanged() {
+    changed.clear();
+    changed_old.clear();
+  }
 };
 
 // Marks a node unrepairable and cascades to every dependent fold node (a
@@ -371,6 +395,26 @@ void SortUnique(std::vector<std::vector<Value>>* keys) {
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
+// Sorts `keys` and drops repeats, keeping with each key the first of its
+// `old` counts (parallel to `keys`) — its count before the first change.
+void SortUniqueKeepFirst(std::vector<std::vector<Value>>* keys,
+                         std::vector<Count>* old) {
+  std::vector<size_t> order(keys->size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return (*keys)[a] < (*keys)[b];
+  });
+  std::vector<std::vector<Value>> sorted_keys;
+  std::vector<Count> sorted_old;
+  for (size_t i : order) {
+    if (!sorted_keys.empty() && sorted_keys.back() == (*keys)[i]) continue;
+    sorted_keys.push_back(std::move((*keys)[i]));
+    sorted_old.push_back((*old)[i]);
+  }
+  *keys = std::move(sorted_keys);
+  *old = std::move(sorted_old);
+}
+
 }  // namespace
 
 // The canonical-signature node store: one shared_ptr per live node. The
@@ -395,6 +439,7 @@ using incremental_detail::RepairState;
 using incremental_detail::RescanTracker;
 using incremental_detail::SharedNode;
 using incremental_detail::SortUnique;
+using incremental_detail::SortUniqueKeepFirst;
 using incremental_detail::Tracker;
 using incremental_detail::UpdateTracker;
 
@@ -1233,7 +1278,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
             [](const SharedNode* a, const SharedNode* b) {
               return a->seq < b->seq;
             });
-  for (SharedNode* node : nodes) node->changed.clear();
+  for (SharedNode* node : nodes) node->ClearChanged();
 
   // Pre-pass: poison checks and the global delta gate. The gate compares
   // the total pending changes across all live sources against the total
@@ -1316,10 +1361,12 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     };
     auto apply_shard = [&](std::vector<ProjectedRowChange>& shard) {
       for (ProjectedRowChange& pc : shard) {
+        const Count before = src->table.Get(pc.key);
         if (!src->table.Adjust(pc.key, Count::One(), pc.insert)) {
           return false;
         }
         src->changed.push_back(std::move(pc.key));
+        src->changed_old.push_back(before);
       }
       return true;
     };
@@ -1341,11 +1388,13 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       // Inexact adjustment (saturation / stale log): the table is poisoned
       // and everything downstream with it. The rest of the pass continues.
       MarkStale(src, SharedNode::StaleReason::kSaturated);
-      src->changed.clear();
+      src->ClearChanged();
       continue;
     }
     src->version = rel->version();
-    SortUnique(&src->changed);
+    // A key's changes all sit in one shard, in log order, so its first
+    // recorded count is its count before the pass.
+    SortUniqueKeepFirst(&src->changed, &src->changed_old);
     // Trackers sitting directly on this S table (single-piece multiplicity
     // components): fold in each changed key's final value.
     for (const std::vector<Value>& changed : src->changed) {
@@ -1359,12 +1408,18 @@ void SensitivityCache::SyncStore(Database& db, int threads,
   // keys, then recompute each from the current (already-repaired) upstream
   // tables.
   //
-  // Group nodes collect groups directly from driver changes and via
-  // driver-index lookups from changed input keys, and re-aggregate each
-  // group. Join nodes collect, per changed piece key, the existing output
-  // rows matching it (the piece's out index) plus the newly joinable scope
-  // tuples (expansion through the other pieces' indexes), and recompute
-  // each row's count as the product of point lookups.
+  // Group nodes collect the driver rows whose term cnt · Π inputs changed:
+  // the changed driver keys, and via driver-index lookups the rows under
+  // changed input keys. Each affected group then moves by exactly those
+  // terms, new minus old (old terms read the upstream counts recorded
+  // before the pass), so a group costs its changed rows, not all of its
+  // rows. Counts are exact unless saturated; a group whose terms or sum
+  // saturate, or whose old terms exceed its old count, re-aggregates all of
+  // its driver rows instead, which gives the identical count. Join nodes
+  // collect, per changed piece key, the existing output rows matching it
+  // (the piece's out index) plus the newly joinable scope tuples (expansion
+  // through the other pieces' indexes), and recompute each row's count as
+  // the product of point lookups.
   //
   // Either way the recomputation reads only upstream state, so the
   // affected keys — disjoint work — fan out over key-hash shards; the
@@ -1376,11 +1431,15 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     if (node->kind == SharedNode::Kind::kSource) continue;
     if (node->stale != SharedNode::StaleReason::kNone) continue;
     std::vector<std::vector<Value>> affected;
+    // kGroup: (group key, driver key) per changed term, sorted; the terms
+    // of affected[g] are terms[term_begin[g] .. term_begin[g + 1]).
+    std::vector<std::pair<std::vector<Value>, std::vector<Value>>> terms;
+    std::vector<size_t> term_begin;
     if (node->kind == SharedNode::Kind::kGroup) {
       const DynTable& driver = node->driver->table;
       for (const std::vector<Value>& changed : node->driver->changed) {
         Project(changed, node->group_cols, &key);
-        affected.push_back(key);
+        terms.emplace_back(key, changed);
       }
       for (const SharedNode::Input& input : node->inputs) {
         for (const std::vector<Value>& changed : input.node->changed) {
@@ -1388,11 +1447,22 @@ void SensitivityCache::SyncStore(Database& db, int threads,
           driver.LookupIndex(input.driver_index, changed, &rows);
           rows_touched += rows.size();
           for (uint32_t r : rows) {
-            Project(driver.RowValues(r), node->group_cols, &key);
-            affected.push_back(key);
+            std::span<const Value> row = driver.RowValues(r);
+            Project(row, node->group_cols, &key);
+            terms.emplace_back(key,
+                               std::vector<Value>(row.begin(), row.end()));
           }
         }
       }
+      std::sort(terms.begin(), terms.end());
+      terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+      for (size_t t = 0; t < terms.size(); ++t) {
+        if (t == 0 || terms[t].first != terms[t - 1].first) {
+          affected.push_back(terms[t].first);
+          term_begin.push_back(t);
+        }
+      }
+      term_begin.push_back(terms.size());
     } else {
       std::vector<std::vector<Value>> frontier;
       std::vector<std::vector<Value>> next;
@@ -1444,8 +1514,8 @@ void SensitivityCache::SyncStore(Database& db, int threads,
           }
         }
       }
+      SortUnique(&affected);
     }
-    SortUnique(&affected);
     if (affected.empty()) continue;
     const size_t node_shards =
         num_shards > 1 && affected.size() > kShardMinWork ? num_shards : 1;
@@ -1466,10 +1536,34 @@ void SensitivityCache::SyncStore(Database& db, int threads,
         if (node_shards > 1 && shard_of[g] != s) continue;
         if (node->kind == SharedNode::Kind::kGroup) {
           const DynTable& driver = node->driver->table;
+          // Delta: old count + new terms - old terms, all exact.
+          Count plus = Count::Zero();
+          Count minus = Count::Zero();
+          bool exact = true;
+          touched += term_begin[g + 1] - term_begin[g] + 1;
+          for (size_t t = term_begin[g]; t < term_begin[g + 1] && exact; ++t) {
+            const std::vector<Value>& row = terms[t].second;
+            Count old_term = node->driver->OldCount(row);
+            Count new_term = driver.Get(row);
+            for (const SharedNode::Input& input : node->inputs) {
+              Project(row, input.driver_cols, &lookup_key);
+              old_term *= input.node->OldCount(lookup_key);
+              new_term *= input.node->table.Get(lookup_key);
+            }
+            exact = !old_term.IsSaturated() && !new_term.IsSaturated();
+            minus += old_term;
+            plus += new_term;
+          }
+          const Count old_sum = node->table.Get(affected[g]);
+          const Count grown = old_sum + plus;
+          if (exact && !grown.IsSaturated() && !(grown < minus)) {
+            sums[g] = grown.SaturatingSub(minus);
+            continue;
+          }
           group_rows.clear();
           driver.LookupIndex(node->driver_group_index, affected[g],
                              &group_rows);
-          touched += group_rows.size() + 1;
+          touched += group_rows.size();
           Count sum = Count::Zero();
           for (uint32_t r : group_rows) {
             std::span<const Value> row = driver.RowValues(r);
@@ -1503,6 +1597,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       Count old = node->table.Set(affected[g], sums[g]);
       if (old == sums[g]) continue;
       node->changed.push_back(affected[g]);
+      node->changed_old.push_back(old);
       for (Tracker* t : node->trackers) {
         UpdateTracker(*t, affected[g], sums[g]);
       }
@@ -1522,7 +1617,7 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     if (ok && node->table.saturated()) ok = false;
     if (!ok) {
       MarkStale(node, SharedNode::StaleReason::kSaturated);
-      node->changed.clear();
+      node->ClearChanged();
       continue;
     }
     if (!node->changed.empty()) ++nodes_patched;

@@ -85,7 +85,7 @@ struct SensitivityCacheStats {
 // maintained per-tree totals), and cyclic queries via searched or
 // explicitly supplied GHDs. When the underlying relations change between
 // calls, the cache pulls the row-level delta from each relation's change
-// log and re-aggregates only the affected join-key groups (or join rows)
+// log and repairs only the affected join-key groups (or join rows)
 // instead of rebuilding every table, falling back to a full recompute only
 // when the delta is large, the log window was exceeded, or the options ask
 // for what repair deliberately does not model: top-k approximation and

@@ -45,6 +45,7 @@ struct AtomSensitivity {
 
   // The full multiplicity table (row -> tuple sensitivity over the
   // representative domain), populated when TSensOptions::keep_tables.
+  // Sorted, so rows can be looked up.
   std::optional<CountedRelation> table;
 };
 

@@ -119,7 +119,7 @@ bool GroupDeterminesDropped(const std::vector<const CountedRelation*>& pieces,
 // attributes d), filtered by `atom`'s predicates. Saturating products are
 // monotone, so the max of products is the product of the maxes. The argmax
 // is the lexicographically smallest g attaining the max — the row
-// ArgMaxRow picks on the sorted grouped table — written to `argmax` in
+// ArgMaxRow picks on the grouped table — written to `argmax` in
 // `group` order (left empty when the max is zero). Returns false when the
 // max saturates: saturated products also tie below the per-factor maxes,
 // and only the materialized table breaks those ties the same way.
@@ -157,8 +157,6 @@ bool FactorizedMax(const std::vector<const CountedRelation*>& pieces,
       owned[j] = FoldJoin(std::move(sub_pieces), jopts);
       folds[j] = &*owned[j];
     }
-    // GroupByMax's winners are lexicographic minima only over sorted rows.
-    LSENS_CHECK(folds[j]->normalized());
     if (std::any_of(atom.predicates.begin(), atom.predicates.end(),
                     [&](const Predicate& p) {
                       return folds[j]->ColumnOf(p.var) >= 0;
@@ -324,6 +322,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       if (parent == -1) {
         tree_total[t] = folded.TotalCount();
         if (options.capture != nullptr && num_trees >= 2) {
+          folded.Normalize(&tctx);
           options.capture->root_join[t] = std::move(folded);
         }
       } else {
@@ -333,6 +332,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
         bot_use[static_cast<size_t>(bag)] =
             maybe_truncate(*bot_full[static_cast<size_t>(bag)]);
         if (options.capture != nullptr && spec.atom_indices.size() >= 2) {
+          folded.Normalize(&tctx);
           options.capture->bot_join[static_cast<size_t>(bag)] =
               std::move(folded);
         }
@@ -360,6 +360,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       top_use[static_cast<size_t>(bag)] =
           maybe_truncate(*top_full[static_cast<size_t>(bag)]);
       if (options.capture != nullptr && pspec.atom_indices.size() >= 2) {
+        folded.Normalize(&tctx);
         options.capture->top_join[static_cast<size_t>(bag)] =
             std::move(folded);
       }
@@ -476,7 +477,10 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                    .emplace_back();
         // Multi-piece folds must be kept whole (no single piece covers
         // them); grouped tables only when grouping actually projected.
-        if (comp.size() >= 2) cap->join = folded;
+        if (comp.size() >= 2) {
+          cap->join = folded;
+          cap->join->Normalize(&actx);
+        }
       }
       CountedRelation table = group_is_full
                                   ? std::move(folded)
@@ -510,12 +514,13 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                               : FoldJoin(std::move(comp_ptrs), jopts);
       // FoldJoin rejects all-defaulted inputs; top-k combined with
       // keep_tables is not supported (exact tables are the point).
-      table.ScaleCounts(scale, &actx);
+      table.ScaleCounts(scale);
       if (table.attrs() != out.table_attrs) {
         // Components may be scalars (empty attrs); regroup to be safe.
         table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
                            &actx);
       }
+      table.Normalize(&actx);  // TupleSensitivities looks rows up
       out.table = std::move(table);
     }
   };
@@ -595,8 +600,8 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
     pred_cols[p] = c;
   }
 
-  // Per-tuple δ lookups are independent reads of the (normalized, hence
-  // immutable) multiplicity table; each row writes only its own slot, so
+  // Per-tuple δ lookups are independent reads of the (sorted, read-only)
+  // multiplicity table; each row writes only its own slot, so
   // the fan-out below returns the exact serial vector. The scan reads the
   // relation's key and predicate columns a chunk at a time instead of
   // materializing row tuples: each part walks the chunk pieces of its row

@@ -27,7 +27,8 @@ namespace lsens {
 // joins (multi-atom bags have no single relation covering the fold, so the
 // join itself must be kept to route deltas through), per-tree root folds
 // and totals (§5.4 disconnected scale factors), and per-atom
-// multiplicity-table components. TSensPath leaves these empty.
+// multiplicity-table components. TSensPath leaves these empty. Every
+// captured table is sorted().
 struct TSensCapture {
   std::vector<CountedRelation> s;
 

@@ -25,6 +25,7 @@ namespace {
 
 using testing::MakeRandomAcyclicInstance;
 using testing::RandomQuerySpec;
+using testing::SameRowsUpToOrder;
 
 class SeededTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -51,11 +52,7 @@ TEST_P(SeededTest, JoinIsCommutativeUpToNormalization) {
     b.Normalize();
     CountedRelation ab = NaturalJoin(a, b);
     CountedRelation ba = NaturalJoin(b, a);
-    ASSERT_EQ(ab.NumRows(), ba.NumRows());
-    for (size_t i = 0; i < ab.NumRows(); ++i) {
-      EXPECT_EQ(CompareRows(ab.Row(i), ba.Row(i)), 0);
-      EXPECT_EQ(ab.CountAt(i), ba.CountAt(i));
-    }
+    EXPECT_TRUE(SameRowsUpToOrder(ab, ba));
   }
 }
 
@@ -97,11 +94,7 @@ TEST_P(SeededTest, JoinAssociativityOnChains) {
     CountedRelation c = random_rel({3, 4});
     CountedRelation left = NaturalJoin(NaturalJoin(a, b), c);
     CountedRelation right = NaturalJoin(a, NaturalJoin(b, c));
-    ASSERT_EQ(left.NumRows(), right.NumRows());
-    for (size_t i = 0; i < left.NumRows(); ++i) {
-      EXPECT_EQ(CompareRows(left.Row(i), right.Row(i)), 0);
-      EXPECT_EQ(left.CountAt(i), right.CountAt(i));
-    }
+    EXPECT_TRUE(SameRowsUpToOrder(left, right));
   }
 }
 

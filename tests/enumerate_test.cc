@@ -12,15 +12,7 @@ namespace {
 using testing::MakeFigure1Example;
 using testing::MakeRandomAcyclicInstance;
 using testing::MakeRandomTriangleInstance;
-
-void ExpectSameRelation(const CountedRelation& a, const CountedRelation& b) {
-  ASSERT_EQ(a.attrs(), b.attrs());
-  ASSERT_EQ(a.NumRows(), b.NumRows());
-  for (size_t i = 0; i < a.NumRows(); ++i) {
-    ASSERT_EQ(CompareRows(a.Row(i), b.Row(i)), 0) << "row " << i;
-    ASSERT_EQ(a.CountAt(i), b.CountAt(i)) << "row " << i;
-  }
-}
+using testing::SameRowsInOrder;
 
 TEST(SemijoinTest, FiltersByMatchingKeys) {
   CountedRelation a({1, 2});
@@ -66,7 +58,8 @@ TEST(EnumerateTest, MatchesBruteForceOnRandomAcyclic) {
     auto brute = BruteForceJoin(ex.query, ex.db);
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
     ASSERT_TRUE(brute.ok());
-    ExpectSameRelation(*fast, *brute);
+    EXPECT_TRUE(fast->sorted());
+    EXPECT_TRUE(SameRowsInOrder(*fast, *brute));
   }
 }
 
@@ -80,7 +73,8 @@ TEST(EnumerateTest, MatchesBruteForceOnTriangles) {
     auto brute = BruteForceJoin(ex.query, ex.db);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(brute.ok());
-    ExpectSameRelation(*fast, *brute);
+    EXPECT_TRUE(fast->sorted());
+    EXPECT_TRUE(SameRowsInOrder(*fast, *brute));
   }
 }
 

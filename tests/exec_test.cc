@@ -16,6 +16,7 @@ namespace {
 
 using testing::MakeFigure1Example;
 using testing::MakeFigure3Example;
+using testing::SameRowsUpToOrder;
 
 CountedRelation MakeCounted(AttributeSet attrs,
                             std::vector<std::pair<std::vector<Value>, uint64_t>>
@@ -108,7 +109,7 @@ TEST(CountedRelationTest, GroupByMaxKeepsFirstRowAttainingTheMax) {
   CountedRelation g = GroupByMax(r, {2}, &arg_rows);
   ASSERT_EQ(g.NumRows(), 2u);
   ASSERT_EQ(arg_rows.size(), 2u);
-  EXPECT_TRUE(g.normalized());
+  EXPECT_TRUE(g.sorted());
   EXPECT_EQ(g.Row(0)[0], 5);
   EXPECT_EQ(g.CountAt(0), Count(7));
   EXPECT_EQ(r.Row(arg_rows[0])[0], 1);  // the smaller of the tied rows
@@ -232,11 +233,7 @@ TEST(JoinTest, HashAndSortMergeAgreeOnRandomInputs) {
     b.Normalize();
     CountedRelation h = NaturalJoin(a, b, {JoinAlgorithm::kHash});
     CountedRelation s = NaturalJoin(a, b, {JoinAlgorithm::kSortMerge});
-    ASSERT_EQ(h.NumRows(), s.NumRows());
-    for (size_t i = 0; i < h.NumRows(); ++i) {
-      EXPECT_EQ(CompareRows(h.Row(i), s.Row(i)), 0);
-      EXPECT_EQ(h.CountAt(i), s.CountAt(i));
-    }
+    EXPECT_TRUE(SameRowsUpToOrder(s, h));
   }
 }
 
@@ -355,6 +352,37 @@ TEST(EvalTest, Figure1CountIsOne) {
   auto brute = BruteForceCount(ex.query, ex.db);
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(*brute, Count::One());
+}
+
+// Every operator of an evaluation, atom scans included, records into the
+// caller's context; the thread-local default sees none of it.
+TEST(EvalTest, ExplicitContextRecordsScans) {
+  auto ex = MakeFigure1Example();
+  uint64_t scanned = 0;
+  for (int a = 0; a < ex.query.num_atoms(); ++a) {
+    scanned += (*ex.db.Get(ex.query.atom(a).relation))->NumRows();
+  }
+  auto default_normalize_rows = [] {
+    const OperatorStats* s = DefaultExecContext().FindStats("normalize");
+    return s == nullptr ? uint64_t{0} : s->rows_in;
+  };
+  const uint64_t default_before = default_normalize_rows();
+
+  ExecContext ctx;
+  auto count = CountQuery(ex.query, ex.db, {JoinAlgorithm::kAuto, &ctx});
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, Count::One());
+  const OperatorStats* normalize = ctx.FindStats("normalize");
+  ASSERT_NE(normalize, nullptr);
+  EXPECT_EQ(normalize->calls, static_cast<uint64_t>(ex.query.num_atoms()));
+  EXPECT_EQ(normalize->rows_in, scanned);
+
+  ExecContext join_ctx;
+  ASSERT_TRUE(BruteForceJoin(ex.query, ex.db, {JoinAlgorithm::kAuto,
+                                               &join_ctx}).ok());
+  ASSERT_NE(join_ctx.FindStats("normalize"), nullptr);
+  EXPECT_GE(join_ctx.FindStats("normalize")->rows_in, scanned);
+  EXPECT_EQ(default_normalize_rows(), default_before);
 }
 
 TEST(EvalTest, Figure3CountIsFour) {

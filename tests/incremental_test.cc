@@ -365,6 +365,39 @@ TEST(SensitivityCacheTest, HitRepairAndLargeDeltaCounters) {
   ExpectResultsIdentical(*r4, *fresh, "large-delta fallback");
 }
 
+// A one-row insert that pushes maintained tables across saturation. The
+// repair's delta terms saturate there, so those groups re-aggregate in full
+// (and poison their node); the answer matches a fresh compute either way.
+TEST(SensitivityCacheTest, RepairAcrossSaturationMatchesScratch) {
+  // A 17-atom path of relations holding copies of (0, 0): every count is a
+  // product of copy counts. With 256 = 2^8 copies each, except 255 in R3
+  // and R16, no product over 16 atoms reaches the 2^128 - 1 saturation
+  // point; the ⊤ table of R16 holds 255 * 2^120. One more R3 row takes it
+  // to 2^128.
+  constexpr int kAtoms = 17;
+  Database db;
+  ConjunctiveQuery q;
+  for (int i = 0; i < kAtoms; ++i) {
+    const std::string name = "R" + std::to_string(i);
+    Relation* rel = db.AddRelation(name, {"L", "R"});
+    const int copies = i == 3 || i == kAtoms - 1 ? 255 : 256;
+    for (int c = 0; c < copies; ++c) rel->AppendRow({0, 0});
+    q.AddAtom(db, name, {"X" + std::to_string(i), "X" + std::to_string(i + 1)});
+  }
+  SensitivityCache cache;
+  auto before = cache.Compute(q, db);
+  ASSERT_TRUE(before.ok());
+  EXPECT_FALSE(before->local_sensitivity.IsSaturated());
+
+  db.Find("R3")->AppendRow({0, 0});
+  auto after = cache.Compute(q, db);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->local_sensitivity.IsSaturated());
+  auto fresh = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(fresh.ok());
+  ExpectResultsIdentical(*after, *fresh, "across saturation");
+}
+
 TEST(SensitivityCacheTest, StaleLogFallsBack) {
   PaperExample ex = MakeFigure3Example();
   SensitivityCacheConfig config;

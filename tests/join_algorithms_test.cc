@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +23,8 @@
 
 namespace lsens {
 namespace {
+
+using testing::SameRowsUpToOrder;
 
 CountedRelation MakeRandom(Rng& rng, AttributeSet attrs, size_t max_rows,
                            uint64_t domain, bool spread_values = false) {
@@ -78,16 +82,6 @@ CountedRelation NestedLoopJoin(const CountedRelation& a,
   return out;
 }
 
-void ExpectSameRelation(const CountedRelation& x, const CountedRelation& y,
-                        const char* label) {
-  ASSERT_EQ(x.attrs(), y.attrs()) << label;
-  ASSERT_EQ(x.NumRows(), y.NumRows()) << label;
-  for (size_t i = 0; i < x.NumRows(); ++i) {
-    ASSERT_EQ(CompareRows(x.Row(i), y.Row(i)), 0) << label << " row " << i;
-    ASSERT_EQ(x.CountAt(i), y.CountAt(i)) << label << " count " << i;
-  }
-}
-
 TEST(JoinDifferentialTest, AllAlgorithmsMatchNestedLoopOracle) {
   Rng rng(2024);
   // Attribute shapes: overlapping keys, full overlap, and disjoint
@@ -104,9 +98,10 @@ TEST(JoinDifferentialTest, AllAlgorithmsMatchNestedLoopOracle) {
     CountedRelation hash = NaturalJoin(a, b, {JoinAlgorithm::kHash});
     CountedRelation merge = NaturalJoin(a, b, {JoinAlgorithm::kSortMerge});
     CountedRelation automatic = NaturalJoin(a, b, {JoinAlgorithm::kAuto});
-    ExpectSameRelation(hash, oracle, "hash vs nested-loop");
-    ExpectSameRelation(merge, oracle, "sort-merge vs nested-loop");
-    ExpectSameRelation(automatic, oracle, "auto vs nested-loop");
+    EXPECT_TRUE(SameRowsUpToOrder(oracle, hash)) << "hash vs nested-loop";
+    EXPECT_TRUE(SameRowsUpToOrder(oracle, merge))
+        << "sort-merge vs nested-loop";
+    EXPECT_TRUE(SameRowsUpToOrder(oracle, automatic)) << "auto vs nested-loop";
   }
 }
 
@@ -126,7 +121,7 @@ TEST(JoinDifferentialTest, DefaultedSideMatchesManualExpansion) {
       if (!c.IsZero()) expected.AppendRow(a.Row(i), c);
     }
     expected.Normalize();
-    ExpectSameRelation(joined, expected, "defaulted join");
+    EXPECT_TRUE(SameRowsUpToOrder(expected, joined)) << "defaulted join";
   }
 }
 
@@ -150,7 +145,7 @@ TEST(JoinDifferentialTest, EmptyKeyAndEmptyInputEdgeCases) {
 
     // Unit is the neutral element regardless of algorithm.
     CountedRelation u = NaturalJoin(one, CountedRelation::Unit(), {algo});
-    ExpectSameRelation(u, one, "unit join");
+    EXPECT_TRUE(SameRowsUpToOrder(one, u)) << "unit join";
   }
 }
 
@@ -308,6 +303,227 @@ TEST(RowSortTest, DetectsPresortedInput) {
   std::vector<int> trailing{1};
   EXPECT_TRUE(RowsSortedBy(r, prefix));
   EXPECT_FALSE(RowsSortedBy(r, trailing));
+}
+
+// Key columns whose value ranges sit exactly at the 64-bit packing limit
+// (and one bit past it), with INT64_MIN/INT64_MAX endpoints, negative
+// values, duplicate rows (ties broken by row index) and inputs on both
+// sides of the 256-row radix cutoff: the permutation must be exactly
+// std::stable_sort's.
+TEST(RowSortTest, PackedKeyBoundariesMatchStableSort) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  constexpr Value k2to31 = Value{1} << 31;
+  constexpr Value k2to32 = Value{1} << 32;
+  // Per case: each column's [lo, hi] range. Column widths in bits are
+  // noted; the key is the columns in order unless reordered below.
+  const std::vector<std::vector<std::pair<Value, Value>>> cases = {
+      {{kMin, kMax}},                                   // 64
+      {{-5, 5}},                                        // 4
+      {{0, k2to32 - 1}, {-k2to31, k2to31 - 1}},         // 32 + 32 = 64
+      {{0, k2to32 - 1}, {-k2to32, k2to32 - 1}},         // 32 + 33 = 65
+      {{kMin, kMax}, {0, 1}},                           // 64 + 1 = 65
+      {{0, 1}, {7, 7}, {kMin, kMax}},                   // 1 + 0 + 64 = 65
+      {{-3, 3}, {kMin, kMin + 15}, {kMax - 255, kMax}}, // 3 + 4 + 8
+      {{-100, 100}, {0, 1}, {-1, 0}, {-k2to31, k2to31}},  // 8+1+1+33
+      {{kMin, kMax}, {kMin, kMax}, {-2, 2}, {5, 9}},    // 64 + 64 + 3 + 3
+  };
+  Rng rng(29);
+  ExecContext ctx;
+  for (size_t ci = 0; ci < cases.size(); ++ci) {
+    const auto& ranges = cases[ci];
+    const size_t arity = ranges.size();
+    // A pool of 6 values per column, endpoints included, so rows repeat.
+    std::vector<std::vector<Value>> pools(arity);
+    for (size_t c = 0; c < arity; ++c) {
+      const auto [lo, hi] = ranges[c];
+      const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      pools[c] = {lo, hi};
+      for (int k = 0; k < 4; ++k) {
+        const uint64_t off =
+            span == ~uint64_t{0} ? rng.NextUint64()
+                              : rng.NextBounded(span + 1);
+        pools[c].push_back(
+            static_cast<Value>(static_cast<uint64_t>(lo) + off));
+      }
+    }
+    for (size_t rows : {size_t{100}, size_t{255}, size_t{256}, size_t{700}}) {
+      AttributeSet attrs;
+      for (size_t c = 0; c < arity; ++c) {
+        attrs.push_back(static_cast<AttrId>(c + 1));
+      }
+      CountedRelation r(attrs);
+      std::vector<Value> row(arity);
+      for (size_t i = 0; i < rows; ++i) {
+        for (size_t c = 0; c < arity; ++c) {
+          // Rows 0 and 1 pin every column's range endpoints.
+          row[c] = i < 2 ? pools[c][i] : pools[c][rng.NextBounded(6)];
+        }
+        r.AppendRow(row, Count::One());
+      }
+      std::vector<int> in_order(arity);
+      std::iota(in_order.begin(), in_order.end(), 0);
+      std::vector<int> reversed(in_order.rbegin(), in_order.rend());
+      for (const std::vector<int>& cols : {in_order, reversed}) {
+        std::vector<uint32_t> perm;
+        SortRowsBy(r, cols, perm, ctx);
+        std::vector<uint32_t> expected(r.NumRows());
+        std::iota(expected.begin(), expected.end(), 0);
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](uint32_t x, uint32_t y) {
+                           return CompareRowsAt(r.Row(x), r.Row(y), cols) < 0;
+                         });
+        ASSERT_EQ(perm, expected)
+            << "case " << ci << " rows " << rows << " cols "
+            << (cols == in_order ? "in order" : "reversed");
+      }
+    }
+  }
+}
+
+// --- Join output contract: unique, order unspecified but deterministic -----
+
+bool StrictlyIncreasing(const CountedRelation& r) {
+  for (size_t i = 1; i < r.NumRows(); ++i) {
+    if (CompareRows(r.Row(i - 1), r.Row(i)) >= 0) return false;
+  }
+  return true;
+}
+
+// `out` came straight from a kernel: unique rows, non-zero counts, sorted()
+// exactly when strictly increasing, and a later Normalize only reorders it.
+void ExpectJoinContract(const CountedRelation& out, const std::string& what) {
+  EXPECT_TRUE(out.unique()) << what;
+  EXPECT_EQ(out.sorted(), StrictlyIncreasing(out)) << what;
+  std::vector<std::pair<std::vector<Value>, Count>> rows;
+  for (size_t i = 0; i < out.NumRows(); ++i) {
+    EXPECT_FALSE(out.CountAt(i).IsZero()) << what << " row " << i;
+    rows.emplace_back(std::vector<Value>(out.Row(i).begin(), out.Row(i).end()),
+                      out.CountAt(i));
+  }
+  std::sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first;
+  });
+  CountedRelation normalized = out;
+  normalized.Normalize();
+  ASSERT_EQ(normalized.NumRows(), out.NumRows()) << what;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(CompareRows(normalized.Row(i), rows[i].first), 0)
+        << what << " row " << i;
+    EXPECT_EQ(normalized.CountAt(i), rows[i].second) << what << " row " << i;
+  }
+}
+
+TEST(JoinContractTest, KernelsReturnUniqueRowsWithoutNormalize) {
+  Rng rng(31);
+  // Shared keys (hash / sort-merge), a disjoint pair (cross product), and
+  // a defaulted covered side (JoinWithDefault).
+  const std::vector<std::pair<AttributeSet, AttributeSet>> shapes = {
+      {{1, 2}, {2, 3}}, {{1, 2, 3}, {3, 4}}, {{2}, {1, 2, 3}}, {{1}, {2}}};
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto& [attrs_a, attrs_b] = shapes[trial % shapes.size()];
+    CountedRelation a = MakeRandom(rng, attrs_a, 30, 5, trial % 3 == 0);
+    CountedRelation b = MakeRandom(rng, attrs_b, 30, 5, trial % 3 == 0);
+    for (JoinAlgorithm algo : {JoinAlgorithm::kAuto, JoinAlgorithm::kHash,
+                               JoinAlgorithm::kSortMerge}) {
+      const std::string what = "trial " + std::to_string(trial) + " algo " +
+                               std::to_string(static_cast<int>(algo));
+      ExpectJoinContract(NaturalJoin(a, b, {algo}), what);
+    }
+    CountedRelation covered = MakeRandom(rng, {2}, 4, 5);
+    covered.set_default_count(Count(2));
+    ExpectJoinContract(NaturalJoin(a.attrs() == AttributeSet{1} ? b : a,
+                                   covered),
+                       "defaulted trial " + std::to_string(trial));
+  }
+}
+
+TEST(JoinContractTest, ParallelProbeKeepsContractAndSerialOrder) {
+  Rng rng(37);
+  // Past the 4096-row partitioned-probe threshold on both sides.
+  auto make = [&](AttributeSet attrs) {
+    CountedRelation r(std::move(attrs));
+    for (int i = 0; i < 12000; ++i) {
+      r.AppendRow({static_cast<Value>(rng.NextBounded(3000)),
+                   static_cast<Value>(rng.NextBounded(3000))},
+                  Count(1 + rng.NextBounded(3)));
+    }
+    r.Normalize();
+    return r;
+  };
+  CountedRelation a = make({1, 2});
+  CountedRelation b = make({2, 3});
+  ASSERT_GE(std::min(a.NumRows(), b.NumRows()), 4096u);
+  const CountedRelation serial = NaturalJoin(a, b, {JoinAlgorithm::kHash});
+  for (int threads : {0, 2, 4, 8}) {
+    ExecContext ctx;
+    CountedRelation out =
+        NaturalJoin(a, b, {JoinAlgorithm::kHash, &ctx, threads});
+    const std::string what = "threads " + std::to_string(threads);
+    ExpectJoinContract(out, what);
+    EXPECT_TRUE(testing::SameRowsInOrder(serial, out)) << what;
+    EXPECT_EQ(ctx.FindStats("normalize"), nullptr) << what;
+  }
+}
+
+TEST(JoinContractTest, SortedFlagTracksOrder) {
+  CountedRelation r({1, 2});
+  EXPECT_TRUE(r.sorted());  // vacuously, while empty
+  r.AppendRow({1, 2}, Count(1));
+  r.AppendRow({0, 5}, Count(2));
+  EXPECT_FALSE(r.sorted());
+  EXPECT_FALSE(r.unique());
+  r.MarkUnique();
+  EXPECT_TRUE(r.unique());
+  EXPECT_FALSE(r.sorted());  // (1,2) before (0,5)
+  r.Normalize();
+  EXPECT_TRUE(r.sorted());
+  EXPECT_TRUE(StrictlyIncreasing(r));
+  CountedRelation in_order({1});
+  in_order.AppendRow({3}, Count(1));
+  in_order.AppendRow({4}, Count(1));
+  in_order.MarkUnique();
+  EXPECT_TRUE(in_order.sorted());
+}
+
+TEST(JoinContractTest, NaturalJoinRejectsRawInput) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  CountedRelation raw({1, 2});
+  raw.AppendRow({0, 5}, Count(1));
+  raw.AppendRow({0, 5}, Count(1));  // a duplicate Normalize would merge
+  CountedRelation b({2, 3});
+  b.AppendRow({5, 1}, Count(1));
+  b.Normalize();
+  EXPECT_DEATH(NaturalJoin(raw, b), "unique");
+  EXPECT_DEATH(NaturalJoin(b, raw), "unique");
+}
+
+TEST(JoinContractTest, MaxTiesGoToTheSmallestRowInAnyOrder) {
+  // Unique, deliberately unsorted rows: (3,1) and (1,1) tie at 5, (2,0)
+  // and (0,0) at 2.
+  CountedRelation r({1, 2});
+  r.AppendRow({3, 1}, Count(5));
+  r.AppendRow({2, 0}, Count(2));
+  r.AppendRow({1, 1}, Count(5));
+  r.AppendRow({-1, 0}, Count(1));
+  r.AppendRow({0, 0}, Count(2));
+  r.MarkUnique();
+  ASSERT_FALSE(r.sorted());
+  const size_t arg = r.ArgMaxRow();
+  ASSERT_NE(arg, SIZE_MAX);
+  EXPECT_EQ(r.Row(arg)[0], 1);
+
+  std::vector<uint32_t> arg_rows;
+  CountedRelation g = GroupByMax(r, {2}, &arg_rows);
+  ASSERT_EQ(g.NumRows(), 2u);
+  EXPECT_TRUE(g.sorted());
+  EXPECT_EQ(g.CountAt(0), Count(2));
+  EXPECT_EQ(r.Row(arg_rows[0])[0], 0);  // group 0: (0,0) over (2,0)
+  EXPECT_EQ(g.CountAt(1), Count(5));
+  EXPECT_EQ(r.Row(arg_rows[1])[0], 1);  // group 1: (1,1) over (3,1)
+  CountedRelation all = GroupByMax(r, {}, &arg_rows);
+  ASSERT_EQ(all.NumRows(), 1u);
+  EXPECT_EQ(r.Row(arg_rows[0])[0], 1);
 }
 
 }  // namespace

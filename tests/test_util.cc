@@ -7,6 +7,42 @@
 
 namespace lsens::testing {
 
+::testing::AssertionResult SameRowsInOrder(const CountedRelation& expected,
+                                           const CountedRelation& actual) {
+  if (expected.attrs() != actual.attrs()) {
+    return ::testing::AssertionFailure() << "attribute sets differ";
+  }
+  if (expected.default_count() != actual.default_count()) {
+    return ::testing::AssertionFailure()
+           << "default " << expected.default_count().ToString() << " vs "
+           << actual.default_count().ToString();
+  }
+  if (expected.NumRows() != actual.NumRows()) {
+    return ::testing::AssertionFailure() << expected.NumRows() << " rows vs "
+                                         << actual.NumRows();
+  }
+  for (size_t i = 0; i < expected.NumRows(); ++i) {
+    if (CompareRows(expected.Row(i), actual.Row(i)) != 0) {
+      return ::testing::AssertionFailure() << "row " << i << " differs";
+    }
+    if (expected.CountAt(i) != actual.CountAt(i)) {
+      return ::testing::AssertionFailure()
+             << "row " << i << " count " << expected.CountAt(i).ToString()
+             << " vs " << actual.CountAt(i).ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameRowsUpToOrder(const CountedRelation& expected,
+                                             const CountedRelation& actual) {
+  CountedRelation e = expected;
+  CountedRelation a = actual;
+  e.Normalize();
+  a.Normalize();
+  return SameRowsInOrder(e, a);
+}
+
 PaperExample MakeFigure1Example() {
   PaperExample ex;
   Dictionary& d = ex.db.dict();

@@ -1,15 +1,29 @@
 #ifndef LSENS_TESTS_TEST_UTIL_H_
 #define LSENS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/counted_relation.h"
 #include "query/conjunctive_query.h"
 #include "query/ghd.h"
 #include "storage/database.h"
 
 namespace lsens::testing {
+
+// Relation equality, row for row: same attributes, same default, and the
+// same row and count at every position. For contracts where row order is
+// part of the answer — thread-count and engine determinism.
+::testing::AssertionResult SameRowsInOrder(const CountedRelation& expected,
+                                           const CountedRelation& actual);
+
+// Relation equality up to row order: normalized copies compared row for
+// row. For outputs whose order is unspecified (join kernels, join orders).
+::testing::AssertionResult SameRowsUpToOrder(const CountedRelation& expected,
+                                             const CountedRelation& actual);
 
 // Fixture data for the paper's running examples.
 struct PaperExample {
