@@ -65,8 +65,8 @@ int main() {
               count->ToString().c_str());
 
   // Which single flight addition/cancellation moves that number the most?
-  // This is a path join query, so TSens dispatches to Algorithm 1
-  // (O(n log n), independent of the number of itineraries).
+  // This is a path join query, so TSens runs over its chain join tree
+  // (Algorithm 1: O(n log n), independent of the number of itineraries).
   auto result = ComputeLocalSensitivity(q, db);
   if (!result.ok()) {
     std::printf("TSens failed: %s\n", result.status().ToString().c_str());

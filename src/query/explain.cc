@@ -80,7 +80,7 @@ std::string ExplainQuery(const ConjunctiveQuery& q,
       if (path) out += ", path query";
       if (analysis.doubly_acyclic) out += ", doubly acyclic";
       out += "):\n";
-      algorithm = path ? "TSensPath (Algorithm 1, O(n log n))"
+      algorithm = path ? "TSensOverGhd (Algorithm 2 over the chain tree)"
                        : "TSensOverGhd (Algorithm 2 over the GYO tree)";
       break;
     }

@@ -170,14 +170,23 @@ StatusOr<TSensPlan> ChooseTSensPlan(const ConjunctiveQuery& q, const Ghd* ghd,
     plan.ghd = *std::move(searched);
     return plan;
   }
-  plan.ghd = MakeTrivialGhd(q, *forest);
   if (allow_path) {
     std::vector<int> order = PathOrder(q);
     if (order.size() >= 2) {
+      // The chain join tree: rooted at order[0], each atom the parent of
+      // the next, so ⊤/⊥ are Algorithm 1's prefix and suffix folds.
+      std::vector<int> parent(order.size(), -1);
+      for (size_t i = 1; i < order.size(); ++i) {
+        parent[static_cast<size_t>(order[i])] = order[i - 1];
+      }
+      JoinForest chain;
+      chain.trees.emplace_back(std::move(order), std::move(parent));
       plan.source = TSensPlan::Source::kPath;
-      plan.path_order = std::move(order);
+      plan.ghd = MakeTrivialGhd(q, chain);
+      return plan;
     }
   }
+  plan.ghd = MakeTrivialGhd(q, *forest);
   return plan;
 }
 

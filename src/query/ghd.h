@@ -49,24 +49,24 @@ Ghd MakeTrivialGhd(const ConjunctiveQuery& q, const JoinForest& forest);
 // Bag index containing `atom`, or -1.
 int BagOf(const Ghd& ghd, int atom);
 
-// The engine the TSens facade (sensitivity/tsens.h) runs and the
-// decomposition it runs over. One chooser serves the facade, the
-// SensitivityCache's repair plans, ExplainQuery, and count evaluation, so
-// they cannot disagree.
+// The decomposition the TSens facade (sensitivity/tsens.h) runs
+// TSensOverGhd over. One chooser serves the facade, the SensitivityCache's
+// repair plans, ExplainQuery, and count evaluation, so they cannot
+// disagree.
 struct TSensPlan {
-  // kPath: a path query (§4), run by Algorithm 1 along `path_order`.
-  // Otherwise TSensOverGhd (Algorithm 2 / §5.4) runs over `ghd`, which the
-  // caller supplied, GYO built (one atom per bag), or SearchGhd found.
+  // Where `ghd` came from: the chain join tree of a path query (§4; its
+  // ⊤/⊥ are Algorithm 1's prefix and suffix folds), the caller, GYO (one
+  // atom per bag), or SearchGhd.
   enum class Source { kPath, kSupplied, kGyo, kSearched };
   Source source = Source::kGyo;
-  std::vector<int> path_order;  // kPath only
-  Ghd ghd;  // kPath carries its GYO join tree, which Algorithm 1 ignores
+  Ghd ghd;
 };
 
 // A supplied `ghd` wins for every query. Otherwise an acyclic query takes
-// Algorithm 1 when `allow_path` and PathOrder finds a chain of at least two
-// atoms, else its GYO join forest; a cyclic query takes a minimum-width
-// SearchGhd decomposition, or that search's error.
+// its chain join tree when `allow_path` and PathOrder finds a chain of at
+// least two atoms (rooted at the chain's first atom, each atom the parent
+// of the next), else its GYO join forest; a cyclic query takes a
+// minimum-width SearchGhd decomposition, or that search's error.
 StatusOr<TSensPlan> ChooseTSensPlan(const ConjunctiveQuery& q, const Ghd* ghd,
                                     bool allow_path);
 

@@ -17,10 +17,10 @@
 
 namespace lsens {
 
-// Internal machinery. The repairable state mirrors the engines' data flow
+// Internal machinery. The repairable state mirrors the engine's data flow
 // as a DAG of maintained tables:
 //
-//   sources      S_a = γ_keep(σ_pred(R_a))           one per atom / position
+//   sources      S_a = γ_keep(σ_pred(R_a))           one per atom
 //   group nodes  out = γ_group(driver ⋈ inputs...)   the ⊥/⊤ fold tables
 //   join nodes   out[t] = Π_i pieces[i][proj_i(t)]   materialized r⋈
 //
@@ -55,7 +55,7 @@ namespace lsens {
 // of a join node are enumerated by extending each changed piece key
 // through the other pieces' secondary indexes. Per-piece max/argmax
 // trackers — registered on the node by every dependent entry — maintain
-// the engines' predicate-filtered MaxCount/ArgMaxRow (first, i.e.
+// the engine's predicate-filtered MaxCount/ArgMaxRow (first, i.e.
 // lexicographically smallest, row attaining the max), falling back to a
 // table rescan only when the tracked argmax group itself decays.
 // Disconnected forests additionally keep one running join total per tree
@@ -99,12 +99,12 @@ AttributeSet CanonicalAttrs(size_t arity) {
 
 struct SharedNode;
 
-// One max/argmax view of a maintained table — a shared node's output, or
-// the unit relation when `target` is null — filtered by an atom's
-// predicates: the incremental stand-in for the engines' `ApplyPredicates +
-// MaxCount + ArgMaxRow` on one multiplicity-table piece. Owned by a cache
-// entry (its RepairState); registered on the target node so the global
-// delta pass updates every dependent entry's trackers in one sweep.
+// One max/argmax view of a maintained table (a shared node's output),
+// filtered by an atom's predicates: the incremental stand-in for the
+// engine's `ApplyPredicates + MaxCount + ArgMaxRow` on one
+// multiplicity-table piece. Owned by a cache entry (its RepairState);
+// registered on the target node so the global delta pass updates every
+// dependent entry's trackers in one sweep.
 // `attrs` is the owning entry's attribute view of the target table (same
 // order as the table columns — signature sharing guarantees it), used to
 // build the checks and to map the argmax row back into result attributes.
@@ -257,7 +257,7 @@ void MarkStale(SharedNode* node, SharedNode::StaleReason reason) {
 }
 
 struct RepairState {
-  enum class Mode { kConstant, kPath, kGhd };
+  enum class Mode { kConstant, kGhd };
 
   RepairState() = default;
   RepairState(const RepairState&) = delete;
@@ -265,7 +265,6 @@ struct RepairState {
   ~RepairState() {
     for (auto& unit : trackers) {
       for (Tracker& t : unit) {
-        if (t.target == nullptr) continue;
         auto& v = t.target->trackers;
         v.erase(std::remove(v.begin(), v.end(), &t), v.end());
       }
@@ -273,20 +272,18 @@ struct RepairState {
   }
 
   Mode mode = Mode::kConstant;
-  std::vector<std::shared_ptr<SharedNode>> sources;  // per atom / position
+  std::vector<std::shared_ptr<SharedNode>> sources;  // per atom
   std::vector<std::shared_ptr<SharedNode>> nodes;    // acquire order
-  // Result assembly: unit u covers atom assembly_atoms[u] with the pieces
-  // trackers[u] (engine piece order). Path mode assembles per chain
-  // position, GHD mode per atom. Tracker addresses must stay stable (the
-  // target nodes point back at them): the vectors are sized once in
-  // BuildState and never touched again.
-  std::vector<int> assembly_atoms;
+  // Result assembly: atom a multiplies the pieces trackers[a] (engine
+  // component order). Tracker addresses must stay stable (the target nodes
+  // point back at them): the vectors are sized once in BuildState and
+  // never touched again.
   std::vector<std::vector<Tracker>> trackers;
   // §5.4 disconnected forests: the root node carrying each tree's running
-  // total and the tree each assembly unit's atom lives in. Empty for
-  // single-tree forests — the scale factor is then an empty product.
+  // total and the tree each atom lives in. Empty for single-tree forests —
+  // the scale factor is then an empty product.
   std::vector<std::shared_ptr<SharedNode>> total_nodes;
-  std::vector<int> assembly_tree;  // tree per assembly unit
+  std::vector<int> atom_tree;
 };
 
 // The plan the facade picks (ChooseTSensPlan), seen as a repair mode.
@@ -294,7 +291,7 @@ struct Plan {
   RepairState::Mode mode = RepairState::Mode::kConstant;
   bool supported = false;
   std::string reason;  // when !supported
-  TSensPlan engine;    // path order (kPath) or decomposition (kGhd)
+  TSensPlan engine;    // the decomposition TSensOverGhd runs over
 };
 
 namespace {
@@ -303,7 +300,7 @@ namespace {
 // engine over the same decomposition the facade would pick and BuildState
 // consumes matching tables. Cyclic queries search their GHD once per
 // fingerprint here, pinned in the plan. Only top_k and keep_tables remain
-// unsupported: both change what the engines compute (truncated tables /
+// unsupported: both change what the engine computes (truncated tables /
 // retained T_a's) in ways the maintained state deliberately does not
 // model, so they stay version-memoized fallbacks.
 Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
@@ -320,10 +317,7 @@ Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
   }
   plan.supported = true;
   plan.engine = *std::move(engine);
-  if (plan.engine.source == TSensPlan::Source::kPath) {
-    plan.mode = RepairState::Mode::kPath;
-  } else if (plan.engine.source == TSensPlan::Source::kGyo &&
-             q.num_atoms() == 1) {
+  if (plan.engine.source == TSensPlan::Source::kGyo && q.num_atoms() == 1) {
     // A single-atom query's sensitivity is data-independent (inserting
     // one matching tuple always changes the count by exactly 1).
     plan.mode = RepairState::Mode::kConstant;
@@ -335,7 +329,6 @@ Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
 
 // Full recomputation of a tracker from its table (also the initial fill).
 void RescanTracker(Tracker& t, uint64_t* rows_touched) {
-  if (t.target == nullptr) return;
   const DynTable& table = t.target->table;
   t.max = Count::Zero();
   t.argmax.clear();
@@ -355,9 +348,9 @@ void RescanTracker(Tracker& t, uint64_t* rows_touched) {
 }
 
 // O(1) maintenance under one group change; marks dirty when only a rescan
-// can re-establish the engines' first-attaining-row tie-break.
+// can re-establish the engine's first-attaining-row tie-break.
 void UpdateTracker(Tracker& t, std::span<const Value> key, Count value) {
-  if (t.dirty || t.target == nullptr || !t.Passes(key)) return;
+  if (t.dirty || !t.Passes(key)) return;
   if (value > t.max) {
     t.max = value;
     t.argmax.assign(key.begin(), key.end());
@@ -608,8 +601,8 @@ bool ContainsAtom(const std::vector<int>& skip_atoms, int atom) {
 }
 
 // Entry-local handle on an acquired node: the index spaces mirror the old
-// per-entry layout (sources by atom/position, fold nodes by acquire
-// order). Exactly one of the two is set, or neither for the unit relation.
+// per-entry layout (sources by atom, fold nodes by acquire order). Exactly
+// one of the two is set.
 struct TableRef {
   int source = -1;
   int node = -1;
@@ -826,18 +819,13 @@ struct StateBuilder {
 
   Tracker MakeTracker(int atom_index, TableRef ref) {
     Tracker t;
-    if (ref.source >= 0 || ref.node >= 0) {
-      t.target = ptr_of(ref).get();
-      t.attrs = attrs_of(ref);
-      for (const Predicate& p : q.atom(atom_index).predicates) {
-        auto it = std::lower_bound(t.attrs.begin(), t.attrs.end(), p.var);
-        if (it != t.attrs.end() && *it == p.var) {
-          t.checks.emplace_back(static_cast<int>(it - t.attrs.begin()), p);
-        }
+    t.target = ptr_of(ref).get();
+    t.attrs = attrs_of(ref);
+    for (const Predicate& p : q.atom(atom_index).predicates) {
+      auto it = std::lower_bound(t.attrs.begin(), t.attrs.end(), p.var);
+      if (it != t.attrs.end() && *it == p.var) {
+        t.checks.emplace_back(static_cast<int>(it - t.attrs.begin()), p);
       }
-    } else {
-      t.max = Count::One();  // the unit relation: one empty row, count 1
-      t.dirty = false;
     }
     return t;
   }
@@ -856,295 +844,211 @@ std::unique_ptr<RepairState> BuildState(
 
   StateBuilder b{q, db, ns, stats, tick, *state, {}, {}, 0};
 
-  if (plan.mode == RepairState::Mode::kPath) {
-    const std::vector<int>& order = plan.engine.path_order;
-    const size_t m = order.size();
-    std::vector<AttrId> link(m - 1, kInvalidAttr);
-    for (size_t i = 0; i + 1 < m; ++i) {
-      AttributeSet common = Intersect(q.atom(order[i]).VarSet(),
-                                      q.atom(order[i + 1]).VarSet());
-      LSENS_CHECK(common.size() == 1);
-      link[i] = common[0];
-    }
-    LSENS_CHECK(capture.s_sig.size() == m);
-    std::vector<TableRef> sources(m);
-    for (size_t i = 0; i < m; ++i) {
-      AttributeSet keep;
-      if (i > 0) keep.push_back(link[i - 1]);
-      if (i + 1 < m) keep.push_back(link[i]);
-      keep = MakeAttributeSet(std::move(keep));
-      LSENS_CHECK(capture.s[i].attrs() == keep);
-      sources[i] = b.AcquireSource(order[i], std::move(keep), capture.s[i],
-                                   capture.s_sig[i]);
-    }
-    // Nodes: the two chains, each in its dependency order. topjoin[i] is
-    // driven by S_{i-1} (grouped on link[i-1]); botjoin[i] by S_i.
-    std::vector<TableRef> top_node(m);
-    std::vector<TableRef> bot_node(m);
-    for (size_t i = 1; i < m; ++i) {
-      std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-      if (i >= 2) {
-        inputs.emplace_back(
-            top_node[i - 1],
-            ColsOf(b.attrs_of(sources[i - 1]), {link[i - 2]}));
-      }
-      top_node[i] = b.AddGroupNode(sources[i - 1],
-                                   AttributeSet{link[i - 1]}, inputs,
-                                   *capture.top[i]);
-    }
-    for (size_t i = m - 1; i >= 1; --i) {
-      std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-      if (i + 1 < m) {
-        inputs.emplace_back(bot_node[i + 1],
-                            ColsOf(b.attrs_of(sources[i]), {link[i]}));
-      }
-      bot_node[i] = b.AddGroupNode(sources[i], AttributeSet{link[i - 1]},
-                                   inputs, *capture.bot[i]);
-    }
-    // Assembly: position i multiplies the filtered maxima of ⊤_i (topjoin
-    // at i; unit at the left end) and ⊥_{i+1} (botjoin; unit at the right).
-    state->assembly_atoms = order;
-    state->trackers.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      state->trackers[i].push_back(
-          b.MakeTracker(order[i], i == 0 ? TableRef{} : top_node[i]));
-      state->trackers[i].push_back(
-          b.MakeTracker(order[i], i + 1 == m ? TableRef{} : bot_node[i + 1]));
-    }
-  } else {
-    const Ghd& ghd = plan.engine.ghd;
-    const int num_atoms = q.num_atoms();
-    const size_t num_bags = ghd.bags.size();
-    const size_t num_trees = ghd.forest.trees.size();
+  const Ghd& ghd = plan.engine.ghd;
+  const int num_atoms = q.num_atoms();
+  const size_t num_bags = ghd.bags.size();
+  const size_t num_trees = ghd.forest.trees.size();
 
-    LSENS_CHECK(capture.s_sig.size() == static_cast<size_t>(num_atoms));
-    std::vector<TableRef> sources(static_cast<size_t>(num_atoms));
-    for (int a = 0; a < num_atoms; ++a) {
-      AttributeSet keep = q.SharedVarsOf(a);
-      LSENS_CHECK(capture.s[static_cast<size_t>(a)].attrs() == keep);
-      sources[static_cast<size_t>(a)] =
-          b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)],
-                          capture.s_sig[static_cast<size_t>(a)]);
-    }
+  LSENS_CHECK(capture.s_sig.size() == static_cast<size_t>(num_atoms));
+  std::vector<TableRef> sources(static_cast<size_t>(num_atoms));
+  for (int a = 0; a < num_atoms; ++a) {
+    AttributeSet keep = q.SharedVarsOf(a);
+    LSENS_CHECK(capture.s[static_cast<size_t>(a)].attrs() == keep);
+    sources[static_cast<size_t>(a)] =
+        b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)],
+                        capture.s_sig[static_cast<size_t>(a)]);
+  }
 
-    std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
-    for (size_t v = 0; v < num_bags; ++v) {
-      for (int a : ghd.bags[v].atom_indices) {
-        bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
-      }
+  std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
+  for (size_t v = 0; v < num_bags; ++v) {
+    for (int a : ghd.bags[v].atom_indices) {
+      bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
     }
+  }
 
-    std::vector<TableRef> bot_node(num_bags);
-    std::vector<TableRef> top_node(num_bags);
-    const bool track_totals = num_trees >= 2;
-    if (track_totals) {
-      LSENS_CHECK(capture.tree_total.size() == num_trees);
-      state->total_nodes.resize(num_trees);
-    }
+  std::vector<TableRef> bot_node(num_bags);
+  std::vector<TableRef> top_node(num_bags);
+  const bool track_totals = num_trees >= 2;
+  if (track_totals) {
+    LSENS_CHECK(capture.tree_total.size() == num_trees);
+    state->total_nodes.resize(num_trees);
+  }
 
-    for (size_t t = 0; t < num_trees; ++t) {
-      const JoinTree& tree = ghd.forest.trees[t];
-      // ⊥ in post-order: ⊥(v) = γ_link(v)(r⋈({S_a : a ∈ v}, {⊥(c)})).
-      // Single-atom bags keep the legacy driver form (S_v drives, children
-      // join in per key); multi-atom bags materialize the fold first.
-      for (int bag : tree.PostOrder()) {
-        const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-        const int parent = tree.Parent(bag);
-        std::vector<TableRef> piece_refs;
-        for (int a : spec.atom_indices) {
-          piece_refs.push_back(sources[static_cast<size_t>(a)]);
-        }
-        for (int c : tree.Children(bag)) {
-          piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
-        }
-        auto child_inputs = [&](const AttributeSet& driver_attrs) {
-          std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-          for (int c : tree.Children(bag)) {
-            const TableRef cn = bot_node[static_cast<size_t>(c)];
-            inputs.emplace_back(cn, ColsOf(driver_attrs, b.attrs_of(cn)));
-          }
-          return inputs;
-        };
-        if (parent == -1) {
-          // Root bag: the full fold is only materialized when the §5.4
-          // cross-tree scale factors need its running total.
-          if (!track_totals) continue;
-          LSENS_CHECK(capture.root_join[t].has_value());
-          TableRef root;
-          if (spec.atom_indices.size() == 1) {
-            const TableRef drv = sources[static_cast<size_t>(
-                spec.atom_indices[0])];
-            const AttributeSet keep = b.attrs_of(drv);
-            root = b.AddGroupNode(drv, keep, child_inputs(keep),
-                                  *capture.root_join[t]);
-          } else {
-            root = b.AddJoinNode(piece_refs, *capture.root_join[t]);
-          }
-          // The engine's total reflects exactly the rows just loaded (or
-          // verified current), so it is correct for every acquire outcome.
-          const std::shared_ptr<SharedNode>& root_node = b.ptr_of(root);
-          root_node->track_total = true;
-          root_node->total = capture.tree_total[t];
-          state->total_nodes[t] = root_node;
-          continue;
-        }
-        const AttributeSet link = Intersect(
-            spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        if (spec.atom_indices.size() == 1) {
-          const TableRef drv =
-              sources[static_cast<size_t>(spec.atom_indices[0])];
-          bot_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(drv, link, child_inputs(b.attrs_of(drv)),
-                             *capture.bot[static_cast<size_t>(bag)]);
-        } else {
-          LSENS_CHECK(capture.bot_join[static_cast<size_t>(bag)].has_value());
-          const TableRef j = b.AddJoinNode(
-              piece_refs, *capture.bot_join[static_cast<size_t>(bag)]);
-          bot_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(j, link, {},
-                             *capture.bot[static_cast<size_t>(bag)]);
-        }
+  for (size_t t = 0; t < num_trees; ++t) {
+    const JoinTree& tree = ghd.forest.trees[t];
+    // ⊥ in post-order: ⊥(v) = γ_link(v)(r⋈({S_a : a ∈ v}, {⊥(c)})).
+    // Single-atom bags keep the legacy driver form (S_v drives, children
+    // join in per key); multi-atom bags materialize the fold first.
+    for (int bag : tree.PostOrder()) {
+      const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
+      const int parent = tree.Parent(bag);
+      std::vector<TableRef> piece_refs;
+      for (int a : spec.atom_indices) {
+        piece_refs.push_back(sources[static_cast<size_t>(a)]);
       }
-      // ⊤ in pre-order: ⊤(v) = γ_link(v)(r⋈({S_a : a ∈ p}, ⊤(p)?,
-      // {⊥(sib)})), driven by the parent bag.
-      for (int bag : tree.PreOrder()) {
-        const int p = tree.Parent(bag);
-        if (p == -1) continue;
-        const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
-        const AttributeSet link = Intersect(
-            ghd.bags[static_cast<size_t>(bag)].vars, pspec.vars);
-        std::vector<TableRef> upper_refs;  // ⊤(p)? then sibling ⊥s
-        if (tree.Parent(p) != -1) {
-          upper_refs.push_back(top_node[static_cast<size_t>(p)]);
-        }
-        for (int sib : tree.Neighbors(bag)) {
-          upper_refs.push_back(bot_node[static_cast<size_t>(sib)]);
-        }
-        if (pspec.atom_indices.size() == 1) {
-          const TableRef drv =
-              sources[static_cast<size_t>(pspec.atom_indices[0])];
-          const AttributeSet& driver_attrs = b.attrs_of(drv);
-          std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-          for (TableRef ref : upper_refs) {
-            inputs.emplace_back(ref, ColsOf(driver_attrs, b.attrs_of(ref)));
-          }
-          top_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(drv, link, inputs,
-                             *capture.top[static_cast<size_t>(bag)]);
-        } else {
-          std::vector<TableRef> piece_refs;
-          for (int a : pspec.atom_indices) {
-            piece_refs.push_back(sources[static_cast<size_t>(a)]);
-          }
-          for (TableRef ref : upper_refs) piece_refs.push_back(ref);
-          LSENS_CHECK(capture.top_join[static_cast<size_t>(bag)].has_value());
-          const TableRef j = b.AddJoinNode(
-              piece_refs, *capture.top_join[static_cast<size_t>(bag)]);
-          top_node[static_cast<size_t>(bag)] =
-              b.AddGroupNode(j, link, {},
-                             *capture.top[static_cast<size_t>(bag)]);
-        }
-      }
-    }
-
-    // Per-atom multiplicity tables: T_a folds ⊤(bag), the children's ⊥ and
-    // the co-atoms' S tables per attribute-connectivity component. The
-    // component partition, order and per-component grouping replicate the
-    // engine's compute_atom exactly, so the capture's atom_components line
-    // up index for index.
-    state->assembly_atoms.resize(static_cast<size_t>(num_atoms));
-    state->trackers.resize(static_cast<size_t>(num_atoms));
-    if (track_totals) {
-      state->assembly_tree.assign(static_cast<size_t>(num_atoms), -1);
-    }
-    for (int a = 0; a < num_atoms; ++a) {
-      state->assembly_atoms[static_cast<size_t>(a)] = a;
-      const int v = bag_of[static_cast<size_t>(a)];
-      const int t = ghd.forest.TreeOf(v);
-      LSENS_CHECK(t >= 0);
-      if (track_totals) {
-        state->assembly_tree[static_cast<size_t>(a)] = t;
-      }
-      if (ContainsAtom(skip_atoms, a)) continue;  // engine skipped T_a
-      const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
-
-      std::vector<TableRef> piece_refs;  // engine piece order
-      if (tree.Parent(v) != -1) {
-        piece_refs.push_back(top_node[static_cast<size_t>(v)]);
-      }
-      for (int c : tree.Children(v)) {
+      for (int c : tree.Children(bag)) {
         piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
       }
-      for (int other : ghd.bags[static_cast<size_t>(v)].atom_indices) {
-        if (other != a) {
-          piece_refs.push_back(sources[static_cast<size_t>(other)]);
+      auto child_inputs = [&](const AttributeSet& driver_attrs) {
+        std::vector<std::pair<TableRef, std::vector<int>>> inputs;
+        for (int c : tree.Children(bag)) {
+          const TableRef cn = bot_node[static_cast<size_t>(c)];
+          inputs.emplace_back(cn, ColsOf(driver_attrs, b.attrs_of(cn)));
         }
-      }
-
-      // Attribute-connectivity components, replicating the engine's
-      // union-find (component order = first-piece order).
-      const size_t n = piece_refs.size();
-      std::vector<size_t> uf(n);
-      for (size_t i = 0; i < n; ++i) uf[i] = i;
-      auto find = [&](size_t x) {
-        while (uf[x] != x) x = uf[x] = uf[uf[x]];
-        return x;
+        return inputs;
       };
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          if (Intersects(b.attrs_of(piece_refs[i]),
-                         b.attrs_of(piece_refs[j]))) {
-            uf[find(i)] = find(j);
-          }
-        }
-      }
-      std::vector<std::vector<size_t>> components;
-      std::vector<int> comp_of(n, -1);
-      for (size_t i = 0; i < n; ++i) {
-        const size_t root = find(i);
-        if (comp_of[root] == -1) {
-          comp_of[root] = static_cast<int>(components.size());
-          components.emplace_back();
-        }
-        components[static_cast<size_t>(comp_of[root])].push_back(i);
-      }
-
-      const AttributeSet table_attrs = q.SharedVarsOf(a);
-      const auto& caps = capture.atom_components[static_cast<size_t>(a)];
-      LSENS_CHECK(caps.size() == components.size());
-      for (size_t ci = 0; ci < components.size(); ++ci) {
-        const std::vector<size_t>& comp = components[ci];
-        AttributeSet comp_attrs;
-        for (size_t idx : comp) {
-          comp_attrs = Union(comp_attrs, b.attrs_of(piece_refs[idx]));
-        }
-        const AttributeSet group = Intersect(table_attrs, comp_attrs);
-        const bool group_is_full = group == comp_attrs;
-        TableRef target;
-        if (comp.size() == 1 && group_is_full) {
-          // The piece itself is the component table: track it directly
-          // (zero extra state — the common acyclic shape stays as cheap
-          // as before).
-          target = piece_refs[comp[0]];
-        } else if (comp.size() == 1) {
-          LSENS_CHECK(caps[ci].table.has_value());
-          target = b.AddGroupNode(piece_refs[comp[0]], group, {},
-                                  *caps[ci].table);
+      if (parent == -1) {
+        // Root bag: the full fold is only materialized when the §5.4
+        // cross-tree scale factors need its running total.
+        if (!track_totals) continue;
+        LSENS_CHECK(capture.root_join[t].has_value());
+        TableRef root;
+        if (spec.atom_indices.size() == 1) {
+          const TableRef drv = sources[static_cast<size_t>(
+              spec.atom_indices[0])];
+          const AttributeSet keep = b.attrs_of(drv);
+          root = b.AddGroupNode(drv, keep, child_inputs(keep),
+                                *capture.root_join[t]);
         } else {
-          LSENS_CHECK(caps[ci].join.has_value());
-          std::vector<TableRef> comp_refs;
-          for (size_t idx : comp) comp_refs.push_back(piece_refs[idx]);
-          const TableRef j = b.AddJoinNode(comp_refs, *caps[ci].join);
-          if (group_is_full) {
-            target = j;
-          } else {
-            LSENS_CHECK(caps[ci].table.has_value());
-            target = b.AddGroupNode(j, group, {}, *caps[ci].table);
-          }
+          root = b.AddJoinNode(piece_refs, *capture.root_join[t]);
         }
-        state->trackers[static_cast<size_t>(a)].push_back(
-            b.MakeTracker(a, target));
+        // The engine's total reflects exactly the rows just loaded (or
+        // verified current), so it is correct for every acquire outcome.
+        const std::shared_ptr<SharedNode>& root_node = b.ptr_of(root);
+        root_node->track_total = true;
+        root_node->total = capture.tree_total[t];
+        state->total_nodes[t] = root_node;
+        continue;
       }
+      const AttributeSet link = Intersect(
+          spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
+      if (spec.atom_indices.size() == 1) {
+        const TableRef drv = sources[static_cast<size_t>(spec.atom_indices[0])];
+        bot_node[static_cast<size_t>(bag)] =
+            b.AddGroupNode(drv, link, child_inputs(b.attrs_of(drv)),
+                           *capture.bot[static_cast<size_t>(bag)]);
+      } else {
+        LSENS_CHECK(capture.bot_join[static_cast<size_t>(bag)].has_value());
+        const TableRef j = b.AddJoinNode(
+            piece_refs, *capture.bot_join[static_cast<size_t>(bag)]);
+        bot_node[static_cast<size_t>(bag)] =
+            b.AddGroupNode(j, link, {}, *capture.bot[static_cast<size_t>(bag)]);
+      }
+    }
+    // ⊤ in pre-order: ⊤(v) = γ_link(v)(r⋈({S_a : a ∈ p}, ⊤(p)?,
+    // {⊥(sib)})), driven by the parent bag.
+    for (int bag : tree.PreOrder()) {
+      const int p = tree.Parent(bag);
+      if (p == -1) continue;
+      const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
+      const AttributeSet link = Intersect(
+          ghd.bags[static_cast<size_t>(bag)].vars, pspec.vars);
+      std::vector<TableRef> upper_refs;  // ⊤(p)? then sibling ⊥s
+      if (tree.Parent(p) != -1) {
+        upper_refs.push_back(top_node[static_cast<size_t>(p)]);
+      }
+      for (int sib : tree.Neighbors(bag)) {
+        upper_refs.push_back(bot_node[static_cast<size_t>(sib)]);
+      }
+      if (pspec.atom_indices.size() == 1) {
+        const TableRef drv =
+            sources[static_cast<size_t>(pspec.atom_indices[0])];
+        const AttributeSet& driver_attrs = b.attrs_of(drv);
+        std::vector<std::pair<TableRef, std::vector<int>>> inputs;
+        for (TableRef ref : upper_refs) {
+          inputs.emplace_back(ref, ColsOf(driver_attrs, b.attrs_of(ref)));
+        }
+        top_node[static_cast<size_t>(bag)] =
+            b.AddGroupNode(drv, link, inputs,
+                           *capture.top[static_cast<size_t>(bag)]);
+      } else {
+        std::vector<TableRef> piece_refs;
+        for (int a : pspec.atom_indices) {
+          piece_refs.push_back(sources[static_cast<size_t>(a)]);
+        }
+        for (TableRef ref : upper_refs) piece_refs.push_back(ref);
+        LSENS_CHECK(capture.top_join[static_cast<size_t>(bag)].has_value());
+        const TableRef j = b.AddJoinNode(
+            piece_refs, *capture.top_join[static_cast<size_t>(bag)]);
+        top_node[static_cast<size_t>(bag)] =
+            b.AddGroupNode(j, link, {}, *capture.top[static_cast<size_t>(bag)]);
+      }
+    }
+  }
+
+  // Per-atom multiplicity tables: T_a folds ⊤(bag), the children's ⊥ and
+  // the co-atoms' S tables per attribute-connectivity component. The
+  // component partition, order and per-component grouping replicate the
+  // engine's compute_atom exactly, so the capture's atom_components line
+  // up index for index.
+  state->trackers.resize(static_cast<size_t>(num_atoms));
+  if (track_totals) {
+    state->atom_tree.assign(static_cast<size_t>(num_atoms), -1);
+  }
+  for (int a = 0; a < num_atoms; ++a) {
+    const int v = bag_of[static_cast<size_t>(a)];
+    const int t = ghd.forest.TreeOf(v);
+    LSENS_CHECK(t >= 0);
+    if (track_totals) {
+      state->atom_tree[static_cast<size_t>(a)] = t;
+    }
+    if (ContainsAtom(skip_atoms, a)) continue;  // engine skipped T_a
+    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
+
+    std::vector<TableRef> piece_refs;  // engine piece order
+    if (tree.Parent(v) != -1) {
+      piece_refs.push_back(top_node[static_cast<size_t>(v)]);
+    }
+    for (int c : tree.Children(v)) {
+      piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
+    }
+    for (int other : ghd.bags[static_cast<size_t>(v)].atom_indices) {
+      if (other != a) {
+        piece_refs.push_back(sources[static_cast<size_t>(other)]);
+      }
+    }
+
+    std::vector<AttributeSet> piece_attrs;
+    piece_attrs.reserve(piece_refs.size());
+    for (TableRef ref : piece_refs) piece_attrs.push_back(b.attrs_of(ref));
+    const std::vector<std::vector<size_t>> components =
+        ConnectivityComponents(piece_attrs);
+
+    const AttributeSet table_attrs = q.SharedVarsOf(a);
+    const auto& caps = capture.atom_components[static_cast<size_t>(a)];
+    LSENS_CHECK(caps.size() == components.size());
+    for (size_t ci = 0; ci < components.size(); ++ci) {
+      const std::vector<size_t>& comp = components[ci];
+      AttributeSet comp_attrs;
+      for (size_t idx : comp) {
+        comp_attrs = Union(comp_attrs, b.attrs_of(piece_refs[idx]));
+      }
+      const AttributeSet group = Intersect(table_attrs, comp_attrs);
+      const bool group_is_full = group == comp_attrs;
+      TableRef target;
+      if (comp.size() == 1 && group_is_full) {
+        // The piece itself is the component table: track it directly
+        // (zero extra state — the common acyclic shape stays as cheap
+        // as before).
+        target = piece_refs[comp[0]];
+      } else if (comp.size() == 1) {
+        LSENS_CHECK(caps[ci].table.has_value());
+        target = b.AddGroupNode(piece_refs[comp[0]], group, {},
+                                *caps[ci].table);
+      } else {
+        LSENS_CHECK(caps[ci].join.has_value());
+        std::vector<TableRef> comp_refs;
+        for (size_t idx : comp) comp_refs.push_back(piece_refs[idx]);
+        const TableRef j = b.AddJoinNode(comp_refs, *caps[ci].join);
+        if (group_is_full) {
+          target = j;
+        } else {
+          LSENS_CHECK(caps[ci].table.has_value());
+          target = b.AddGroupNode(j, group, {}, *caps[ci].table);
+        }
+      }
+      state->trackers[static_cast<size_t>(a)].push_back(
+          b.MakeTracker(a, target));
     }
   }
 
@@ -1153,7 +1057,6 @@ std::unique_ptr<RepairState> BuildState(
   // RepairState destructor detaches them.
   for (auto& unit : state->trackers) {
     for (Tracker& t : unit) {
-      if (t.target == nullptr) continue;
       t.target->trackers.push_back(&t);
       RescanTracker(t, &b.scan_rows);
     }
@@ -1163,15 +1066,14 @@ std::unique_ptr<RepairState> BuildState(
 }
 
 // Rebuilds the SensitivityResult from the maintained trackers, replicating
-// each engine's assembly and winner tie-breaking exactly.
+// the engine's assembly and winner tie-breaking exactly.
 SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
                            const TSensComputeOptions& options,
                            uint64_t* rows_touched) {
   SensitivityResult result;
   result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(q.num_atoms()));
-  for (size_t u = 0; u < state.assembly_atoms.size(); ++u) {
-    const int a = state.assembly_atoms[u];
+  for (int a = 0; a < q.num_atoms(); ++a) {
     AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
     out.atom_index = a;
     out.relation = q.atom(a).relation;
@@ -1186,22 +1088,21 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
     // result of the other decomposition trees.
     Count product = Count::One();
     if (!state.total_nodes.empty()) {
-      const int tree = state.assembly_tree[u];
+      const int tree = state.atom_tree[static_cast<size_t>(a)];
       for (size_t t2 = 0; t2 < state.total_nodes.size(); ++t2) {
         if (t2 != static_cast<size_t>(tree)) {
           product *= state.total_nodes[t2]->total;
         }
       }
     }
-    for (Tracker& t : state.trackers[u]) {
+    for (Tracker& t : state.trackers[static_cast<size_t>(a)]) {
       if (t.dirty) RescanTracker(t, rows_touched);
       product *= t.max;
     }
     out.max_sensitivity = product;
     if (!product.IsZero()) {
       std::vector<Value> argmax(out.table_attrs.size(), 0);
-      for (const Tracker& t : state.trackers[u]) {
-        if (t.target == nullptr) continue;  // unit piece, no values
+      for (const Tracker& t : state.trackers[static_cast<size_t>(a)]) {
         LSENS_CHECK(t.argmax.size() == t.attrs.size());
         for (size_t j = 0; j < t.attrs.size(); ++j) {
           auto it = std::lower_bound(out.table_attrs.begin(),
@@ -1214,27 +1115,14 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
       out.argmax = std::move(argmax);
     }
   }
-  // Winner reduction. The path engine walks chain positions and skips
-  // skipped atoms explicitly; the GHD engine walks atoms and relies on
-  // their zero maxima. Both are replicated verbatim.
-  if (state.mode == RepairState::Mode::kPath) {
-    for (int a : state.assembly_atoms) {
-      const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-      if (out.skipped) continue;
-      if (out.max_sensitivity > result.local_sensitivity ||
-          (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-        result.local_sensitivity = out.max_sensitivity;
-        result.argmax_atom = a;
-      }
-    }
-  } else {
-    for (int a = 0; a < q.num_atoms(); ++a) {
-      const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-      if (out.max_sensitivity > result.local_sensitivity ||
-          (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-        result.local_sensitivity = out.max_sensitivity;
-        result.argmax_atom = a;
-      }
+  // Winner reduction in atom order, as the engine does (skipped atoms lose
+  // by their zero maxima).
+  for (int a = 0; a < q.num_atoms(); ++a) {
+    const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
+    if (out.max_sensitivity > result.local_sensitivity ||
+        (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
+      result.local_sensitivity = out.max_sensitivity;
+      result.argmax_atom = a;
     }
   }
   return result;
@@ -1806,10 +1694,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     TSensCapture capture;
     TSensComputeOptions run = options;
     run.capture = &capture;
-    StatusOr<SensitivityResult> r =
-        plan.mode == RepairState::Mode::kPath
-            ? TSensPath(q, plan.engine.path_order, db, run)
-            : TSensOverGhd(q, plan.engine.ghd, db, run);
+    StatusOr<SensitivityResult> r = TSensOverGhd(q, plan.engine.ghd, db, run);
     if (r.ok()) {
       // Install change logs first so the acquired sources start from a
       // loggable version.

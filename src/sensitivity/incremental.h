@@ -79,7 +79,7 @@ struct SensitivityCacheStats {
 // per-relation versions) and keeps the engine's internal tables (per-atom
 // projections S_a, the ⊥/⊤ fold tables per GHD bag, materialized bag and
 // multiplicity-component joins, per-tree join totals) in incrementally
-// repairable form. Every query shape the engines evaluate is repairable —
+// repairable form. Every query shape the engine evaluates is repairable —
 // acyclic trees and paths, attribute-sharing multiplicity components,
 // disconnected forests (cross-tree scale factors re-multiplied from
 // maintained per-tree totals), and cyclic queries via searched or
@@ -90,7 +90,7 @@ struct SensitivityCacheStats {
 // when the delta is large, the log window was exceeded, or the options ask
 // for what repair deliberately does not model: top-k approximation and
 // keep_tables stay version-memoized fallbacks. Results are bit-identical
-// to the from-scratch engines in every case.
+// to the from-scratch engine in every case.
 //
 // Cross-query plan sharing: maintained tables are not owned per entry but
 // by a store keyed by canonical subtree signature — an order-normalized,

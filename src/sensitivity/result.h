@@ -31,9 +31,9 @@ struct AtomSensitivity {
   // Values for table_attrs attaining max_sensitivity; empty when
   // max_sensitivity is zero or attained only by a top-k default bound.
   // Ties are broken deterministically: among the table rows attaining the
-  // max, the lexicographically smallest in table_attrs order wins. Every
-  // engine (TSensPath, TSensOverGhd under any GHD, with or without
-  // keep_tables) reports that same row.
+  // max, the lexicographically smallest in table_attrs order wins.
+  // TSensOverGhd reports that same row under any decomposition, with or
+  // without keep_tables.
   std::vector<Value> argmax;
 
   // True if the caller excluded this atom (TSensOptions::skip_atoms).

@@ -22,12 +22,8 @@ StatusOr<SensitivityResult> ComputeLocalSensitivity(
   OpTimer op(ResolveExecContext(options.join.ctx), "tsens.compute",
              db.TotalRows());
 
-  auto plan = ChooseTSensPlan(
-      q, options.ghd, options.prefer_path_algorithm && !options.keep_tables);
+  auto plan = ChooseTSensPlan(q, options.ghd, options.prefer_path_algorithm);
   if (!plan.ok()) return plan.status();
-  if (plan->source == TSensPlan::Source::kPath) {
-    return TSensPath(q, plan->path_order, db, options);
-  }
   return TSensOverGhd(q, plan->ghd, db, options);
 }
 
@@ -40,7 +36,6 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
   }
   TSensComputeOptions engine_options = options;
   engine_options.keep_tables = true;
-  engine_options.prefer_path_algorithm = false;
   auto full = ComputeLocalSensitivity(q, db, engine_options);
   if (!full.ok()) return full.status();
 

@@ -8,30 +8,31 @@
 #include "query/ghd.h"
 #include "sensitivity/result.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "storage/database.h"
 
 namespace lsens {
 
 // Facade options for ComputeLocalSensitivity.
 struct TSensComputeOptions : TSensOptions {
-  // Use Algorithm 1 when the query is a single-attribute-link path query
-  // (ignored when keep_tables is set — Algorithm 1 does not build tables).
+  // Run a single-attribute-link path query over its chain join tree
+  // (Algorithm 1's ⊤/⊥ folds) rather than its GYO join forest. Both trees
+  // give identical results; the choice only changes the work done.
   bool prefer_path_algorithm = true;
 
   // Decomposition to run TSensOverGhd over. When set it is used for every
   // query, acyclic ones included (no path or GYO choice is made). When
-  // null, acyclic queries use Algorithm 1 or their GYO join forest, and
-  // cyclic ones a minimum-width atom-partition GHD from SearchGhd() (small
-  // queries only). ChooseTSensPlan (query/ghd.h) is the dispatch.
+  // null, acyclic queries use their chain join tree or GYO join forest,
+  // and cyclic ones a minimum-width atom-partition GHD from SearchGhd()
+  // (small queries only). ChooseTSensPlan (query/ghd.h) is the dispatch.
   const Ghd* ghd = nullptr;
 };
 
 // Entry point for the local sensitivity problem (Definition 2.3): computes
-// LS(Q, D) and a most sensitive tuple. Dispatches through ChooseTSensPlan
-// between Algorithm 1 (path queries), Algorithm 2 (acyclic queries via GYO
-// join trees), and the §5.4 GHD extension (cyclic queries, or any query
-// with options.ghd set).
+// LS(Q, D) and a most sensitive tuple by running TSensOverGhd over the
+// decomposition ChooseTSensPlan picks: Algorithm 1 is Algorithm 2 over a
+// path query's chain tree, Algorithm 2 runs acyclic queries over their GYO
+// join trees, and the §5.4 GHD extension covers cyclic queries (or any
+// query with options.ghd set).
 StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options = {});

@@ -35,37 +35,6 @@ void ApplyPredicates(const Atom& atom, CountedRelation* rel) {
   });
 }
 
-// Partitions pieces into connectivity components over `link` (pieces whose
-// link attributes intersect transitively end up together; pieces with no
-// link attributes are singleton components — scalars, when linking by the
-// pieces' own attributes).
-std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<AttributeSet>& link) {
-  const size_t n = link.size();
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
-    }
-  }
-  std::vector<std::vector<size_t>> components;
-  std::vector<int> comp_of(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    size_t root = find(i);
-    if (comp_of[root] == -1) {
-      comp_of[root] = static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[static_cast<size_t>(comp_of[root])].push_back(i);
-  }
-  return components;
-}
-
 // True when `group` functionally determines the `dropped` attributes of the
 // join of `pieces`, so γ_group sees exactly one join row per group. Starting
 // from K = group, a piece whose rows are unique on its attributes in K
@@ -220,6 +189,33 @@ bool FactorizedMax(const std::vector<const CountedRelation*>& pieces,
 
 }  // namespace
 
+std::vector<std::vector<size_t>> ConnectivityComponents(
+    const std::vector<AttributeSet>& link) {
+  const size_t n = link.size();
+  std::vector<size_t> parent(n);
+  for (size_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
+    }
+  }
+  std::vector<std::vector<size_t>> components;
+  std::vector<int> comp_of(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    size_t root = find(i);
+    if (comp_of[root] == -1) {
+      comp_of[root] = static_cast<int>(components.size());
+      components.emplace_back();
+    }
+    components[static_cast<size_t>(comp_of[root])].push_back(i);
+  }
+  return components;
+}
+
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options) {
@@ -282,13 +278,15 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                             {});
   }
   std::vector<Count> tree_total(num_trees, Count::Zero());
-  // ⊥ and ⊤ per bag; *_use are the (possibly top-k truncated) versions
-  // consumed by the recursions, *_full the untruncated ones consumed by the
-  // multiplicity-table step.
+  // ⊥ and ⊤ per bag: *_full are the exact tables the multiplicity-table
+  // step consumes, *_use point at the versions the recursions consume —
+  // the exact table itself, or its top-k truncation held in *_trunc.
   std::vector<std::optional<CountedRelation>> bot_full(num_bags);
-  std::vector<std::optional<CountedRelation>> bot_use(num_bags);
   std::vector<std::optional<CountedRelation>> top_full(num_bags);
-  std::vector<std::optional<CountedRelation>> top_use(num_bags);
+  std::vector<std::optional<CountedRelation>> bot_trunc(num_bags);
+  std::vector<std::optional<CountedRelation>> top_trunc(num_bags);
+  std::vector<const CountedRelation*> bot_use(num_bags, nullptr);
+  std::vector<const CountedRelation*> top_use(num_bags, nullptr);
   // Per-tree so concurrent trees never share a flag; OR-reduced below.
   std::vector<uint8_t> tree_truncated(num_trees, 0);
 
@@ -299,13 +297,14 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   // whenever this pass runs on the main thread.
   auto run_tree = [&](size_t t, ExecContext& tctx, const JoinOptions& jopts) {
     const JoinTree& tree = ghd.forest.trees[t];
-    auto maybe_truncate = [&](const CountedRelation& full) {
-      CountedRelation trunc = full;
-      if (options.top_k > 0 && trunc.NumRows() > options.top_k) {
-        trunc.TruncateTopK(options.top_k, &tctx);
-        tree_truncated[t] = 1;
-      }
-      return trunc;
+    auto maybe_truncate = [&](const CountedRelation& full,
+                              std::optional<CountedRelation>* trunc)
+        -> const CountedRelation* {
+      if (options.top_k == 0 || full.NumRows() <= options.top_k) return &full;
+      *trunc = full;
+      (*trunc)->TruncateTopK(options.top_k, &tctx);
+      tree_truncated[t] = 1;
+      return &**trunc;
     };
     // Botjoins, leaves to root (Eq. 7 generalized to bags).
     for (int bag : tree.PostOrder()) {
@@ -315,7 +314,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
         pieces.push_back(&s[static_cast<size_t>(a)]);
       }
       for (int c : tree.Children(bag)) {
-        pieces.push_back(&*bot_use[static_cast<size_t>(c)]);
+        pieces.push_back(bot_use[static_cast<size_t>(c)]);
       }
       CountedRelation folded = FoldJoin(std::move(pieces), jopts);
       int parent = tree.Parent(bag);
@@ -330,7 +329,8 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
             spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
         bot_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
         bot_use[static_cast<size_t>(bag)] =
-            maybe_truncate(*bot_full[static_cast<size_t>(bag)]);
+            maybe_truncate(*bot_full[static_cast<size_t>(bag)],
+                           &bot_trunc[static_cast<size_t>(bag)]);
         if (options.capture != nullptr && spec.atom_indices.size() >= 2) {
           folded.Normalize(&tctx);
           options.capture->bot_join[static_cast<size_t>(bag)] =
@@ -349,16 +349,17 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
         pieces.push_back(&s[static_cast<size_t>(a)]);
       }
       if (tree.Parent(p) != -1) {
-        pieces.push_back(&*top_use[static_cast<size_t>(p)]);
+        pieces.push_back(top_use[static_cast<size_t>(p)]);
       }
       for (int sibling : tree.Neighbors(bag)) {
-        pieces.push_back(&*bot_use[static_cast<size_t>(sibling)]);
+        pieces.push_back(bot_use[static_cast<size_t>(sibling)]);
       }
       CountedRelation folded = FoldJoin(std::move(pieces), jopts);
       AttributeSet link = Intersect(spec.vars, pspec.vars);
       top_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
       top_use[static_cast<size_t>(bag)] =
-          maybe_truncate(*top_full[static_cast<size_t>(bag)]);
+          maybe_truncate(*top_full[static_cast<size_t>(bag)],
+                         &top_trunc[static_cast<size_t>(bag)]);
       if (options.capture != nullptr && pspec.atom_indices.size() >= 2) {
         folded.Normalize(&tctx);
         options.capture->top_join[static_cast<size_t>(bag)] =

@@ -16,25 +16,22 @@ namespace lsens {
 // (sensitivity/incremental.h) when TSensOptions::capture is set: the
 // per-atom projections and the untruncated fold tables the result was
 // derived from, so a cache can repair them under updates instead of
-// rebuilding. Indexing follows the producing engine: TSensOverGhd fills
-// `s` per atom and `bot`/`top` per bag; TSensPath fills all three per
-// chain position (bot[i] = botjoin[i], top[i] = topjoin[i], positions
-// 1..m-1; index 0 stays disengaged).
+// rebuilding. `s` is indexed by atom, `bot`/`top` by bag (disengaged at
+// roots).
 //
-// TSensOverGhd additionally exports the intermediate fold tables the
-// grouped results were derived from, exactly where a repairing cache needs
-// to materialize them as its own maintained state: per-bag pre-group-by
-// joins (multi-atom bags have no single relation covering the fold, so the
-// join itself must be kept to route deltas through), per-tree root folds
-// and totals (§5.4 disconnected scale factors), and per-atom
-// multiplicity-table components. TSensPath leaves these empty. Every
-// captured table is sorted().
+// The capture also holds the intermediate fold tables the grouped results
+// were derived from, exactly where a repairing cache needs to materialize
+// them as its own maintained state: per-bag pre-group-by joins (multi-atom
+// bags have no single relation covering the fold, so the join itself must
+// be kept to route deltas through), per-tree root folds and totals (§5.4
+// disconnected scale factors), and per-atom multiplicity-table
+// components. Every captured table is sorted().
 struct TSensCapture {
   std::vector<CountedRelation> s;
 
   // Canonical subtree tag per s[i] (query/conjunctive_query.h:
   // CanonicalSourceSignature over the producing atom and its keep set),
-  // filled by both engines alongside `s`. The cross-query plan cache keys
+  // filled alongside `s`. The cross-query plan cache keys
   // shared S_a tables by these; BuildState cross-checks them against its
   // own derivation so engine and cache can never disagree silently about
   // what a captured table is.
@@ -74,7 +71,7 @@ struct TSensCapture {
 struct TSensOptions {
   // Join kernel selection, stats context, and parallelism: join.threads > 1
   // lets the engine fan its independent subproblems (per-atom multiplicity
-  // tables, the path algorithm's two fold chains, per-tuple lookups) and
+  // tables, the trees of a disconnected forest, per-tuple lookups) and
   // large hash-join probes out over the process-wide thread pool. Results
   // are bit-identical to serial at any thread count.
   JoinOptions join;
@@ -105,6 +102,8 @@ struct TSensOptions {
 
 // TSens over a generalized hypertree decomposition (Algorithm 2 and its
 // §5.4 GHD extension; acyclic queries use the trivial width-1 GHD).
+// Algorithm 1 is this engine over a path query's chain join tree, whose
+// ⊤/⊥ are the prefix and suffix folds along the chain.
 //
 // Per tree of the decomposition forest:
 //   ⊥(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ v}, {⊥(c) : c child} )
@@ -126,6 +125,16 @@ struct TSensOptions {
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});
+
+// Partitions pieces into connectivity components over `link`: pieces whose
+// link attributes intersect transitively end up together, and pieces with
+// no link attributes are singleton components (scalars, when linking by
+// the pieces' own attributes). Components are ordered by their first
+// piece, pieces within one in input order. The engine factors T_a along
+// these; SensitivityCache's state builder reuses it so the two partitions
+// line up index for index.
+std::vector<std::vector<size_t>> ConnectivityComponents(
+    const std::vector<AttributeSet>& link);
 
 // δ(t) for every row of the relation bound by `atom_index`, in row order.
 // Requires `result` computed with keep_tables = true over the same query

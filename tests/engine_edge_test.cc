@@ -11,7 +11,6 @@
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "test_util.h"
 #include "workload/queries.h"
 #include "workload/tpch.h"
@@ -191,17 +190,6 @@ TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
   }
 }
 
-TEST(EngineEdgeTest, PathAlgorithmRejectsBadInputs) {
-  auto ex = MakeFigure3Example();
-  std::vector<int> order = PathOrder(ex.query);
-  TSensOptions keep;
-  keep.keep_tables = true;
-  EXPECT_EQ(TSensPath(ex.query, order, ex.db, keep).status().code(),
-            Status::Code::kUnsupported);
-  EXPECT_FALSE(TSensPath(ex.query, {0, 1}, ex.db).ok());       // short order
-  EXPECT_FALSE(TSensPath(ex.query, {0, 2, 1, 3}, ex.db).ok()); // not a chain
-}
-
 TEST(EngineEdgeTest, GhdOfAnotherQueryIsRejected) {
   // q3's decomposition names atoms 5..7, which q1 (5 atoms) lacks.
   TpchOptions topts;
@@ -236,8 +224,8 @@ TEST(EngineEdgeTest, GhdBagAtomIndicesAreValidated) {
 }
 
 TEST(EngineEdgeTest, OutOfRangeSkipAtomsAreRejected) {
-  // Figure 3 is a path query: the default facade dispatch runs TSensPath,
-  // prefer_path_algorithm = false the GHD engine. Both must refuse.
+  // Figure 3 is a path query: the default facade dispatch runs its chain
+  // tree, prefer_path_algorithm = false its GYO tree. Both must refuse.
   auto ex = MakeFigure3Example();
   for (bool prefer_path : {true, false}) {
     for (int skip : {-1, 4, 99}) {
@@ -267,9 +255,7 @@ TEST(EngineEdgeTest, SearchGhdRefusesHugeQueries) {
 
 TEST(EngineEdgeTest, TupleSensitivitiesValidatesInputs) {
   auto ex = MakeFigure3Example();
-  TSensComputeOptions no_tables;
-  no_tables.prefer_path_algorithm = false;
-  auto result = ComputeLocalSensitivity(ex.query, ex.db, no_tables);
+  auto result = ComputeLocalSensitivity(ex.query, ex.db);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 0).ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, -1).ok());

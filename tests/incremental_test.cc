@@ -904,8 +904,8 @@ TEST_P(IncrementalStreamTest, RandomAcyclicPrefixesMatchScratchAndNaive) {
 }
 
 TEST_P(IncrementalStreamTest, TreeEngineEntriesMatchScratch) {
-  // prefer_path_algorithm = false forces the tree engine onto path-shaped
-  // queries too, covering the ⊥/⊤-per-bag repair on multi-level trees.
+  // prefer_path_algorithm = false runs path-shaped queries over their GYO
+  // tree, covering the ⊥/⊤-per-bag repair under a second tree shape.
   const auto [seed, threads] = GetParam();
   Rng rng(seed * 151 + 29);
   TSensComputeOptions options = ThreadedOptions(threads);
@@ -1198,8 +1198,8 @@ TEST(ShardedRepairTest, MatchesSerialRepairIncludingCounters) {
 
 // --- asymptotic work bound ----------------------------------------------
 
-// The repairable shapes the work bound covers: Algorithm 1 paths, a
-// caterpillar join tree (the TSensOverGhd tables, not the path chains),
+// The repairable shapes the work bound covers: a path over its chain tree,
+// a caterpillar join tree (its GYO tree, not a chain),
 // TPC-H q1 with its superkey skips, the triangle through its searched GHD,
 // and a two-tree forest whose repairs re-multiply the other tree's total.
 enum class WorkShape { kPath4, kCaterpillar, kTpchQ1, kTriangle, kForest };

@@ -340,8 +340,10 @@ void ExpectSameStats(const ExecContext& expected, const ExecContext& actual,
 // Runs ComputeLocalSensitivity at every thread setting and pins results,
 // per-tuple sensitivities (when tables are kept), and merged stat counters
 // to the threads = 0 oracle.
-void RunSensitivityDifferential(const PaperExample& ex, bool keep_tables,
-                                size_t top_k, const std::string& what) {
+void RunSensitivityDifferential(
+    const PaperExample& ex, bool keep_tables, size_t top_k,
+    const std::string& what,
+    std::span<const int> thread_settings = kThreadSettings) {
   ExecContext serial_ctx;
   TSensComputeOptions serial_opts;
   serial_opts.join.ctx = &serial_ctx;
@@ -350,7 +352,7 @@ void RunSensitivityDifferential(const PaperExample& ex, bool keep_tables,
   auto oracle = ComputeLocalSensitivity(ex.query, ex.db, serial_opts);
   ASSERT_TRUE(oracle.ok()) << what << ": " << oracle.status().ToString();
 
-  for (int threads : kThreadSettings) {
+  for (int threads : thread_settings) {
     const std::string run = what + " threads=" + std::to_string(threads);
     ExecContext ctx;
     TSensComputeOptions opts = serial_opts;
@@ -383,6 +385,28 @@ TEST(ParallelDifferentialTest, RandomAcyclicSensitivities) {
     RunSensitivityDifferential(ex, /*keep_tables=*/false, /*top_k=*/0, what);
     RunSensitivityDifferential(ex, /*keep_tables=*/true, /*top_k=*/0,
                                what + " tables");
+  }
+}
+
+TEST(ParallelDifferentialTest, RandomPathSensitivities) {
+  // Path queries run over their chain tree, whose ⊤/⊥ folds are sequential
+  // chains: only the per-atom tables, large probes and per-tuple lookups
+  // fan out. Threads {2, 4, 8} against the serial run.
+  constexpr int kPathThreads[] = {2, 4, 8};
+  std::vector<PaperExample> instances;
+  instances.push_back(testing::MakeFigure3Example());
+  Rng rng(4242);
+  for (int seed = 0; seed < 3; ++seed) {
+    const int m = static_cast<int>(rng.NextInRange(3, 6));
+    instances.push_back(testing::MakeRandomPathInstance(
+        rng, m, /*max_rows=*/5000, /*domain_size=*/60));
+  }
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const std::string what = "path " + std::to_string(i);
+    RunSensitivityDifferential(instances[i], /*keep_tables=*/false,
+                               /*top_k=*/0, what, kPathThreads);
+    RunSensitivityDifferential(instances[i], /*keep_tables=*/true,
+                               /*top_k=*/0, what + " tables", kPathThreads);
   }
 }
 

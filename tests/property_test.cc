@@ -10,7 +10,6 @@
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "test_util.h"
 
 namespace lsens {
@@ -119,44 +118,30 @@ class PathPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(PathPropertyTest, PathAlgorithmMatchesEngineAndOracle) {
   Rng rng(GetParam() * 7919);
   for (int trial = 0; trial < 12; ++trial) {
-    // Random path query R0(x0,x1), R1(x1,x2), ..., with random data.
-    int m = static_cast<int>(rng.NextInRange(2, 7));
-    testing::PaperExample ex;
-    for (int i = 0; i < m; ++i) {
-      std::vector<std::string> vars{"x" + std::to_string(i),
-                                    "x" + std::to_string(i + 1)};
-      auto* rel = ex.db.AddRelation("R" + std::to_string(i), vars);
-      int rows = static_cast<int>(rng.NextInRange(0, 7));
-      for (int r = 0; r < rows; ++r) {
-        rel->AppendRow({static_cast<Value>(rng.NextBounded(3)),
-                        static_cast<Value>(rng.NextBounded(3))});
-      }
-      ex.query.AddAtom(ex.db, "R" + std::to_string(i), vars);
-    }
+    const int m = static_cast<int>(rng.NextInRange(2, 7));
+    testing::PaperExample ex = testing::MakeRandomPathInstance(
+        rng, m, /*max_rows=*/7, /*domain_size=*/3);
+    ASSERT_EQ(PathOrder(ex.query).size(), static_cast<size_t>(m));
 
-    std::vector<int> order = PathOrder(ex.query);
-    ASSERT_EQ(order.size(), static_cast<size_t>(m));
-    auto path = TSensPath(ex.query, order, ex.db);
-    ASSERT_TRUE(path.ok()) << path.status().ToString();
-
-    auto forest = BuildJoinForestGYO(ex.query);
-    ASSERT_TRUE(forest.ok());
-    auto engine =
-        TSensOverGhd(ex.query, MakeTrivialGhd(ex.query, *forest), ex.db);
-    ASSERT_TRUE(engine.ok());
-    EXPECT_EQ(path->local_sensitivity, engine->local_sensitivity);
-    EXPECT_EQ(path->argmax_atom, engine->argmax_atom);
+    // The default plan runs the chain tree, prefer_path_algorithm = false
+    // the GYO tree; both must match each other and the oracle.
+    auto chain = ComputeLocalSensitivity(ex.query, ex.db);
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    TSensComputeOptions gyo_opts;
+    gyo_opts.prefer_path_algorithm = false;
+    auto gyo = ComputeLocalSensitivity(ex.query, ex.db, gyo_opts);
+    ASSERT_TRUE(gyo.ok());
+    EXPECT_EQ(chain->local_sensitivity, gyo->local_sensitivity);
+    EXPECT_EQ(chain->argmax_atom, gyo->argmax_atom);
     for (int i = 0; i < m; ++i) {
-      EXPECT_EQ(path->atoms[i].max_sensitivity,
-                engine->atoms[i].max_sensitivity)
+      EXPECT_EQ(chain->atoms[i].max_sensitivity, gyo->atoms[i].max_sensitivity)
           << "atom " << i;
-      EXPECT_EQ(path->atoms[i].argmax, engine->atoms[i].argmax)
-          << "atom " << i;
+      EXPECT_EQ(chain->atoms[i].argmax, gyo->atoms[i].argmax) << "atom " << i;
     }
 
     auto naive = NaiveLocalSensitivity(ex.query, ex.db, {});
     ASSERT_TRUE(naive.ok());
-    EXPECT_EQ(path->local_sensitivity, naive->local_sensitivity);
+    EXPECT_EQ(chain->local_sensitivity, naive->local_sensitivity);
   }
 }
 

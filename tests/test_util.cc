@@ -160,6 +160,34 @@ PaperExample MakeRandomAcyclicInstance(Rng& rng,
   return ex;
 }
 
+PaperExample MakeRandomPathInstance(Rng& rng, int m, int max_rows,
+                                    int domain_size) {
+  const uint64_t domain = static_cast<uint64_t>(domain_size);
+  PaperExample ex;
+  std::vector<std::vector<std::string>> vars(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    vars[static_cast<size_t>(i)] = {"x" + std::to_string(i),
+                                    "x" + std::to_string(i + 1)};
+    auto* rel = ex.db.AddRelation("R" + std::to_string(i),
+                                  vars[static_cast<size_t>(i)]);
+    const int rows = static_cast<int>(rng.NextInRange(0, max_rows));
+    for (int r = 0; r < rows; ++r) {
+      rel->AppendRow({static_cast<Value>(rng.NextBounded(domain)),
+                      static_cast<Value>(rng.NextBounded(domain))});
+    }
+  }
+  std::vector<int> atoms(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) atoms[static_cast<size_t>(i)] = i;
+  for (size_t i = atoms.size(); i > 1; --i) {
+    std::swap(atoms[i - 1], atoms[rng.NextBounded(i)]);
+  }
+  for (int i : atoms) {
+    ex.query.AddAtom(ex.db, "R" + std::to_string(i),
+                     vars[static_cast<size_t>(i)]);
+  }
+  return ex;
+}
+
 PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,
                                         int domain_size) {
   PaperExample ex;

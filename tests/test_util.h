@@ -59,6 +59,13 @@ struct RandomQuerySpec {
 // database instance for it.
 PaperExample MakeRandomAcyclicInstance(Rng& rng, const RandomQuerySpec& spec);
 
+// Generates a random path query R0(x0,x1), R1(x1,x2), ..., R{m-1} whose
+// relations hold up to `max_rows` rows each (duplicates allowed) over
+// [0, domain_size). The atoms enter the query in a random order, so the
+// chain order PathOrder finds is generally not the atom order.
+PaperExample MakeRandomPathInstance(Rng& rng, int m, int max_rows,
+                                    int domain_size);
+
 // Generates a random instance of the triangle query
 // Q(A,B,C) :- R1(A,B), R2(B,C), R3(C,A)  (cyclic).
 PaperExample MakeRandomTriangleInstance(Rng& rng, int max_rows,

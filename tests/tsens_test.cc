@@ -5,10 +5,10 @@
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
+#include "sensitivity/incremental.h"
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
-#include "sensitivity/tsens_path.h"
 #include "test_util.h"
 
 namespace lsens {
@@ -72,22 +72,64 @@ TEST(TSensTest, Figure3PathSensitivity) {
   EXPECT_EQ(best->argmax[1], ex.db.dict().Lookup("c1"));
 }
 
-TEST(TSensTest, Figure3PathAndEngineAgree) {
-  auto ex = MakeFigure3Example();
-  std::vector<int> order = PathOrder(ex.query);
-  ASSERT_FALSE(order.empty());
-  auto path = TSensPath(ex.query, order, ex.db);
-  ASSERT_TRUE(path.ok());
-
-  auto forest = BuildJoinForestGYO(ex.query);
-  auto engine = TSensOverGhd(ex.query, MakeTrivialGhd(ex.query, *forest),
-                             ex.db);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(path->local_sensitivity, engine->local_sensitivity);
-  for (int i = 0; i < ex.query.num_atoms(); ++i) {
-    EXPECT_EQ(path->atoms[i].max_sensitivity,
-              engine->atoms[i].max_sensitivity)
+// LS, winner atom, and every atom's max and argmax agree.
+void ExpectSameResult(const SensitivityResult& a, const SensitivityResult& b) {
+  EXPECT_EQ(a.local_sensitivity, b.local_sensitivity);
+  EXPECT_EQ(a.argmax_atom, b.argmax_atom);
+  ASSERT_EQ(a.atoms.size(), b.atoms.size());
+  for (size_t i = 0; i < a.atoms.size(); ++i) {
+    EXPECT_EQ(a.atoms[i].max_sensitivity, b.atoms[i].max_sensitivity)
         << "atom " << i;
+    EXPECT_EQ(a.atoms[i].argmax, b.atoms[i].argmax) << "atom " << i;
+  }
+}
+
+TEST(TSensTest, Figure3PathAndEngineAgree) {
+  // The default plan runs Figure 3 over its chain tree,
+  // prefer_path_algorithm = false over its GYO tree.
+  auto ex = MakeFigure3Example();
+  ASSERT_FALSE(PathOrder(ex.query).empty());
+  auto chain = ComputeLocalSensitivity(ex.query, ex.db);
+  ASSERT_TRUE(chain.ok());
+  TSensComputeOptions gyo_opts;
+  gyo_opts.prefer_path_algorithm = false;
+  auto gyo = ComputeLocalSensitivity(ex.query, ex.db, gyo_opts);
+  ASSERT_TRUE(gyo.ok());
+  ExpectSameResult(*chain, *gyo);
+
+  auto naive = NaiveLocalSensitivity(ex.query, ex.db);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(chain->local_sensitivity, naive->local_sensitivity);
+}
+
+TEST(TSensTest, TiesGoToTheLowestAtomWhateverTheChainOrder) {
+  // S(B,C), R(A,B), T(C,D), one row each: PathOrder is [1, 0, 2] and every
+  // atom has sensitivity 1, so the winner is decided by the tie rule alone.
+  Database db;
+  db.AddRelation("S", {"B", "C"})->AppendRow({2, 3});
+  db.AddRelation("R", {"A", "B"})->AppendRow({1, 2});
+  db.AddRelation("T", {"C", "D"})->AppendRow({3, 4});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "S", {"B", "C"});
+  q.AddAtom(db, "R", {"A", "B"});
+  q.AddAtom(db, "T", {"C", "D"});
+  ASSERT_EQ(PathOrder(q), (std::vector<int>{1, 0, 2}));
+
+  auto chain = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ(chain->local_sensitivity, Count::One());
+  EXPECT_EQ(chain->argmax_atom, 0);
+  TSensComputeOptions gyo_opts;
+  gyo_opts.prefer_path_algorithm = false;
+  auto gyo = ComputeLocalSensitivity(q, db, gyo_opts);
+  ASSERT_TRUE(gyo.ok());
+  ExpectSameResult(*chain, *gyo);
+
+  SensitivityCache cache;
+  for (const TSensComputeOptions& opts : {TSensComputeOptions{}, gyo_opts}) {
+    auto cached = cache.Compute(q, db, opts);
+    ASSERT_TRUE(cached.ok());
+    ExpectSameResult(*chain, *cached);
   }
 }
 
@@ -292,26 +334,32 @@ TEST(TSensTest, TopKProducesUpperBound) {
 }
 
 TEST(TSensTest, KeepTablesMatchesNaivePerTuple) {
-  auto ex = MakeFigure1Example();
-  TSensComputeOptions opts;
-  opts.keep_tables = true;
-  auto result = ComputeLocalSensitivity(ex.query, ex.db, opts);
-  ASSERT_TRUE(result.ok());
-  for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
-    auto sens = TupleSensitivities(*result, ex.query, ex.db, atom);
-    ASSERT_TRUE(sens.ok());
-    // Snapshot rows first: NaiveTupleSensitivity restores contents but may
-    // permute row order, which would desynchronize row indices.
-    const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
-    std::vector<std::vector<Value>> rows;
-    for (size_t r = 0; r < rel->NumRows(); ++r) {
-      rows.push_back(rel->Row(r));
-    }
-    for (size_t row = 0; row < rows.size(); ++row) {
-      auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
-      ASSERT_TRUE(naive.ok());
-      EXPECT_EQ((*sens)[row], *naive)
-          << "atom " << atom << " row " << row;
+  // Figure 3 is a path query: its tables come from the chain tree.
+  std::vector<testing::PaperExample> instances;
+  instances.push_back(MakeFigure1Example());
+  instances.push_back(MakeFigure3Example());
+  for (testing::PaperExample& ex : instances) {
+    TSensComputeOptions opts;
+    opts.keep_tables = true;
+    auto result = ComputeLocalSensitivity(ex.query, ex.db, opts);
+    ASSERT_TRUE(result.ok());
+    for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
+      auto sens = TupleSensitivities(*result, ex.query, ex.db, atom);
+      ASSERT_TRUE(sens.ok());
+      // Snapshot rows first: NaiveTupleSensitivity restores contents but
+      // may permute row order, which would desynchronize row indices.
+      const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
+      std::vector<std::vector<Value>> rows;
+      for (size_t r = 0; r < rel->NumRows(); ++r) {
+        rows.push_back(rel->Row(r));
+      }
+      for (size_t row = 0; row < rows.size(); ++row) {
+        auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
+        ASSERT_TRUE(naive.ok());
+        EXPECT_EQ((*sens)[row], *naive)
+            << ex.query.ToString(ex.db.attrs()) << " atom " << atom
+            << " row " << row;
+      }
     }
   }
 }
@@ -332,8 +380,14 @@ TEST(DownwardSensitivityTest, MatchesDeletionOracleOnRandomInstances) {
   testing::RandomQuerySpec spec;
   spec.max_atoms = 4;
   spec.max_rows = 6;
+  // Figure 3 (a path query, run over its chain tree) and random acyclic
+  // instances.
+  std::vector<testing::PaperExample> instances;
+  instances.push_back(MakeFigure3Example());
   for (int trial = 0; trial < 10; ++trial) {
-    auto ex = testing::MakeRandomAcyclicInstance(rng, spec);
+    instances.push_back(testing::MakeRandomAcyclicInstance(rng, spec));
+  }
+  for (testing::PaperExample& ex : instances) {
     auto down = ComputeDownwardLocalSensitivity(ex.query, ex.db);
     ASSERT_TRUE(down.ok());
 
