@@ -33,12 +33,15 @@ void CountedRelation::AppendRow(std::span<const Value> row, Count count) {
   unique_ = sorted_ = false;
 }
 
-std::span<Value> CountedRelation::AppendRowsRaw(size_t n, Count count) {
-  const size_t old = data_.size();
-  data_.resize(old + n * arity());
-  counts_.resize(counts_.size() + n, count);
+CountedRelation::RawRows CountedRelation::AppendRowsRaw(size_t n,
+                                                        Count count) {
+  const size_t old_values = data_.size();
+  const size_t old_rows = counts_.size();
+  data_.resize(old_values + n * arity());
+  counts_.resize(old_rows + n, count);
   unique_ = sorted_ = false;
-  return {data_.data() + old, n * arity()};
+  return {{data_.data() + old_values, n * arity()},
+          {counts_.data() + old_rows, n}};
 }
 
 void CountedRelation::GatherColumn(int col, std::span<Value> out) const {

@@ -23,16 +23,18 @@ class ExecContext;
 // Two properties, tracked separately:
 //
 //   - unique(): rows are pairwise distinct and every count is non-zero.
-//     Every operator output has it: Normalize, the group-bys and ScanAtom
-//     establish it, and a join of unique inputs keeps it (each output row
-//     combines exactly one row per input, and a saturating product of
-//     non-zero counts is non-zero).
+//     Every operator output has it: Normalize and the group-bys establish
+//     it, so does ScanAtom (one row per run of equal packed keys, or
+//     Normalize for keys wider than 64 bits), and a join of unique inputs
+//     keeps it (each output row combines exactly one row per input, and a
+//     saturating product of non-zero counts is non-zero).
 //   - sorted(): unique() and the rows strictly increase lexicographically.
-//     Normalize, GroupBySum, GroupByMax and ScanAtom set it; a join sets it
-//     only when one linear pass finds its output already ordered. Only the
-//     readers of row order (FindRow/Lookup, public outputs) require it and
-//     sort at that boundary; join outputs are otherwise left in their
-//     (deterministic) emission order.
+//     Normalize, GroupBySum and GroupByMax set it. ScanAtom's rows come out
+//     in packed-key order, and it sets it through MarkUnique's one linear
+//     pass; so does a join, when that pass finds its output already
+//     ordered. Only the readers of row order (FindRow/Lookup, public
+//     outputs) require it and sort at that boundary; join outputs are
+//     otherwise left in their (deterministic) emission order.
 //
 // AppendRow* clears both until the caller normalizes (or, for a kernel's
 // output, calls MarkUnique).
@@ -75,12 +77,18 @@ class CountedRelation {
   // Used to concatenate the per-partition outputs of parallel joins; does
   // not touch either default_count.
   void AppendRows(const CountedRelation& other);
+  // The storage of rows appended by AppendRowsRaw: `values` row-major at
+  // arity() stride, `counts` one per row.
+  struct RawRows {
+    std::span<Value> values;
+    std::span<Count> counts;
+  };
   // Appends `n` zero-initialized rows, every one carrying `count`, and
-  // returns the new rows' row-major storage for the caller to fill —
-  // column-at-a-time producers (ScanAtom) write each source column with
-  // one strided pass instead of materializing row tuples. The relation is
-  // neither unique nor sorted until the caller normalizes it.
-  std::span<Value> AppendRowsRaw(size_t n, Count count);
+  // returns their storage for the caller to fill — ScanAtom writes the
+  // rows it decodes, and their counts, in place instead of materializing
+  // row tuples. The relation is neither unique nor sorted until the caller
+  // normalizes it (or vouches for it with MarkUnique).
+  RawRows AppendRowsRaw(size_t n, Count count);
   // Copies column `col` of every row into `out` (sized to NumRows()): the
   // strided-gather bridge from row-major storage to the column-batch hash
   // fold (HashValuesBatchFold in storage/value.h).

@@ -80,6 +80,9 @@ class ExecContext {
   std::vector<SortKeyRef>& sort_keys_tmp() { return sort_keys_tmp_; }
   std::vector<SortKey64>& sort_keys64() { return sort_keys64_; }
   std::vector<SortKey64>& sort_keys64_tmp() { return sort_keys64_tmp_; }
+  // ScanAtom's packed row keys and their radix ping-pong buffer.
+  std::vector<uint64_t>& packed_keys() { return packed_keys_; }
+  std::vector<uint64_t>& packed_keys_tmp() { return packed_keys_tmp_; }
   std::vector<uint32_t>& sel_buf() { return sel_buf_; }
   std::vector<uint64_t>& hash_buf() { return hash_buf_; }
   std::vector<Value>& gather_buf() { return gather_buf_; }
@@ -121,6 +124,8 @@ class ExecContext {
   std::vector<SortKeyRef> sort_keys_tmp_;
   std::vector<SortKey64> sort_keys64_;
   std::vector<SortKey64> sort_keys64_tmp_;
+  std::vector<uint64_t> packed_keys_;
+  std::vector<uint64_t> packed_keys_tmp_;
   std::vector<uint32_t> sel_buf_;
   std::vector<uint64_t> hash_buf_;
   std::vector<Value> gather_buf_;
@@ -201,6 +206,8 @@ class OpTimer {
                 timer_.ElapsedSeconds());
   }
 
+  // For an operator that learns its input size only after it starts.
+  void set_rows_in(uint64_t n) { rows_in_ = n; }
   void set_rows_out(uint64_t n) { rows_out_ = n; }
   void set_build_rows(uint64_t n) { build_rows_ = n; }
 

@@ -31,8 +31,12 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
   }
   LSENS_CHECK_MSG(start != SIZE_MAX,
                   "FoldJoin needs at least one non-defaulted piece");
-  CountedRelation acc = *remaining[start];
+  // The accumulator points at the first piece, which the first join only
+  // reads, and then at `joined`; a piece is copied only when it is the
+  // whole fold.
+  const CountedRelation* acc = remaining[start];
   remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(start));
+  CountedRelation joined{AttributeSet{}};
 
   while (!remaining.empty()) {
     // Pick the piece minimizing the joined row count; among pieces that
@@ -42,11 +46,11 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
     // two or more sharing pieces needs exact counts: a lone sharing piece
     // wins regardless of its size.
     auto eligible = [&](const CountedRelation* piece) {
-      return !piece->has_default() || IsSubset(piece->attrs(), acc.attrs());
+      return !piece->has_default() || IsSubset(piece->attrs(), acc->attrs());
     };
     size_t sharing = 0;
     for (const CountedRelation* piece : remaining) {
-      if (eligible(piece) && Intersects(piece->attrs(), acc.attrs())) {
+      if (eligible(piece) && Intersects(piece->attrs(), acc->attrs())) {
         ++sharing;
       }
     }
@@ -56,14 +60,14 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
     for (size_t i = 0; i < remaining.size(); ++i) {
       const CountedRelation* piece = remaining[i];
       if (!eligible(piece)) continue;
-      bool shares = Intersects(piece->attrs(), acc.attrs());
+      bool shares = Intersects(piece->attrs(), acc->attrs());
       size_t rows = 0;
       if (piece->has_default()) {
-        rows = acc.NumRows();  // covering join keeps acc's rows
+        rows = acc->NumRows();  // covering join keeps acc's rows
       } else if (!shares) {
-        rows = acc.NumRows() * piece->NumRows();  // cross product
+        rows = acc->NumRows() * piece->NumRows();  // cross product
       } else if (sharing >= 2) {
-        rows = EstimateJoinRows(acc, *piece, options.ctx, options.threads);
+        rows = EstimateJoinRows(*acc, *piece, options.ctx, options.threads);
       }
       if (best == SIZE_MAX || (shares && !best_shares) ||
           (shares == best_shares && rows < best_rows)) {
@@ -83,11 +87,13 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
       LSENS_CHECK_MSG(false,
                       "defaulted piece never covered by the accumulator");
     }
-    acc = NaturalJoin(acc, *remaining[best], options);
+    joined = NaturalJoin(*acc, *remaining[best], options);
+    acc = &joined;
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
   }
-  op.set_rows_out(acc.NumRows());
-  return acc;
+  op.set_rows_out(acc->NumRows());
+  if (acc != &joined) return *acc;
+  return joined;
 }
 
 }  // namespace lsens

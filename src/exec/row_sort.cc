@@ -10,71 +10,11 @@ namespace lsens {
 
 namespace {
 
-// Order-preserving map from int64 to uint64 (flips the sign bit).
-inline uint64_t OrderedBits(Value v) {
-  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
-}
-
-// Stable LSD radix sort of `keys` by .key, one counting pass per byte that
-// actually varies across the input (real-world key domains are narrow, so
-// this is typically 2-4 passes instead of 16). `tmp` is the ping-pong
-// buffer; both vectors may end up swapped, which is fine — they are arena
-// slots of the same context.
-void RadixSortKeys(std::vector<SortKeyRef>& keys, std::vector<SortKeyRef>& tmp,
-                   unsigned __int128 varying) {
-  tmp.resize(keys.size());
-  for (int b = 0; b < 16; ++b) {
-    const int shift = 8 * b;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t count[256] = {};
-    for (const SortKeyRef& k : keys) {
-      ++count[static_cast<size_t>((k.key >> shift) & 0xff)];
-    }
-    size_t pos[256];
-    size_t run = 0;
-    for (int i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += count[i];
-    }
-    for (const SortKeyRef& k : keys) {
-      tmp[pos[static_cast<size_t>((k.key >> shift) & 0xff)]++] = k;
-    }
-    keys.swap(tmp);
-  }
-}
-
-// Same stable LSD radix over the fixed-width packed element: half the
-// element size of SortKeyRef and at most 8 byte passes.
-void RadixSortKeys64(std::vector<SortKey64>& keys, std::vector<SortKey64>& tmp,
-                     uint64_t varying) {
-  tmp.resize(keys.size());
-  for (int b = 0; b < 8; ++b) {
-    const int shift = 8 * b;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t count[256] = {};
-    for (const SortKey64& k : keys) {
-      ++count[static_cast<size_t>((k.key >> shift) & 0xff)];
-    }
-    size_t pos[256];
-    size_t run = 0;
-    for (int i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += count[i];
-    }
-    for (const SortKey64& k : keys) {
-      tmp[pos[static_cast<size_t>((k.key >> shift) & 0xff)]++] = k;
-    }
-    keys.swap(tmp);
-  }
-}
-
-// Packed-key sort: when the value ranges (max - min) of the key columns fit
-// in 64 bits together, each row's key is the concatenation of its column
-// offsets from the column minima, the first column most significant, so
-// unsigned key order is the lexicographic order on `cols`. Fills `perm`
-// ordered by that key, ties by row index — exactly the permutation a stable
-// sort by `cols` gives. Returns false, leaving `perm` alone, when the
-// ranges need more than 64 bits.
+// Packed-key sort: when the key columns fit a PackedKeyLayout, each row's
+// 64-bit key orders like its columns `cols`. Fills `perm` ordered by that
+// key, ties by row index — exactly the permutation a stable sort by `cols`
+// gives. Returns false, leaving `perm` alone, when the columns' ranges need
+// more than 64 bits.
 bool SortRowsByPacked(const CountedRelation& r, std::span<const int> cols,
                       std::vector<uint32_t>& perm, ExecContext& ctx) {
   const size_t n = r.NumRows();
@@ -99,14 +39,8 @@ bool SortRowsByPacked(const CountedRelation& r, std::span<const int> cols,
       hi[j] = max;
     }
   }
-  // shift[j]: the bits of the columns after j.
-  std::vector<int> shift(k, 0);
-  int total = 0;
-  for (size_t j = k; j-- > 0;) {
-    shift[j] = total;
-    total += std::bit_width(hi[j] - lo[j]);
-    if (total > 64) return false;
-  }
+  const PackedKeyLayout layout(lo, hi);
+  if (!layout.fits()) return false;
 
   std::vector<SortKey64>& keys = ctx.sort_keys64();
   keys.resize(n);
@@ -115,20 +49,15 @@ bool SortRowsByPacked(const CountedRelation& r, std::span<const int> cols,
     keys[i].idx = static_cast<uint32_t>(i);
   }
   for (size_t j = 0; j < k; ++j) {
-    // A constant column has width zero and is left out of the key (its
-    // shift may be 64).
-    if (hi[j] == lo[j]) continue;
+    const PackedColumn c = layout.column(j);
+    if (c.constant()) continue;
     const Value* v = data + cols[j];
-    const uint64_t base = lo[j];
-    const int sh = shift[j];
-    for (size_t i = 0; i < n; ++i) {
-      keys[i].key |= (OrderedBits(v[i * stride]) - base) << sh;
-    }
+    for (size_t i = 0; i < n; ++i) keys[i].key |= c.Pack(v[i * stride]);
   }
   if (n >= 256) {
     uint64_t varying = 0;
     for (const SortKey64& key : keys) varying |= key.key ^ keys[0].key;
-    RadixSortKeys64(keys, ctx.sort_keys64_tmp(), varying);
+    RadixSortKeys(keys, ctx.sort_keys64_tmp(), varying);
   } else {
     std::sort(keys.begin(), keys.end(),
               [](const SortKey64& x, const SortKey64& y) {
@@ -141,6 +70,21 @@ bool SortRowsByPacked(const CountedRelation& r, std::span<const int> cols,
 }
 
 }  // namespace
+
+PackedKeyLayout::PackedKeyLayout(std::span<const uint64_t> lo,
+                                 std::span<const uint64_t> hi)
+    : columns_(lo.size()) {
+  int total = 0;
+  for (size_t j = lo.size(); j-- > 0;) {
+    const int width = std::bit_width(hi[j] - lo[j]);
+    PackedColumn& c = columns_[j];
+    c.lo = lo[j];
+    c.mask = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    c.shift = width == 0 ? 0 : total;
+    total += width;
+  }
+  fits_ = total <= 64;
+}
 
 bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols) {
   for (size_t i = 1; i < r.NumRows(); ++i) {

@@ -1,10 +1,13 @@
 #include "query/atom_scan.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/macros.h"
 #include "exec/exec_context.h"
+#include "exec/row_sort.h"
 
 namespace lsens {
 
@@ -30,6 +33,7 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
   }
 
   ExecContext& ctx = ResolveExecContext(ctx_in);
+  OpTimer op(ctx, "scan", 0);
   const size_t n = rel.NumRows();
 
   // Selection runs column-at-a-time, a chunk at a time: the first
@@ -66,27 +70,96 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
     }
     n_sel = sel.size();
   }
-
-  // Projection fills the output column by column: one chunk-wise (or
-  // selection-gathered) read of each kept source column, scattered into
-  // the row-major CountedRelation at stride k.
+  op.set_rows_in(n_sel);
   CountedRelation out(keep);
-  const size_t k = keep.size();
-  std::span<Value> dst = out.AppendRowsRaw(n_sel, Count::One());
-  for (size_t j = 0; j < k; ++j) {
-    const ChunkedColumn col = rel.Chunks(keep_cols[j]);
-    Value* d = dst.data() + j;
+  if (n_sel == 0) return out;
+
+  // fn(i, v) for the value v of the i-th selected row of `col`.
+  auto for_each_selected = [&](const ChunkedColumn& col, auto&& fn) {
     if (all_rows) {
       for (size_t ch = 0; ch < col.num_chunks(); ++ch) {
         std::span<const Value> chunk = col.chunk(ch);
-        Value* to = d + ch * kChunkRows * k;
-        for (size_t i = 0; i < chunk.size(); ++i) to[i * k] = chunk[i];
+        const size_t base = ch * kChunkRows;
+        for (size_t i = 0; i < chunk.size(); ++i) fn(base + i, chunk[i]);
       }
     } else {
-      for (size_t i = 0; i < n_sel; ++i) d[i * k] = col[sel[i]];
+      for (size_t i = 0; i < n_sel; ++i) fn(i, col[sel[i]]);
+    }
+  };
+
+  // Each selected row's kept values pack into one 64-bit key when the
+  // columns' ranges fit together (PackedKeyLayout). The key is the row, so
+  // sorting the keys and counting runs of equal ones groups the rows.
+  const size_t k = keep.size();
+  std::vector<uint64_t> lo(k);
+  std::vector<uint64_t> hi(k);
+  for (size_t j = 0; j < k; ++j) {
+    uint64_t min = ~uint64_t{0};
+    uint64_t max = 0;
+    for_each_selected(rel.Chunks(keep_cols[j]), [&](size_t, Value v) {
+      const uint64_t x = OrderedBits(v);
+      min = std::min(min, x);
+      max = std::max(max, x);
+    });
+    lo[j] = min;
+    hi[j] = max;
+  }
+  const PackedKeyLayout layout(lo, hi);
+
+  if (!layout.fits()) {
+    // Wider keys: project row-major, one chunk-wise (or selection-gathered)
+    // read of each kept column scattered at stride k, and normalize.
+    std::span<Value> dst = out.AppendRowsRaw(n_sel, Count::One()).values;
+    for (size_t j = 0; j < k; ++j) {
+      Value* d = dst.data() + j;
+      for_each_selected(rel.Chunks(keep_cols[j]),
+                        [&](size_t i, Value v) { d[i * k] = v; });
+    }
+    out.Normalize(&ctx);
+    op.set_rows_out(out.NumRows());
+    return out;
+  }
+
+  std::vector<uint64_t>& keys = ctx.packed_keys();
+  keys.assign(n_sel, 0);
+  for (size_t j = 0; j < k; ++j) {
+    const PackedColumn c = layout.column(j);
+    if (c.constant()) continue;
+    for_each_selected(rel.Chunks(keep_cols[j]),
+                      [&](size_t i, Value v) { keys[i] |= c.Pack(v); });
+  }
+  bool ordered = true;
+  uint64_t varying = 0;
+  for (size_t i = 1; i < n_sel; ++i) {
+    ordered &= keys[i - 1] <= keys[i];
+    varying |= keys[i] ^ keys[0];
+  }
+  if (!ordered) {
+    if (n_sel >= 256) {
+      RadixSortKeys(keys, ctx.packed_keys_tmp(), varying);
+    } else {
+      std::sort(keys.begin(), keys.end());
     }
   }
-  out.Normalize(&ctx);
+  size_t distinct = 1;
+  for (size_t i = 1; i < n_sel; ++i) distinct += keys[i - 1] != keys[i];
+
+  // One run-length pass: each run of equal keys is one output row, decoded
+  // in place, whose count is the run's length.
+  const CountedRelation::RawRows dst =
+      out.AppendRowsRaw(distinct, Count::Zero());
+  size_t begin = 0;
+  for (size_t row = 0; row < distinct; ++row) {
+    const uint64_t key = keys[begin];
+    size_t end = begin + 1;
+    while (end < n_sel && keys[end] == key) ++end;
+    Value* values = dst.values.data() + row * k;
+    for (size_t j = 0; j < k; ++j) values[j] = layout.column(j).Unpack(key);
+    dst.counts[row] = Count(end - begin);
+    begin = end;
+  }
+  out.MarkUnique();
+  op.set_rows_out(distinct);
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "exec/counted_relation.h"
 #include "exec/exec_context.h"
@@ -84,6 +86,216 @@ TEST(ScanAtomTest, AppliesPredicates) {
       ScanAtom(*ex.db.Find("R1"), q.atom(0), {a});
   ASSERT_EQ(s.NumRows(), 1u);
   EXPECT_EQ(s.CountAt(0), Count(2));  // two a1 rows
+}
+
+// What ScanAtom computed before it sorted packed keys: a row-major
+// projection of the selected rows, each with count one, then Normalize.
+CountedRelation ReferenceScan(const Relation& rel, const Atom& atom,
+                              const AttributeSet& keep) {
+  CountedRelation out(keep);
+  std::vector<Value> row;
+  std::vector<Value> projected(keep.size());
+  for (size_t i = 0; i < rel.NumRows(); ++i) {
+    rel.RowInto(i, &row);
+    bool pass = true;
+    for (const Predicate& pred : atom.predicates) {
+      size_t col = 0;
+      while (atom.vars[col] != pred.var) ++col;
+      pass = pass && pred.Eval(row[col]);
+    }
+    if (!pass) continue;
+    for (size_t j = 0; j < keep.size(); ++j) {
+      size_t col = 0;
+      while (atom.vars[col] != keep[j]) ++col;
+      projected[j] = row[col];
+    }
+    out.AppendRow(projected, Count::One());
+  }
+  out.Normalize();
+  return out;
+}
+
+// ScanAtom of `atom` over the relation it names, for every subset of the
+// atom's variables as `keep` (the empty one too: one arity-0 row counting
+// the selected rows), matches ReferenceScan row for row and count
+// for count, and records one "scan" call over the selected rows; exactly
+// `want_fallbacks` of those scans fall back to Normalize (keys wider than
+// 64 bits).
+void ExpectScansMatchReference(const Database& db, const Atom& atom,
+                               uint64_t want_fallbacks) {
+  const Relation& rel = *db.Find(atom.relation);
+  const AttributeSet vars = atom.VarSet();
+  uint64_t fallbacks = 0;
+  for (uint32_t mask = 0; mask < (1u << vars.size()); ++mask) {
+    AttributeSet keep;
+    for (size_t j = 0; j < vars.size(); ++j) {
+      if (mask & (1u << j)) keep.push_back(vars[j]);
+    }
+    SCOPED_TRACE(::testing::Message() << "keep mask " << mask);
+    const CountedRelation want = ReferenceScan(rel, atom, keep);
+    ExecContext ctx;
+    const CountedRelation got = ScanAtom(rel, atom, keep, &ctx);
+    EXPECT_TRUE(got.sorted());
+    EXPECT_TRUE(got.unique());
+    EXPECT_EQ(got.attrs(), want.attrs());
+    ASSERT_EQ(got.NumRows(), want.NumRows());
+    for (size_t i = 0; i < got.NumRows(); ++i) {
+      ASSERT_TRUE(std::ranges::equal(got.Row(i), want.Row(i))) << "row " << i;
+      ASSERT_EQ(got.CountAt(i), want.CountAt(i)) << "row " << i;
+    }
+    const OperatorStats* scan = ctx.FindStats("scan");
+    ASSERT_NE(scan, nullptr);
+    EXPECT_EQ(scan->calls, 1u);
+    EXPECT_EQ(scan->rows_in, want.TotalCount().ToUint64Saturated());
+    EXPECT_EQ(scan->rows_out, got.NumRows());
+    if (ctx.FindStats("normalize") != nullptr) ++fallbacks;
+  }
+  EXPECT_EQ(fallbacks, want_fallbacks);
+}
+
+// A predicate on column `column` (0 = A, ..., 3 = D) of MakeScanInstance's
+// relation.
+struct ColumnPredicate {
+  int column;
+  Predicate::Op op;
+  Value rhs;
+};
+
+struct ScanInstance {
+  Database db;
+  ConjunctiveQuery query;
+};
+
+// A relation R(A, B, C, D) of `n` rows, row i's column c being gen(i, c),
+// and the atom R(A, B, C, D) carrying `preds`.
+template <typename Gen>
+ScanInstance MakeScanInstance(size_t n, Gen&& gen,
+                              const std::vector<ColumnPredicate>& preds = {}) {
+  ScanInstance inst;
+  Relation* r = inst.db.AddRelation("R", {"A", "B", "C", "D"});
+  for (size_t i = 0; i < n; ++i) {
+    r->AppendRow({gen(i, 0), gen(i, 1), gen(i, 2), gen(i, 3)});
+  }
+  const int atom = inst.query.AddAtom(inst.db, "R", {"A", "B", "C", "D"});
+  for (const ColumnPredicate& cp : preds) {
+    Predicate p;
+    p.var = inst.query.atom(atom).vars[static_cast<size_t>(cp.column)];
+    p.op = cp.op;
+    p.rhs = cp.rhs;
+    inst.query.AddPredicate(atom, p);
+  }
+  return inst;
+}
+
+TEST(ScanAtomTest, RandomizedMatchesProjectionAndNormalize) {
+  Rng rng(7);
+  constexpr size_t kRows = 3 * kChunkRows + 517;
+  // Past one chunk, with duplicates: narrow domains of unequal widths.
+  const int64_t width[] = {3, 40, 1000, 70000};
+  auto narrow = [&](size_t, int c) {
+    return rng.NextInRange(0, width[c] - 1);
+  };
+  {
+    ScanInstance inst = MakeScanInstance(kRows, narrow);
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  // Rows arrive ordered by (A, B), so keys over A, or A and B, need no sort.
+  {
+    auto ordered = [&](size_t i, int c) {
+      return c == 0 ? static_cast<Value>(i / 500)
+                    : c == 1 ? static_cast<Value>(i % 500 / 8)
+                             : rng.NextInRange(0, 9);
+    };
+    ScanInstance inst = MakeScanInstance(kRows, ordered);
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  // Predicates select through the row list; negative values.
+  {
+    auto signed_vals = [&](size_t, int c) {
+      return rng.NextInRange(-width[c], width[c]);
+    };
+    ScanInstance inst = MakeScanInstance(
+        kRows, signed_vals,
+        {{0, Predicate::Op::kNe, 0},
+         {2, Predicate::Op::kLt, 300}});
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  // Small relation (the std::sort path), one predicate.
+  {
+    ScanInstance inst = MakeScanInstance(
+        200, narrow, {{1, Predicate::Op::kGe, 10}});
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  // Constant columns B and D.
+  {
+    auto constants = [&](size_t, int c) {
+      return c == 1 ? Value{-5} : c == 3 ? Value{1} << 40
+                                         : rng.NextInRange(0, 30);
+    };
+    ScanInstance inst = MakeScanInstance(kRows, constants);
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  // An empty relation, and a predicate no row passes.
+  {
+    ScanInstance inst = MakeScanInstance(0, narrow);
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+  {
+    ScanInstance inst =
+        MakeScanInstance(kRows, narrow, {{3, Predicate::Op::kLt, 0}});
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+}
+
+// Columns spanning INT64_MIN..INT64_MAX take all 64 bits, so any key with
+// a second varying column falls back to projection plus Normalize.
+TEST(ScanAtomTest, FullRangeKeysFallBackToNormalize) {
+  Rng rng(11);
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const Value extremes[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  auto wide = [&](size_t, int c) {
+    if (c <= 1) return extremes[rng.NextBounded(std::size(extremes))];
+    return rng.NextInRange(0, 4);
+  };
+  ScanInstance inst = MakeScanInstance(kChunkRows + 100, wide);
+  // Keeps that pack: {} (1), each lone column (4), {C, D} (1). Every other
+  // keep has two varying columns including A or B (10 of 16).
+  ExpectScansMatchReference(inst.db, inst.query.atom(0), 10u);
+  ScanInstance filtered = MakeScanInstance(
+      kChunkRows + 100, wide, {{0, Predicate::Op::kGt, kMin}});
+  ExpectScansMatchReference(filtered.db, filtered.query.atom(0), 10u);
+}
+
+// Dictionary-encoded string columns scan as their codes.
+TEST(ScanAtomTest, DictionaryColumnsMatchReference) {
+  Rng rng(5);
+  Database db;
+  Relation* r = db.AddRelation("S", {"Name", "City", "N"});
+  r->set_column_dictionary(0, true);
+  r->set_column_dictionary(1, true);
+  std::vector<Value> names;
+  std::vector<Value> cities;
+  for (int i = 0; i < 300; ++i) {
+    names.push_back(db.dict().Intern("name" + std::to_string(i)));
+  }
+  for (const char* city : {"Oslo", "Lima", "Pune", "Kyiv", "Quito"}) {
+    cities.push_back(db.dict().Intern(city));
+  }
+  for (size_t i = 0; i < kChunkRows + 900; ++i) {
+    r->AppendRow({names[rng.NextBounded(names.size())],
+                  cities[rng.NextBounded(cities.size())],
+                  rng.NextInRange(-3, 3)});
+  }
+  ConjunctiveQuery q;
+  const int atom = q.AddAtom(db, "S", {"Name", "City", "N"});
+  ExpectScansMatchReference(db, q.atom(atom), 0u);
+  Predicate p;
+  p.var = db.attrs().Lookup("City");
+  p.op = Predicate::Op::kNe;
+  p.rhs = db.dict().Lookup("Lima");
+  q.AddPredicate(atom, p);
+  ExpectScansMatchReference(db, q.atom(atom), 0u);
 }
 
 TEST(CountedRelationTest, GroupBySum) {
@@ -362,27 +574,27 @@ TEST(EvalTest, ExplicitContextRecordsScans) {
   for (int a = 0; a < ex.query.num_atoms(); ++a) {
     scanned += (*ex.db.Get(ex.query.atom(a).relation))->NumRows();
   }
-  auto default_normalize_rows = [] {
-    const OperatorStats* s = DefaultExecContext().FindStats("normalize");
+  auto default_scan_rows = [] {
+    const OperatorStats* s = DefaultExecContext().FindStats("scan");
     return s == nullptr ? uint64_t{0} : s->rows_in;
   };
-  const uint64_t default_before = default_normalize_rows();
+  const uint64_t default_before = default_scan_rows();
 
   ExecContext ctx;
   auto count = CountQuery(ex.query, ex.db, {JoinAlgorithm::kAuto, &ctx});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, Count::One());
-  const OperatorStats* normalize = ctx.FindStats("normalize");
-  ASSERT_NE(normalize, nullptr);
-  EXPECT_EQ(normalize->calls, static_cast<uint64_t>(ex.query.num_atoms()));
-  EXPECT_EQ(normalize->rows_in, scanned);
+  const OperatorStats* scan = ctx.FindStats("scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->calls, static_cast<uint64_t>(ex.query.num_atoms()));
+  EXPECT_EQ(scan->rows_in, scanned);
 
   ExecContext join_ctx;
   ASSERT_TRUE(BruteForceJoin(ex.query, ex.db, {JoinAlgorithm::kAuto,
                                                &join_ctx}).ok());
-  ASSERT_NE(join_ctx.FindStats("normalize"), nullptr);
-  EXPECT_GE(join_ctx.FindStats("normalize")->rows_in, scanned);
-  EXPECT_EQ(default_normalize_rows(), default_before);
+  ASSERT_NE(join_ctx.FindStats("scan"), nullptr);
+  EXPECT_GE(join_ctx.FindStats("scan")->rows_in, scanned);
+  EXPECT_EQ(default_scan_rows(), default_before);
 }
 
 TEST(EvalTest, Figure3CountIsFour) {
