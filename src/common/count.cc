@@ -12,8 +12,7 @@ double Count::ToDouble() const {
 }
 
 uint64_t Count::ToUint64Saturated() const {
-  if (v_ > static_cast<unsigned __int128>(
-               std::numeric_limits<uint64_t>::max())) {
+  if (v_ > std::numeric_limits<uint64_t>::max()) {
     return std::numeric_limits<uint64_t>::max();
   }
   return static_cast<uint64_t>(v_);
@@ -23,7 +22,7 @@ std::string Count::ToString() const {
   if (IsSaturated()) return "SAT";
   if (v_ == 0) return "0";
   std::string digits;
-  unsigned __int128 v = v_;
+  auto v = v_;
   while (v > 0) {
     digits.push_back(static_cast<char>('0' + static_cast<int>(v % 10)));
     v /= 10;

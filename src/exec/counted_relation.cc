@@ -9,6 +9,27 @@
 
 namespace lsens {
 
+namespace {
+
+// The merge step shared by Normalize and GroupBySum: for every run of
+// `perm` (rows of `in` sorted by `cols`) equal on `cols`, appends the run's
+// `cols` values to `data` and its summed count to `counts`. Runs summing
+// to zero are dropped: stored counts are never zero.
+void AppendSummedRuns(const CountedRelation& in, std::span<const int> cols,
+                      std::span<const uint32_t> perm, std::vector<Value>& data,
+                      std::vector<Count>& counts) {
+  ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
+    Count total = Count::Zero();
+    for (size_t i = begin; i < end; ++i) total += in.CountAt(perm[i]);
+    if (total.IsZero()) return;
+    std::span<const Value> row = in.Row(perm[begin]);
+    for (int c : cols) data.push_back(row[static_cast<size_t>(c)]);
+    counts.push_back(total);
+  });
+}
+
+}  // namespace
+
 int CompareRows(std::span<const Value> a, std::span<const Value> b) {
   LSENS_CHECK(a.size() == b.size());
   return CompareRowsUnchecked(a, b);
@@ -102,24 +123,13 @@ void CountedRelation::Normalize(ExecContext* ctx_in) {
     }
   }
 
-  // Rebuild into the arena buffers, then swap storage: the displaced
-  // capacity returns to the arena for the next Normalize.
-  std::vector<Value>& vbuf = ctx.value_buf();
-  std::vector<Count>& cbuf = ctx.count_buf();
-  vbuf.clear();
-  cbuf.clear();
-  vbuf.reserve(data_.size());
-  cbuf.reserve(n);
-  ForEachSortedGroup(*this, cols, perm, [&](size_t begin, size_t end) {
-    Count total = Count::Zero();
-    for (size_t i = begin; i < end; ++i) total += counts_[perm[i]];
-    if (total.IsZero()) return;  // drop explicit zero-count rows
-    std::span<const Value> row = Row(perm[begin]);
-    vbuf.insert(vbuf.end(), row.begin(), row.end());
-    cbuf.push_back(total);
-  });
-  data_.swap(vbuf);
-  counts_.swap(cbuf);
+  std::vector<Value> data;
+  std::vector<Count> counts;
+  data.reserve(data_.size());
+  counts.reserve(n);
+  AppendSummedRuns(*this, cols, perm, data, counts);
+  data_ = std::move(data);
+  counts_ = std::move(counts);
   unique_ = sorted_ = true;
   op.set_rows_out(NumRows());
 }
@@ -272,20 +282,12 @@ CountedRelation GroupBySum(const CountedRelation& in,
   cols.reserve(group_attrs.size());
   for (AttrId a : group_attrs) cols.push_back(in.ColumnOf(a));
 
-  // One sorted permutation over the input (shared machinery with
-  // Normalize; a sort is skipped when the rows are already ordered on the
-  // group columns), groups emitted pre-merged and in order — the output is
-  // sorted by construction.
+  // One sorted permutation over the input (a sort is skipped when the rows
+  // are already ordered on the group columns), groups merged in order as
+  // Normalize merges its rows — the output is sorted by construction.
   std::vector<uint32_t>& perm = ctx.norm_perm();
   SortRowsBy(in, cols, perm, ctx);
-  ForEachSortedGroup(in, cols, perm, [&](size_t begin, size_t end) {
-    Count total = Count::Zero();
-    for (size_t i = begin; i < end; ++i) total += in.counts_[perm[i]];
-    if (total.IsZero()) return;
-    std::span<const Value> row = in.Row(perm[begin]);
-    for (int c : cols) out.data_.push_back(row[static_cast<size_t>(c)]);
-    out.counts_.push_back(total);
-  });
+  AppendSummedRuns(in, cols, perm, out.data_, out.counts_);
   op.set_rows_out(out.NumRows());
   return out;
 }

@@ -24,10 +24,10 @@ class ExecContext;
 //
 //   - unique(): rows are pairwise distinct and every count is non-zero.
 //     Every operator output has it: Normalize and the group-bys establish
-//     it, so does ScanAtom (one row per run of equal packed keys, or
-//     Normalize for keys wider than 64 bits), and a join of unique inputs
-//     keeps it (each output row combines exactly one row per input, and a
-//     saturating product of non-zero counts is non-zero).
+//     it, so does ScanAtom (one row per run of equal packed keys; keys
+//     wider than 64 bits are projected and normalized), and a join of
+//     unique inputs keeps it (each output row combines exactly one row per
+//     input, and a saturating product of non-zero counts is non-zero).
 //   - sorted(): unique() and the rows strictly increase lexicographically.
 //     Normalize, GroupBySum and GroupByMax set it. ScanAtom's rows come out
 //     in packed-key order, and it sets it through MarkUnique's one linear
@@ -99,9 +99,11 @@ class CountedRelation {
   }
 
   // Sorts rows, merges duplicates (summing counts), drops zero counts;
-  // afterwards sorted() holds. A sorted() relation returns at once, and
-  // already-ordered rows are detected and rebuilt in one pass (or not at
-  // all). Scratch comes from `ctx` (the thread-local default when null).
+  // afterwards sorted() holds and default_count() is unchanged. A sorted()
+  // relation returns at once. Rows already in order cost one verification
+  // pass and are kept as they are when strictly increasing with non-zero
+  // counts; otherwise the sorted rows are merged as GroupBySum merges a
+  // group. Scratch comes from `ctx` (the thread-local default when null).
   void Normalize(ExecContext* ctx = nullptr);
   bool unique() const { return unique_; }
   bool sorted() const { return sorted_; }

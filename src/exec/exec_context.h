@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/count.h"
 #include "common/timer.h"
 #include "exec/hash_group_table.h"
 #include "exec/row_sort.h"
@@ -31,10 +30,10 @@ struct OperatorStats {
 };
 
 // Execution state threaded through the exec and sensitivity layers: owns
-// the reusable arenas (sort permutations, row/key scratch, the flat hash
-// group table, normalize rebuild buffers) so hot operators allocate O(1)
-// times per context instead of per invocation, collects per-operator stats,
-// and carries execution knobs.
+// the reusable arenas (sort permutations, packed sort keys, row and hash
+// scratch, the flat hash group table) so hot operators allocate O(1) times
+// per context instead of per invocation, collects per-operator stats, and
+// carries execution knobs.
 //
 // Ownership rule under parallel execution:
 //   - A context is single-threaded state: one owner thread at a time,
@@ -68,22 +67,24 @@ class ExecContext {
   // Distinct slots so concurrently-live uses inside one operator never
   // alias (e.g. sort-merge join holds both side permutations while a
   // Normalize uses its own).
+  //
+  // Row permutations: the sort-merge join's two sides, and the sorted
+  // order of Normalize, the group-bys and RowsUniqueOn.
   std::vector<uint32_t>& perm_a() { return perm_a_; }
   std::vector<uint32_t>& perm_b() { return perm_b_; }
   std::vector<uint32_t>& norm_perm() { return norm_perm_; }
-  std::vector<Value>& value_buf() { return value_buf_; }
-  std::vector<Count>& count_buf() { return count_buf_; }
+  // A join's output row under construction; a column-position list.
   std::vector<Value>& row_buf() { return row_buf_; }
-  std::vector<Value>& key_buf() { return key_buf_; }
   std::vector<int>& col_buf() { return col_buf_; }
-  std::vector<SortKeyRef>& sort_keys() { return sort_keys_; }
-  std::vector<SortKeyRef>& sort_keys_tmp() { return sort_keys_tmp_; }
+  // SortRowsBy's packed keys and their radix ping-pong buffer.
   std::vector<SortKey64>& sort_keys64() { return sort_keys64_; }
   std::vector<SortKey64>& sort_keys64_tmp() { return sort_keys64_tmp_; }
-  // ScanAtom's packed row keys and their radix ping-pong buffer.
+  // ScanAtom's packed row keys and their radix ping-pong buffer, and its
+  // selected row indices.
   std::vector<uint64_t>& packed_keys() { return packed_keys_; }
   std::vector<uint64_t>& packed_keys_tmp() { return packed_keys_tmp_; }
   std::vector<uint32_t>& sel_buf() { return sel_buf_; }
+  // The hash join's key hashes, gathered key column and group table.
   std::vector<uint64_t>& hash_buf() { return hash_buf_; }
   std::vector<Value>& gather_buf() { return gather_buf_; }
   FlatGroupTable& group_table() { return group_table_; }
@@ -115,13 +116,8 @@ class ExecContext {
   std::vector<uint32_t> perm_a_;
   std::vector<uint32_t> perm_b_;
   std::vector<uint32_t> norm_perm_;
-  std::vector<Value> value_buf_;
-  std::vector<Count> count_buf_;
   std::vector<Value> row_buf_;
-  std::vector<Value> key_buf_;
   std::vector<int> col_buf_;
-  std::vector<SortKeyRef> sort_keys_;
-  std::vector<SortKeyRef> sort_keys_tmp_;
   std::vector<SortKey64> sort_keys64_;
   std::vector<SortKey64> sort_keys64_tmp_;
   std::vector<uint64_t> packed_keys_;

@@ -76,17 +76,12 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
         best_shares = shares;
       }
     }
-    if (best == SIZE_MAX) {
-      // Only deferred defaulted pieces remain and none is covered. Undoing
-      // their truncation is not possible (rows were dropped); instead join
-      // them as exact relations over their explicit rows plus keep the
-      // default as a multiplier floor is unsound. This situation is
-      // prevented by TSens (it disables top-k truncation for relations
-      // consumed in attribute-introducing positions), so reaching it is a
-      // programming error.
-      LSENS_CHECK_MSG(false,
-                      "defaulted piece never covered by the accumulator");
-    }
+    // Only deferred defaulted pieces remain and none is covered. Their
+    // truncation cannot be undone (the rows were dropped), and joining
+    // their explicit rows alone would undercount the absent ones, so the
+    // caller must never pass such a piece.
+    LSENS_CHECK_MSG(best != SIZE_MAX,
+                    "defaulted piece never covered by the accumulator");
     joined = NaturalJoin(*acc, *remaining[best], options);
     acc = &joined;
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));

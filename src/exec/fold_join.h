@@ -15,8 +15,8 @@ namespace lsens {
 // more attribute-sharing pieces compete; a lone sharing piece is joined
 // next without one, and cross-product sizes are plain products. Defaulted
 // (top-k) pieces are only joined once the accumulator covers their
-// attributes; if that never happens, their truncation is undone (sound —
-// it only tightens the upper bound back to the exact value).
+// attributes; a defaulted piece the accumulator never covers is a caller
+// error and CHECK-fails (its dropped rows cannot be restored).
 //
 // This is the workhorse behind the paper's r⋈(X1, ..., Xp) expressions:
 // botjoins/topjoins (Eq. 7–8), multiplicity tables (Eq. 6, including the

@@ -1,8 +1,11 @@
 #ifndef LSENS_EXEC_ROW_SORT_H_
 #define LSENS_EXEC_ROW_SORT_H_
 
+#include <compare>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "exec/counted_relation.h"
@@ -12,30 +15,26 @@ namespace lsens {
 class ExecContext;
 
 // Shared sort/merge machinery for the row-at-a-time operators: Normalize,
-// GroupBySum, the sort-merge join, and the kAuto join rule all order rows
-// by a column subset through these helpers instead of each carrying its
-// own comparison loop. ScanAtom shares the key packing and the radix kernel.
+// GroupBySum, GroupByMax, the sort-merge join, and the kAuto join rule all
+// order rows by a column subset through these helpers instead of each
+// carrying its own comparison loop. ScanAtom shares the key packing and
+// the packed-key sort.
+//
+// Rows order by one of two paths. When the key columns' value ranges fit
+// in 64 bits together — every one-column key, and the multi-column keys of
+// real domains — each row's key columns pack into one uint64 whose
+// unsigned order is the rows' order (PackedKeyLayout), and the keys sort
+// as SortPackedKeys sorts them. Wider keys take a plain stable sort of the
+// row indices by CompareRowsAt.
 
-// Wide sort element, for keys whose column ranges need more than 64 bits
-// together: the row's first two key values (sign-flipped so unsigned
-// comparison preserves int64 order) packed into one 128-bit key, plus the
-// row index. Keeping the leading values contiguous lets comparisons for
-// two-column keys resolve on `key` alone (ties broken by `idx` for
-// stability); wider keys gather the row data only on a two-column tie.
-struct SortKeyRef {
-  unsigned __int128 key;
-  uint32_t idx;
-};
-
-// Packed sort element, used whenever the key columns' value ranges
-// (max - min) fit in 64 bits together — every one-column key, and most
-// multi-column keys over real domains: the concatenated column offsets in
-// one uint64, plus the row index. Half the footprint of SortKeyRef, so the
-// radix passes move half the bytes, and only the bytes that vary are
-// walked.
+// Packed sort element: a row's packed key plus its row index. The
+// defaulted comparison orders by key, then index, so sorting these is a
+// stable sort of the rows.
 struct SortKey64 {
   uint64_t key;
   uint32_t idx;
+
+  auto operator<=>(const SortKey64&) const = default;
 };
 
 // Order-preserving map from int64 to uint64 (flips the sign bit), and back.
@@ -63,12 +62,17 @@ struct PackedColumn {
 };
 
 // The packing rule shared by the packed row sort and ScanAtom. Given each
-// key column's range [lo[j], hi[j]] of OrderedBits values, column j takes
+// key column's range [lo, hi] of OrderedBits values, column j takes
 // bit_width(hi - lo) bits, the first column most significant, so unsigned
 // order of the packed keys is the lexicographic order of the columns.
 class PackedKeyLayout {
  public:
-  PackedKeyLayout(std::span<const uint64_t> lo, std::span<const uint64_t> hi);
+  // Lays out `k` key columns, column j over bounds(j) = {lo, hi}. A lone
+  // column takes all 64 bits without a call to `bounds`: its ordered bits
+  // already are the key.
+  PackedKeyLayout(
+      size_t k,
+      const std::function<std::pair<uint64_t, uint64_t>(size_t)>& bounds);
 
   // True when the columns need at most 64 bits together; the columns'
   // fields are only meaningful then.
@@ -81,40 +85,14 @@ class PackedKeyLayout {
   bool fits_ = true;
 };
 
-// The radix key of a sort element: the packed key of SortKeyRef and
-// SortKey64, and a bare uint64_t is its own key.
-inline unsigned __int128 RadixKey(const SortKeyRef& e) { return e.key; }
-inline uint64_t RadixKey(const SortKey64& e) { return e.key; }
-inline uint64_t RadixKey(uint64_t e) { return e; }
-
-// Stable LSD radix sort of `keys` by RadixKey, one counting pass per key
-// byte set in `varying` (the OR of every key XOR the first; real-world key
-// domains are narrow, so this is typically 2-4 passes, not one per byte).
-// `tmp` is the ping-pong buffer; the two vectors may end up swapped, which
-// is fine when both are arena slots of one context.
-template <typename Elem>
-void RadixSortKeys(std::vector<Elem>& keys, std::vector<Elem>& tmp,
-                   decltype(RadixKey(Elem{})) varying) {
-  tmp.resize(keys.size());
-  for (size_t b = 0; b < sizeof(varying); ++b) {
-    const size_t shift = 8 * b;
-    if (((varying >> shift) & 0xff) == 0) continue;
-    size_t count[256] = {};
-    for (const Elem& e : keys) {
-      ++count[static_cast<size_t>((RadixKey(e) >> shift) & 0xff)];
-    }
-    size_t pos[256];
-    size_t run = 0;
-    for (size_t i = 0; i < 256; ++i) {
-      pos[i] = run;
-      run += count[i];
-    }
-    for (const Elem& e : keys) {
-      tmp[pos[static_cast<size_t>((RadixKey(e) >> shift) & 0xff)]++] = e;
-    }
-    keys.swap(tmp);
-  }
-}
+// Sorts packed keys ascending, as the packed row sort sorts its SortKey64
+// elements: nothing to do when they already are in order, a stable LSD
+// radix sort over the key bytes that vary at 256 keys or more (real key
+// domains are narrow, so typically 2-4 passes, not one per byte),
+// std::sort below that. `tmp` is the radix ping-pong buffer; the two
+// vectors may end up swapped, which is fine when both are arena slots of
+// one context.
+void SortPackedKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& tmp);
 
 // Lexicographic comparison of two rows restricted to `cols` (column
 // positions into each row; both rows use the same routing).
@@ -131,15 +109,15 @@ inline int CompareRowsAt(std::span<const Value> a, std::span<const Value> b,
 
 // True if the rows of `r` are already sorted by `cols` (non-decreasing).
 // O(n * |cols|); kAuto uses this to pick a zero-sort merge join, the
-// sorters to skip their std::sort.
+// sorters to skip their sort.
 bool RowsSortedBy(const CountedRelation& r, std::span<const int> cols);
 
 // Fills `perm` with a permutation of [0, r.NumRows()) ordering rows by
 // `cols`, ties broken by row index (stable). Leaves `perm` as the identity
 // without sorting when the input is already ordered; returns true in that
-// case. Keys that pack into 64 bits sort as SortKey64, wider ones as
-// SortKeyRef; the permutation is the same either way. Scratch (the key
-// arrays) comes from `ctx`.
+// case. Keys that pack into 64 bits sort as SortKey64 (scratch from
+// `ctx`), wider ones by a stable sort of `perm`; the permutation is the
+// same either way.
 bool SortRowsBy(const CountedRelation& r, std::span<const int> cols,
                 std::vector<uint32_t>& perm, ExecContext& ctx);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -91,9 +92,7 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
   // columns' ranges fit together (PackedKeyLayout). The key is the row, so
   // sorting the keys and counting runs of equal ones groups the rows.
   const size_t k = keep.size();
-  std::vector<uint64_t> lo(k);
-  std::vector<uint64_t> hi(k);
-  for (size_t j = 0; j < k; ++j) {
+  const PackedKeyLayout layout(k, [&](size_t j) {
     uint64_t min = ~uint64_t{0};
     uint64_t max = 0;
     for_each_selected(rel.Chunks(keep_cols[j]), [&](size_t, Value v) {
@@ -101,10 +100,8 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
       min = std::min(min, x);
       max = std::max(max, x);
     });
-    lo[j] = min;
-    hi[j] = max;
-  }
-  const PackedKeyLayout layout(lo, hi);
+    return std::pair{min, max};
+  });
 
   if (!layout.fits()) {
     // Wider keys: project row-major, one chunk-wise (or selection-gathered)
@@ -128,19 +125,7 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
     for_each_selected(rel.Chunks(keep_cols[j]),
                       [&](size_t i, Value v) { keys[i] |= c.Pack(v); });
   }
-  bool ordered = true;
-  uint64_t varying = 0;
-  for (size_t i = 1; i < n_sel; ++i) {
-    ordered &= keys[i - 1] <= keys[i];
-    varying |= keys[i] ^ keys[0];
-  }
-  if (!ordered) {
-    if (n_sel >= 256) {
-      RadixSortKeys(keys, ctx.packed_keys_tmp(), varying);
-    } else {
-      std::sort(keys.begin(), keys.end());
-    }
-  }
+  SortPackedKeys(keys, ctx.packed_keys_tmp());
   size_t distinct = 1;
   for (size_t i = 1; i < n_sel; ++i) distinct += keys[i - 1] != keys[i];
 

@@ -249,8 +249,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
 
   // S_a: shared-variable projections with predicates applied. Relation
   // lookups stay serial (Status propagation stays simple); the per-atom
-  // projection + normalize work fans out, each task on its own worker
-  // context.
+  // scans (ScanAtom) fan out, each task on its own worker context.
   std::vector<const Relation*> atom_rels(static_cast<size_t>(num_atoms));
   for (int a = 0; a < num_atoms; ++a) {
     auto rel = db.Get(q.atom(a).relation);

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "exec/counted_relation.h"
 #include "exec/exec_context.h"
 #include "exec/fold_join.h"
@@ -41,6 +45,80 @@ TEST(CountedRelationTest, NormalizeMergesDuplicates) {
   EXPECT_EQ(r.TotalCount(), Count(6));
   EXPECT_EQ(r.MaxCount(), Count(5));
   EXPECT_EQ(r.ArgMaxRow(), 1u);
+}
+
+// Normalize against a std::map from row to summed count, on random
+// relations: narrow and full-range values, repeated rows (summed), explicit
+// zero counts (dropped, also when a row's counts sum to zero), input that is
+// already ordered without being flagged, and a default count (kept).
+TEST(CountedRelationTest, NormalizeMatchesMapReference) {
+  Rng rng(17);
+  int trial = 0;
+  for (size_t arity = 1; arity <= 4; ++arity) {
+    // 0: random order; 1: in row order, repeats and zero counts included;
+    // 2: distinct rows in order, some counting zero; 3: distinct rows in
+    // order, none counting zero (kept as they are).
+    for (int order = 0; order < 4; ++order) {
+      for (bool big : {false, true}) {
+        for (bool full_range : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "arity " << arity << " order " << order << " big "
+                       << big << " full_range " << full_range);
+          const size_t rows =
+              big ? 256 + rng.NextBounded(600) : rng.NextBounded(256);
+          std::vector<std::pair<std::vector<Value>, Count>> input;
+          for (size_t i = 0; i < rows; ++i) {
+            std::vector<Value> row(arity);
+            if (i > 0 && rng.NextBounded(3) == 0) {
+              row = input[rng.NextBounded(i)].first;
+            } else {
+              for (Value& v : row) {
+                v = full_range ? static_cast<Value>(rng.NextUint64())
+                               : rng.NextInRange(-4, 4);
+              }
+            }
+            input.emplace_back(std::move(row), Count(rng.NextBounded(4)));
+          }
+          std::map<std::vector<Value>, Count> sums;
+          for (const auto& [row, count] : input) sums[row] += count;
+          std::map<std::vector<Value>, Count> want = sums;
+          std::erase_if(want, [](const auto& kv) { return kv.second.IsZero(); });
+          if (order == 1) {
+            std::stable_sort(input.begin(), input.end(),
+                             [](const auto& x, const auto& y) {
+                               return x.first < y.first;
+                             });
+          } else if (order == 2) {
+            input.assign(sums.begin(), sums.end());
+          } else if (order == 3) {
+            input.assign(want.begin(), want.end());
+          }
+
+          AttributeSet attrs;
+          for (size_t c = 0; c < arity; ++c) {
+            attrs.push_back(static_cast<AttrId>(c + 1));
+          }
+          CountedRelation r(attrs);
+          for (const auto& [row, count] : input) r.AppendRow(row, count);
+          const Count default_count = trial++ % 3 == 0 ? Count(2) : Count();
+          r.set_default_count(default_count);
+          ExecContext ctx;
+          r.Normalize(&ctx);
+          EXPECT_TRUE(r.sorted());
+          EXPECT_TRUE(r.unique());
+          EXPECT_EQ(r.default_count(), default_count);
+          ASSERT_EQ(r.NumRows(), want.size());
+          size_t i = 0;
+          for (const auto& [row, count] : want) {
+            ASSERT_TRUE(std::ranges::equal(r.Row(i), row)) << "row " << i;
+            ASSERT_EQ(r.CountAt(i), count) << "row " << i;
+            ++i;
+          }
+          EXPECT_EQ(ctx.FindStats("normalize") != nullptr, !input.empty());
+        }
+      }
+    }
+  }
 }
 
 TEST(CountedRelationTest, LookupFindsRowsAndDefault) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -258,13 +259,31 @@ TEST(ExecContextTest, StatsAccumulateAcrossCalls) {
 TEST(RowSortTest, SortRowsByMatchesReferenceOnRandomInputs) {
   Rng rng(13);
   ExecContext ctx;
-  for (int trial = 0; trial < 80; ++trial) {
-    // Alternate narrow domains (radix path) and spread values (introsort
-    // path, negatives included); arities 1-4 cover the inline-key widths.
-    const size_t arity = 1 + trial % 4;
+  // SortRowsBy's permutation of `r` by `cols` is exactly std::stable_sort's.
+  auto expect_reference = [&](const CountedRelation& r,
+                              const std::vector<int>& cols,
+                              const std::string& what) {
+    std::vector<uint32_t> perm;
+    SortRowsBy(r, cols, perm, ctx);
+    std::vector<uint32_t> expected(r.NumRows());
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](uint32_t x, uint32_t y) {
+                       return CompareRowsAt(r.Row(x), r.Row(y), cols) < 0;
+                     });
+    ASSERT_EQ(perm, expected) << what;
+  };
+  auto make_attrs = [](size_t arity) {
     AttributeSet attrs;
     for (size_t i = 0; i < arity; ++i) attrs.push_back(static_cast<AttrId>(i + 1));
-    CountedRelation r(attrs);
+    return attrs;
+  };
+  for (int trial = 0; trial < 80; ++trial) {
+    // Narrow domains (negatives included), so every key packs into 64
+    // bits; up to 600 rows, so both the radix and the std::sort side of
+    // 256 run.
+    const size_t arity = 1 + trial % 4;
+    CountedRelation r(make_attrs(arity));
     const size_t rows = 1 + rng.NextBounded(600);
     std::vector<Value> row(arity);
     for (size_t i = 0; i < rows; ++i) {
@@ -279,17 +298,47 @@ TEST(RowSortTest, SortRowsByMatchesReferenceOnRandomInputs) {
       if (rng.NextBounded(2) == 0) cols.push_back(static_cast<int>(c));
     }
     if (cols.empty()) cols.push_back(static_cast<int>(arity - 1));
-
-    std::vector<uint32_t> perm;
-    SortRowsBy(r, cols, perm, ctx);
-
-    std::vector<uint32_t> expected(r.NumRows());
-    std::iota(expected.begin(), expected.end(), 0);
-    std::stable_sort(expected.begin(), expected.end(),
-                     [&](uint32_t x, uint32_t y) {
-                       return CompareRowsAt(r.Row(x), r.Row(y), cols) < 0;
-                     });
-    ASSERT_EQ(perm, expected) << "trial " << trial;
+    expect_reference(r, cols, "packed trial " + std::to_string(trial));
+  }
+  // Full-range random values: two or more key columns need more than 64
+  // bits together, so these take the comparison path. Row counts fall on
+  // both sides of 256, and about half the rows repeat an earlier row, so
+  // ties must keep row order.
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t arity = 2 + trial % 3;
+    CountedRelation r(make_attrs(arity));
+    const size_t rows = trial % 2 == 0 ? 2 + rng.NextBounded(254)
+                                       : 256 + rng.NextBounded(500);
+    std::vector<Value> row(arity);
+    for (size_t i = 0; i < rows; ++i) {
+      if (i > 0 && rng.NextBounded(2) == 0) {
+        const std::span<const Value> earlier = r.Row(rng.NextBounded(i));
+        row.assign(earlier.begin(), earlier.end());
+      } else {
+        for (auto& v : row) v = static_cast<Value>(rng.NextUint64());
+      }
+      r.AppendRow(row, Count::One());
+    }
+    // Every column in a random order, or a random subset of two or more.
+    std::vector<int> cols(arity);
+    std::iota(cols.begin(), cols.end(), 0);
+    for (size_t c = arity; c > 1; --c) {
+      std::swap(cols[c - 1], cols[rng.NextBounded(c)]);
+    }
+    if (trial % 3 == 0) cols.resize(2 + rng.NextBounded(arity - 1));
+    const PackedKeyLayout layout(cols.size(), [&](size_t j) {
+      uint64_t lo = ~uint64_t{0};
+      uint64_t hi = 0;
+      for (size_t i = 0; i < r.NumRows(); ++i) {
+        const uint64_t x =
+            OrderedBits(r.Row(i)[static_cast<size_t>(cols[j])]);
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+      }
+      return std::pair{lo, hi};
+    });
+    ASSERT_FALSE(layout.fits()) << "wide trial " << trial;
+    expect_reference(r, cols, "wide trial " + std::to_string(trial));
   }
 }
 
