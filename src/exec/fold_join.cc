@@ -9,8 +9,12 @@
 namespace lsens {
 
 CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
-                         const JoinOptions& options) {
-  if (pieces.empty()) return CountedRelation::Unit();
+                         const JoinOptions& options,
+                         const std::optional<AttributeSet>& group) {
+  if (pieces.empty()) {
+    LSENS_CHECK(!group.has_value() || group->empty());
+    return CountedRelation::Unit();
+  }
   ExecContext& ctx = ResolveExecContext(options.ctx);
   uint64_t rows_in = 0;
   for (const CountedRelation* piece : pieces) rows_in += piece->NumRows();
@@ -82,9 +86,20 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
     // caller must never pass such a piece.
     LSENS_CHECK_MSG(best != SIZE_MAX,
                     "defaulted piece never covered by the accumulator");
+    if (group.has_value() && remaining.size() == 1) {
+      CountedRelation grouped =
+          JoinGroupBySum(*acc, *remaining[best], *group, options);
+      op.set_rows_out(grouped.NumRows());
+      return grouped;
+    }
     joined = NaturalJoin(*acc, *remaining[best], options);
     acc = &joined;
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
+  }
+  if (group.has_value()) {  // a lone piece: nothing to join
+    CountedRelation grouped = GroupBySum(*acc, *group, &ctx);
+    op.set_rows_out(grouped.NumRows());
+    return grouped;
   }
   op.set_rows_out(acc->NumRows());
   if (acc != &joined) return *acc;

@@ -1,6 +1,7 @@
 #ifndef LSENS_EXEC_FOLD_JOIN_H_
 #define LSENS_EXEC_FOLD_JOIN_H_
 
+#include <optional>
 #include <vector>
 
 #include "exec/join.h"
@@ -26,8 +27,18 @@ namespace lsens {
 // Pieces must be unique(). The output has NaturalJoin's contract: unique,
 // row order unspecified but deterministic. An empty `pieces` yields the
 // unit relation.
+//
+// With a `group`, the result is γ_group of the fold, sorted, and the last
+// join never materializes: it runs as JoinGroupBySum (a lone piece is
+// grouped as it is). Join order and kernels are the same as without one.
+// Only callers that read nothing but the grouped table pass a group; a
+// caller that keeps the fold itself folds without. Recorded as
+// "fold_join", rows_out being the rows returned (grouped ones, with a
+// group).
 CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
-                         const JoinOptions& options = {});
+                         const JoinOptions& options = {},
+                         const std::optional<AttributeSet>& group =
+                             std::nullopt);
 
 }  // namespace lsens
 

@@ -1,6 +1,9 @@
 #include "exec/join.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -101,6 +104,17 @@ CountedRelation JoinWithDefault(const CountedRelation& a,
   return out;
 }
 
+// Calls emit(ra, rb, count) for every pair of rows, a's rows outer.
+template <typename Emit>
+void ForEachCrossPair(const CountedRelation& a, const CountedRelation& b,
+                      Emit&& emit) {
+  for (size_t i = 0; i < a.NumRows(); ++i) {
+    for (size_t j = 0; j < b.NumRows(); ++j) {
+      emit(a.Row(i), b.Row(j), a.CountAt(i) * b.CountAt(j));
+    }
+  }
+}
+
 CountedRelation CrossProduct(const CountedRelation& a,
                              const CountedRelation& b, ExecContext& ctx) {
   OpTimer op(ctx, "join.cross", a.NumRows() + b.NumRows());
@@ -115,12 +129,11 @@ CountedRelation CrossProduct(const CountedRelation& a,
   out.Reserve(std::min(na * nb, kMaxReserveRows));
   std::vector<Value>& scratch = ctx.row_buf();
   scratch.resize(layout.out_src.size());
-  for (size_t i = 0; i < na; ++i) {
-    for (size_t j = 0; j < nb; ++j) {
-      EmitRow(layout, a.Row(i), b.Row(j), a.CountAt(i) * b.CountAt(j), &out,
-              scratch);
-    }
-  }
+  ForEachCrossPair(
+      a, b,
+      [&](std::span<const Value> ra, std::span<const Value> rb, Count c) {
+        EmitRow(layout, ra, rb, c, &out, scratch);
+      });
   out.MarkUnique();
   op.set_rows_out(out.NumRows());
   return out;
@@ -158,29 +171,64 @@ size_t ProbeTotalRows(const FlatGroupTable& table, const CountedRelation& probe,
   return total;
 }
 
-// Builds ctx.group_table() on the smaller side (`a` if `build_a`),
+// Builds ctx.group_table() on `a` if `build_a`, else on `b`, and
 // batch-hashes the other side's keys into ctx.hash_buf() (one column pass,
-// reused per row by every later probe), and returns the exact pre-merge
-// join cardinality. Runs are key-verified, so the count is exact even
-// under hash collisions.
-size_t BuildAndCount(const CountedRelation& a, const CountedRelation& b,
-                     const JoinLayout& layout, bool build_a, ExecContext& ctx,
-                     int threads) {
+// reused per row by every later probe).
+void BuildAndHash(const CountedRelation& a, const CountedRelation& b,
+                  const JoinLayout& layout, bool build_a, ExecContext& ctx) {
+  ctx.group_table().Build(build_a ? a : b,
+                          build_a ? layout.a_key_cols : layout.b_key_cols);
+  HashRowKeysBatch(build_a ? b : a,
+                   build_a ? layout.b_key_cols : layout.a_key_cols,
+                   ctx.gather_buf(), ctx.hash_buf());
+}
+
+// The exact pre-merge join cardinality of a table built by BuildAndHash.
+// Runs are key-verified, so the count is exact even under hash collisions.
+size_t CountMatches(const CountedRelation& a, const CountedRelation& b,
+                    const JoinLayout& layout, bool build_a, ExecContext& ctx,
+                    int threads) {
+  return ProbeTotalRows(ctx.group_table(), build_a ? b : a,
+                        build_a ? layout.b_key_cols : layout.a_key_cols,
+                        ctx.hash_buf(), ctx, threads);
+}
+
+// Calls emit(ra, rb, count) for every match of probe rows [begin, end)
+// against the table and probe hashes BuildAndHash left in `ctx`, which
+// are only read (partitions probe them concurrently): probe rows in order,
+// within one in ascending build-row order (the table's runs ascend).
+template <typename Emit>
+void ForEachHashMatch(const CountedRelation& a, const CountedRelation& b,
+                      const JoinLayout& layout, bool build_a,
+                      ExecContext& ctx, size_t begin, size_t end,
+                      Emit&& emit) {
+  const CountedRelation& build = build_a ? a : b;
   const CountedRelation& probe = build_a ? b : a;
   const std::vector<int>& probe_cols =
       build_a ? layout.b_key_cols : layout.a_key_cols;
-  ctx.group_table().Build(build_a ? a : b,
-                          build_a ? layout.a_key_cols : layout.b_key_cols);
-  HashRowKeysBatch(probe, probe_cols, ctx.gather_buf(), ctx.hash_buf());
-  return ProbeTotalRows(ctx.group_table(), probe, probe_cols, ctx.hash_buf(),
-                        ctx, threads);
+  const FlatGroupTable& table = ctx.group_table();
+  const std::vector<uint64_t>& probe_hashes = ctx.hash_buf();
+  for (size_t j = begin; j < end; ++j) {
+    std::span<const Value> pr = probe.Row(j);
+    for (uint32_t i : table.Probe(pr, probe_cols, probe_hashes[j])) {
+      std::span<const Value> br = build.Row(i);
+      emit(build_a ? br : pr, build_a ? pr : br,
+           build.CountAt(i) * probe.CountAt(j));
+    }
+  }
+}
+
+// True when a hash kernel's probe of `n` rows fans out over the pool.
+bool ParallelProbe(int threads, size_t n) {
+  return ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows;
 }
 
 // Hash join: a flat group table on the smaller side, probed by the larger.
-// A counting probe first takes the exact output size, which sizes the
-// Reserve — cheaper than the reallocation doublings it replaces on
-// expanding joins. Output rows come in probe-row order, and within one
-// probe row in ascending build-row order (the table's runs ascend).
+// The output is reserved up front. When the key covers every build
+// attribute, each probe row matches at most one build row (inputs are
+// unique), so the probe side's size bounds it; otherwise a counting probe
+// takes the exact size, cheaper than the reallocation doublings it
+// replaces on expanding joins. Output rows come in ForEachHashMatch order.
 //
 // With threads > 1 and a probe side past kParallelProbeMinRows the probe
 // is partitioned into `threads` contiguous row ranges fanned out over the
@@ -193,34 +241,26 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
                          const JoinLayout& layout, ExecContext& ctx,
                          int threads) {
   const bool build_a = a.NumRows() < b.NumRows();
-  const CountedRelation& build = build_a ? a : b;
-  const CountedRelation& probe = build_a ? b : a;
-  const std::vector<int>& probe_cols =
-      build_a ? layout.b_key_cols : layout.a_key_cols;
-
   OpTimer op(ctx, "join.hash", a.NumRows() + b.NumRows());
-  op.set_build_rows(build.NumRows());
-  const size_t est_rows = BuildAndCount(a, b, layout, build_a, ctx, threads);
-  const FlatGroupTable& table = ctx.group_table();
-  std::span<const uint64_t> probe_hashes = ctx.hash_buf();
-  const size_t n = probe.NumRows();
+  op.set_build_rows(build_a ? a.NumRows() : b.NumRows());
+  BuildAndHash(a, b, layout, build_a, ctx);
+  const size_t n = build_a ? b.NumRows() : a.NumRows();
+  const size_t est_rows =
+      layout.key.size() == (build_a ? a : b).arity()
+          ? n
+          : CountMatches(a, b, layout, build_a, ctx, threads);
 
   auto probe_range = [&](size_t begin, size_t end, CountedRelation* out,
                          std::vector<Value>& scratch) {
     scratch.resize(layout.out_src.size());
-    for (size_t j = begin; j < end; ++j) {
-      std::span<const Value> pr = probe.Row(j);
-      for (uint32_t i : table.Probe(pr, probe_cols, probe_hashes[j])) {
-        std::span<const Value> br = build.Row(i);
-        std::span<const Value> ra = build_a ? br : pr;
-        std::span<const Value> rb = build_a ? pr : br;
-        EmitRow(layout, ra, rb, build.CountAt(i) * probe.CountAt(j), out,
-                scratch);
-      }
-    }
+    ForEachHashMatch(
+        a, b, layout, build_a, ctx, begin, end,
+        [&](std::span<const Value> ra, std::span<const Value> rb, Count c) {
+          EmitRow(layout, ra, rb, c, out, scratch);
+        });
   };
 
-  if (ShouldRunParallel(threads, n) && n >= kParallelProbeMinRows) {
+  if (ParallelProbe(threads, n)) {
     const size_t parts = static_cast<size_t>(threads);
     std::vector<CountedRelation> outputs;
     outputs.reserve(parts);
@@ -232,8 +272,8 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
       probe_range(begin, end, &outputs[p], wctx.row_buf());
     });
     CountedRelation out = std::move(outputs[0]);
-    // One growth to the exact pre-merge size up front, so the concat loop
-    // never reallocates its way from est_rows/parts to est_rows.
+    // One growth to the full size up front, so the concat loop never
+    // reallocates its way from est_rows/parts to est_rows.
     out.Reserve(std::min(est_rows, kMaxReserveRows));
     for (size_t p = 1; p < parts; ++p) out.AppendRows(outputs[p]);
     out.MarkUnique();
@@ -249,10 +289,13 @@ CountedRelation HashJoin(const CountedRelation& a, const CountedRelation& b,
   return out;
 }
 
-CountedRelation SortMergeJoin(const CountedRelation& a,
-                              const CountedRelation& b,
-                              const JoinLayout& layout, ExecContext& ctx) {
-  OpTimer op(ctx, "join.sort_merge", a.NumRows() + b.NumRows());
+// Sorts both sides by the key (SortRowsBy; perm_a/perm_b from `ctx`) and
+// calls emit(ra, rb, count) for every match, in key order: within one key,
+// a's rows outer, each side in sorted order.
+template <typename Emit>
+void ForEachMergeMatch(const CountedRelation& a, const CountedRelation& b,
+                       const JoinLayout& layout, ExecContext& ctx,
+                       Emit&& emit) {
   std::vector<uint32_t>& pa = ctx.perm_a();
   std::vector<uint32_t>& pb = ctx.perm_b();
   SortRowsBy(a, layout.a_key_cols, pa, ctx);
@@ -268,9 +311,6 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
     return 0;
   };
 
-  CountedRelation out(layout.out_attrs);
-  std::vector<Value>& scratch = ctx.row_buf();
-  scratch.resize(layout.out_src.size());
   size_t i = 0;
   size_t j = 0;
   while (i < pa.size() && j < pb.size()) {
@@ -289,18 +329,87 @@ CountedRelation SortMergeJoin(const CountedRelation& a,
         ++j_end;
       for (size_t x = i; x < i_end; ++x) {
         for (size_t y = j; y < j_end; ++y) {
-          EmitRow(layout, a.Row(pa[x]), b.Row(pb[y]),
-                  a.CountAt(pa[x]) * b.CountAt(pb[y]), &out, scratch);
+          emit(a.Row(pa[x]), b.Row(pb[y]), a.CountAt(pa[x]) * b.CountAt(pb[y]));
         }
       }
       i = i_end;
       j = j_end;
     }
   }
+}
+
+CountedRelation SortMergeJoin(const CountedRelation& a,
+                              const CountedRelation& b,
+                              const JoinLayout& layout, ExecContext& ctx) {
+  OpTimer op(ctx, "join.sort_merge", a.NumRows() + b.NumRows());
+  CountedRelation out(layout.out_attrs);
+  std::vector<Value>& scratch = ctx.row_buf();
+  scratch.resize(layout.out_src.size());
+  ForEachMergeMatch(
+      a, b, layout, ctx,
+      [&](std::span<const Value> ra, std::span<const Value> rb, Count c) {
+        EmitRow(layout, ra, rb, c, &out, scratch);
+      });
   out.MarkUnique();
   op.set_rows_out(out.NumRows());
   return out;
 }
+
+// The kernel NaturalJoin runs for a shared key: sort-merge when forced, or
+// under kAuto when both sides are already ordered on the key (one linear
+// merge, no sort and no table build); hash otherwise.
+bool UseSortMerge(const CountedRelation& a, const CountedRelation& b,
+                  const JoinLayout& layout, JoinAlgorithm algorithm) {
+  if (algorithm == JoinAlgorithm::kAuto) {
+    return RowsSortedBy(a, layout.a_key_cols) &&
+           RowsSortedBy(b, layout.b_key_cols);
+  }
+  return algorithm == JoinAlgorithm::kSortMerge;
+}
+
+// --- Fused join-group-by ------------------------------------------------
+
+// One group column of γ_G(a ⋈ b): the side it is read from (0 = a,
+// 1 = b), its column there, and its field of the packed group key.
+struct GroupColumn {
+  int side = 0;
+  size_t col = 0;
+  PackedColumn field;
+};
+
+// The packed group key of one matching pair.
+uint64_t PackGroupKey(std::span<const GroupColumn> group,
+                      std::span<const Value> ra, std::span<const Value> rb) {
+  uint64_t key = 0;
+  for (const GroupColumn& g : group) {
+    key |= g.field.Pack((g.side == 0 ? ra : rb)[g.col]);
+  }
+  return key;
+}
+
+// The fused kernel's join output under construction: per run of
+// consecutive matches with equal group keys, the key (indexing its count)
+// and the run's summed count. The matches of one probe row share their key
+// whenever the group's columns lie on the probe side or in the join key,
+// so there are far fewer runs than matches; the sums are order-free.
+struct GroupRuns {
+  std::vector<SortKey64> keys;
+  std::vector<Count> counts;
+  size_t matches = 0;
+
+  void Add(uint64_t key, Count count) {
+    ++matches;
+    if (!keys.empty() && keys.back().key == key) {
+      counts.back() += count;
+      return;
+    }
+    // Indices are 32-bit, as SortKey64's are.
+    LSENS_CHECK_MSG(counts.size() < UINT32_MAX,
+                    "fused join-group-by is limited to 2^32-1 runs");
+    keys.push_back({key, static_cast<uint32_t>(counts.size())});
+    counts.push_back(count);
+  }
+};
 
 }  // namespace
 
@@ -327,15 +436,150 @@ CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
 
   JoinLayout layout = MakeLayout(a, b);
   if (layout.key.empty()) return CrossProduct(a, b, ctx);
-  bool merge = options.algorithm == JoinAlgorithm::kSortMerge;
-  if (options.algorithm == JoinAlgorithm::kAuto) {
-    // Two sides already ordered on the key merge in one linear pass, with
-    // no sort and no table build; anything else hashes.
-    merge = RowsSortedBy(a, layout.a_key_cols) &&
-            RowsSortedBy(b, layout.b_key_cols);
+  if (UseSortMerge(a, b, layout, options.algorithm)) {
+    return SortMergeJoin(a, b, layout, ctx);
   }
-  if (merge) return SortMergeJoin(a, b, layout, ctx);
   return HashJoin(a, b, layout, ctx, options.threads);
+}
+
+CountedRelation JoinGroupBySum(const CountedRelation& a,
+                               const CountedRelation& b,
+                               const AttributeSet& group,
+                               const JoinOptions& options) {
+  LSENS_CHECK_MSG(a.unique() && b.unique(),
+                  "NaturalJoin inputs must be unique (Normalize raw rows)");
+  ExecContext& ctx = ResolveExecContext(options.ctx);
+  const JoinLayout layout = MakeLayout(a, b);
+  LSENS_CHECK(IsSubset(group, layout.out_attrs));
+  // A defaulted side needs the covering join's unmatched-row default, and
+  // a group wider than 64 bits has no packed key: both build the join.
+  auto build_and_group = [&] {
+    return GroupBySum(NaturalJoin(a, b, options), group, &ctx);
+  };
+  if (a.has_default() || b.has_default()) return build_and_group();
+
+  // Each group column is read from `a` when `a` has it, and packs over the
+  // range of its values there: matches only carry values of that side.
+  std::vector<GroupColumn> cols;
+  cols.reserve(group.size());
+  for (AttrId attr : group) {
+    const int ca = a.ColumnOf(attr);
+    const int side = ca >= 0 ? 0 : 1;
+    cols.push_back({side, static_cast<size_t>(ca >= 0 ? ca : b.ColumnOf(attr)),
+                    PackedColumn{}});
+  }
+  const PackedKeyLayout packing(group.size(), [&](size_t j) {
+    const CountedRelation& side = cols[j].side == 0 ? a : b;
+    uint64_t min = ~uint64_t{0};
+    uint64_t max = 0;
+    for (size_t i = 0; i < side.NumRows(); ++i) {
+      const uint64_t x = OrderedBits(side.Row(i)[cols[j].col]);
+      min = std::min(min, x);
+      max = std::max(max, x);
+    }
+    return std::pair{min, max};
+  });
+  if (!packing.fits()) return build_and_group();
+  for (size_t j = 0; j < cols.size(); ++j) cols[j].field = packing.column(j);
+
+  // The join: every matching pair's packed group key and product count,
+  // summed into runs, recorded under the kernel NaturalJoin would have run
+  // with rows_out = the matches. The runs are this call's own buffers,
+  // grown as they fill: arena slots would keep their largest capacity in
+  // every worker context, which raised peak memory more than it saved.
+  GroupRuns runs;
+  auto add_to = [&cols](GroupRuns& r) {
+    return [&cols, &r](std::span<const Value> ra, std::span<const Value> rb,
+                       Count count) {
+      r.Add(PackGroupKey(cols, ra, rb), count);
+    };
+  };
+  const uint64_t rows_in = a.NumRows() + b.NumRows();
+  if (layout.key.empty()) {
+    OpTimer op(ctx, "join.cross", rows_in);
+    ForEachCrossPair(a, b, add_to(runs));
+    op.set_rows_out(runs.matches);
+  } else if (UseSortMerge(a, b, layout, options.algorithm)) {
+    OpTimer op(ctx, "join.sort_merge", rows_in);
+    ForEachMergeMatch(a, b, layout, ctx, add_to(runs));
+    op.set_rows_out(runs.matches);
+  } else {
+    // HashJoin's build and (partitioned) probe. Each partition sums into
+    // runs of its own, concatenated in partition order, count indices
+    // rebased.
+    const bool build_a = a.NumRows() < b.NumRows();
+    OpTimer op(ctx, "join.hash", rows_in);
+    op.set_build_rows(build_a ? a.NumRows() : b.NumRows());
+    BuildAndHash(a, b, layout, build_a, ctx);
+    const size_t n = build_a ? b.NumRows() : a.NumRows();
+    if (ParallelProbe(options.threads, n)) {
+      const size_t parts = static_cast<size_t>(options.threads);
+      std::vector<GroupRuns> part_runs(parts);
+      ParallelApply(ctx, options.threads, parts, [&](size_t p, ExecContext&) {
+        ForEachHashMatch(a, b, layout, build_a, ctx, p * n / parts,
+                         (p + 1) * n / parts, add_to(part_runs[p]));
+      });
+      for (const GroupRuns& part : part_runs) {
+        const size_t offset = runs.counts.size();
+        LSENS_CHECK_MSG(offset + part.counts.size() < UINT32_MAX,
+                        "fused join-group-by is limited to 2^32-1 runs");
+        for (const SortKey64& e : part.keys) {
+          runs.keys.push_back({e.key, e.idx + static_cast<uint32_t>(offset)});
+        }
+        runs.counts.insert(runs.counts.end(), part.counts.begin(),
+                           part.counts.end());
+        runs.matches += part.matches;
+      }
+    } else {
+      ForEachHashMatch(a, b, layout, build_a, ctx, 0, n, add_to(runs));
+    }
+    op.set_rows_out(runs.matches);
+  }
+
+  // γ: the runs sorted by key (nothing to do when they arrive in order),
+  // each stretch of equal keys one output row, decoded, carrying the
+  // stretch's summed count. Saturating sums of non-zero counts do not
+  // depend on order and are never zero, so this is GroupBySum over the
+  // joined rows, bit for bit.
+  std::vector<SortKey64>& keys = runs.keys;
+  CountedRelation out(group);
+  if (group.empty()) {
+    // A total (every key is 0: one run per probe partition at most),
+    // recorded under the join alone, as TotalCount over the built join
+    // would be.
+    Count total = Count::Zero();
+    for (Count c : runs.counts) total += c;
+    if (!total.IsZero()) out.AppendRow(std::span<const Value>{}, total);
+    out.MarkUnique();
+    return out;
+  }
+  OpTimer op(ctx, "group_by_sum", runs.matches);
+  if (keys.empty()) return out;
+  std::vector<SortKey64> tmp;
+  SortPackedKeys(keys, tmp);
+  size_t distinct = 1;
+  for (size_t i = 1; i < keys.size(); ++i) {
+    distinct += keys[i - 1].key != keys[i].key;
+  }
+  const CountedRelation::RawRows dst =
+      out.AppendRowsRaw(distinct, Count::Zero());
+  const size_t k = group.size();
+  size_t begin = 0;
+  for (size_t row = 0; row < distinct; ++row) {
+    const uint64_t key = keys[begin].key;
+    Count total = Count::Zero();
+    size_t end = begin;
+    for (; end < keys.size() && keys[end].key == key; ++end) {
+      total += runs.counts[keys[end].idx];
+    }
+    Value* values = dst.values.data() + row * k;
+    for (size_t j = 0; j < k; ++j) values[j] = cols[j].field.Unpack(key);
+    dst.counts[row] = total;
+    begin = end;
+  }
+  out.MarkUnique();
+  op.set_rows_out(distinct);
+  return out;
 }
 
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
@@ -346,7 +590,8 @@ size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
   OpTimer op(ctx, "estimate_join_rows", a.NumRows() + b.NumRows());
   const bool build_a = a.NumRows() < b.NumRows();
   op.set_build_rows(std::min(a.NumRows(), b.NumRows()));
-  const size_t total = BuildAndCount(a, b, layout, build_a, ctx, threads);
+  BuildAndHash(a, b, layout, build_a, ctx);
+  const size_t total = CountMatches(a, b, layout, build_a, ctx, threads);
   op.set_rows_out(total);
   return total;
 }

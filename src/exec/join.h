@@ -60,14 +60,42 @@ inline JoinOptions WorkerJoinOptions(const JoinOptions& base,
 CountedRelation NaturalJoin(const CountedRelation& a, const CountedRelation& b,
                             const JoinOptions& options = {});
 
+// γ_group(a ⋈ b) — GroupBySum(NaturalJoin(a, b, options), group), bit for
+// bit — without building a ⋈ b. The join runs the kernel NaturalJoin would
+// pick (the kAuto rule, the forced algorithms, the partitioned probe at
+// threads > 1), but each matching pair only packs its group values into a
+// 64-bit key (PackedKeyLayout; a group column is read from `a` when `a` has
+// it, else from `b`, and packs over that side's value range) next to its
+// product count, summed into the previous pair's when their keys agree.
+// The keys are then sorted (SortPackedKeys; nothing to do when they arrive
+// in order) and each run of equal keys becomes one output row carrying the
+// run's summed count. The output is sorted().
+//
+// Two cases build the join and group it instead: a defaulted (top-k) side,
+// whose unmatched rows take the covering join's default, and a group whose
+// value ranges need more than 64 bits together.
+//
+// Stats are recorded under the operators the two-step form records: the
+// join kernel ("join.hash", "join.sort_merge" or "join.cross", rows_out =
+// the matches), then "group_by_sum" (rows_in = the matches) — except for
+// an empty group, the join's total, which records the join alone. `group`
+// must be a subset of the union of the inputs' attributes, which must be
+// unique() (CHECKed).
+CountedRelation JoinGroupBySum(const CountedRelation& a,
+                               const CountedRelation& b,
+                               const AttributeSet& group,
+                               const JoinOptions& options = {});
+
 // Exact number of result rows NaturalJoin(a, b) would produce, computed in
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
 // collisions). Recorded as "estimate_join_rows"; FoldJoin's greedy
-// join-order heuristic is its only engine caller. (The hash kernel takes
-// the same exact count inside its own "join.hash" timer to size its
-// output.) `threads` > 1 chunk-sums large probe sides on the global pool
-// (the count is unchanged).
+// join-order heuristic is its only engine caller. (The hash kernels take
+// the same exact count inside their own "join.hash" timer to size their
+// output, unless the key covers every build attribute: then each probe row
+// matches at most once and the probe side's size is the bound.)
+// `threads` > 1 chunk-sums large probe sides on the global pool (the count
+// is unchanged).
 size_t EstimateJoinRows(const CountedRelation& a, const CountedRelation& b,
                         ExecContext* ctx = nullptr, int threads = 0);
 

@@ -14,7 +14,7 @@ uint64_t RadixKey(uint64_t e) { return e; }
 uint64_t RadixKey(const SortKey64& e) { return e.key; }
 
 // SortPackedKeys for either element type. SortKey64 elements arrive in
-// row-index order, so every branch leaves equal keys by row index.
+// index order, so every branch leaves equal keys by index.
 template <typename Elem>
 void SortKeys(std::vector<Elem>& keys, std::vector<Elem>& tmp) {
   const size_t n = keys.size();
@@ -67,6 +67,11 @@ PackedKeyLayout::PackedKeyLayout(
 }
 
 void SortPackedKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& tmp) {
+  SortKeys(keys, tmp);
+}
+
+void SortPackedKeys(std::vector<SortKey64>& keys,
+                    std::vector<SortKey64>& tmp) {
   SortKeys(keys, tmp);
 }
 

@@ -18,7 +18,7 @@ class ExecContext;
 // GroupBySum, GroupByMax, the sort-merge join, and the kAuto join rule all
 // order rows by a column subset through these helpers instead of each
 // carrying its own comparison loop. ScanAtom shares the key packing and
-// the packed-key sort.
+// the packed-key sort, and so does the fused join-group-by.
 //
 // Rows order by one of two paths. When the key columns' value ranges fit
 // in 64 bits together — every one-column key, and the multi-column keys of
@@ -93,6 +93,10 @@ class PackedKeyLayout {
 // vectors may end up swapped, which is fine when both are arena slots of
 // one context.
 void SortPackedKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& tmp);
+// The same over (key, index) elements, ties kept in index order: the fused
+// join-group-by (JoinGroupBySum) sorts its packed group keys this way, each
+// carrying the index of its count.
+void SortPackedKeys(std::vector<SortKey64>& keys, std::vector<SortKey64>& tmp);
 
 // Lexicographic comparison of two rows restricted to `cols` (column
 // positions into each row; both rows use the same routing).

@@ -88,10 +88,42 @@ CountedRelation ScanAtom(const Relation& rel, const Atom& atom,
     }
   };
 
+  const size_t k = keep.size();
+  if (k == 1) {
+    // One kept column whose selected values strictly increase — a key
+    // column stored in order, such as q2's Part(PK) — already is the
+    // output, each value with count 1: one read pass checks the order (up
+    // to the first value out of it) and one copies, and the pack, sort,
+    // run and decode passes are skipped.
+    const ChunkedColumn col = rel.Chunks(keep_cols[0]);
+    auto increasing = [&] {
+      if (!all_rows) {
+        for (size_t i = 1; i < n_sel; ++i) {
+          if (col[sel[i - 1]] >= col[sel[i]]) return false;
+        }
+        return true;
+      }
+      const Value* prev = nullptr;
+      for (size_t ch = 0; ch < col.num_chunks(); ++ch) {
+        for (const Value& v : col.chunk(ch)) {
+          if (prev != nullptr && *prev >= v) return false;
+          prev = &v;
+        }
+      }
+      return true;
+    };
+    if (increasing()) {
+      Value* dst = out.AppendRowsRaw(n_sel, Count::One()).values.data();
+      for_each_selected(col, [&](size_t i, Value v) { dst[i] = v; });
+      out.MarkUnique();
+      op.set_rows_out(n_sel);
+      return out;
+    }
+  }
+
   // Each selected row's kept values pack into one 64-bit key when the
   // columns' ranges fit together (PackedKeyLayout). The key is the row, so
   // sorting the keys and counting runs of equal ones groups the rows.
-  const size_t k = keep.size();
   const PackedKeyLayout layout(k, [&](size_t j) {
     uint64_t min = ~uint64_t{0};
     uint64_t max = 0;

@@ -46,15 +46,17 @@ StatusOr<Count> CountGhd(const ConjunctiveQuery& q, const Ghd& ghd,
       for (int child : tree.Children(bag)) {
         pieces.push_back(&botjoin[static_cast<size_t>(child)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), options);
+      // Only γ reads a fold (a root's is its total), so the last join of
+      // each runs straight into the group-by.
       int parent = tree.Parent(bag);
       if (parent == -1) {
-        tree_count = folded.TotalCount();
+        tree_count =
+            FoldJoin(std::move(pieces), options, AttributeSet{}).TotalCount();
       } else {
         AttributeSet link = Intersect(
             spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
         botjoin[static_cast<size_t>(bag)] =
-            GroupBySum(folded, link, options.ctx);
+            FoldJoin(std::move(pieces), options, link);
       }
     }
     total *= tree_count;

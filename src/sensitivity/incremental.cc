@@ -1062,6 +1062,11 @@ std::unique_ptr<RepairState> BuildState(
     }
   }
   *rows_touched += b.scan_rows;
+  // Acquire charged each node as it was loaded, but a parent acquired later
+  // adds secondary indexes to its children (the driver, join pieces), so
+  // re-charge every node this state touched at its final size.
+  for (const auto& node : state->sources) RefreshNodeBytes(*node, stats);
+  for (const auto& node : state->nodes) RefreshNodeBytes(*node, stats);
   return state;
 }
 

@@ -305,6 +305,21 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       tree_truncated[t] = 1;
       return &**trunc;
     };
+    // γ_group(⋈ pieces). The last join runs straight into the group-by,
+    // unless the capture keeps the fold: then the fold is built, grouped,
+    // and stored sorted in `keep` (its capture slot).
+    auto fold_group = [&](std::vector<const CountedRelation*> pieces,
+                          const AttributeSet& group,
+                          std::optional<CountedRelation>* keep) {
+      if (keep == nullptr) {
+        return FoldJoin(std::move(pieces), jopts, group);
+      }
+      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
+      CountedRelation grouped = GroupBySum(folded, group, &tctx);
+      folded.Normalize(&tctx);
+      *keep = std::move(folded);
+      return grouped;
+    };
     // Botjoins, leaves to root (Eq. 7 generalized to bags).
     for (int bag : tree.PostOrder()) {
       const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
@@ -315,26 +330,28 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       for (int c : tree.Children(bag)) {
         pieces.push_back(bot_use[static_cast<size_t>(c)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
       int parent = tree.Parent(bag);
       if (parent == -1) {
-        tree_total[t] = folded.TotalCount();
         if (options.capture != nullptr && num_trees >= 2) {
+          CountedRelation folded = FoldJoin(std::move(pieces), jopts);
+          tree_total[t] = folded.TotalCount();
           folded.Normalize(&tctx);
           options.capture->root_join[t] = std::move(folded);
+        } else {
+          tree_total[t] =
+              FoldJoin(std::move(pieces), jopts, AttributeSet{}).TotalCount();
         }
       } else {
         AttributeSet link = Intersect(
             spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        bot_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
+        bot_full[static_cast<size_t>(bag)] = fold_group(
+            std::move(pieces), link,
+            options.capture != nullptr && spec.atom_indices.size() >= 2
+                ? &options.capture->bot_join[static_cast<size_t>(bag)]
+                : nullptr);
         bot_use[static_cast<size_t>(bag)] =
             maybe_truncate(*bot_full[static_cast<size_t>(bag)],
                            &bot_trunc[static_cast<size_t>(bag)]);
-        if (options.capture != nullptr && spec.atom_indices.size() >= 2) {
-          folded.Normalize(&tctx);
-          options.capture->bot_join[static_cast<size_t>(bag)] =
-              std::move(folded);
-        }
       }
     }
     // Topjoins, root to leaves (Eq. 8 generalized to bags).
@@ -353,17 +370,15 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       for (int sibling : tree.Neighbors(bag)) {
         pieces.push_back(bot_use[static_cast<size_t>(sibling)]);
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
       AttributeSet link = Intersect(spec.vars, pspec.vars);
-      top_full[static_cast<size_t>(bag)] = GroupBySum(folded, link, &tctx);
+      top_full[static_cast<size_t>(bag)] = fold_group(
+          std::move(pieces), link,
+          options.capture != nullptr && pspec.atom_indices.size() >= 2
+              ? &options.capture->top_join[static_cast<size_t>(bag)]
+              : nullptr);
       top_use[static_cast<size_t>(bag)] =
           maybe_truncate(*top_full[static_cast<size_t>(bag)],
                          &top_trunc[static_cast<size_t>(bag)]);
-      if (options.capture != nullptr && pspec.atom_indices.size() >= 2) {
-        folded.Normalize(&tctx);
-        options.capture->top_join[static_cast<size_t>(bag)] =
-            std::move(folded);
-      }
     }
   };
   if (ShouldRunParallel(threads, num_trees)) {
@@ -446,6 +461,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     // then a component whose group determines its join rows is maxed per
     // factor instead of materialized (FactorizedMax).
     const bool max_only = !options.keep_tables && options.capture == nullptr;
+    const std::vector<Predicate>& atom_preds = q.atom(a).predicates;
     for (const auto& comp : components) {
       std::vector<const CountedRelation*> comp_pieces;
       AttributeSet comp_attrs;
@@ -456,6 +472,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
         defaulted = defaulted || pieces[idx]->has_default();
       }
       AttributeSet group = Intersect(out.table_attrs, comp_attrs);
+      const bool group_is_full = group == comp_attrs;
       if (max_only && !defaulted) {
         const AttributeSet dropped = Difference(comp_attrs, group);
         Count comp_max;
@@ -469,24 +486,41 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
           continue;
         }
       }
-      CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
-      const bool group_is_full = group == folded.attrs();
       TSensCapture::AtomComponent* cap = nullptr;
       if (options.capture != nullptr) {
         cap = &options.capture->atom_components[static_cast<size_t>(a)]
                    .emplace_back();
+      }
+      // The component table: a lone piece that is already the table, with
+      // no predicate to apply, is read in place (every component of a path
+      // query). Otherwise the fold, grouped when the group projects it —
+      // with the last join run straight into the group-by unless the
+      // capture keeps the fold.
+      std::optional<CountedRelation> owned;
+      const bool in_place =
+          comp.size() == 1 && group_is_full && !options.keep_tables &&
+          std::none_of(atom_preds.begin(), atom_preds.end(),
+                       [&](const Predicate& p) {
+                         return std::binary_search(comp_attrs.begin(),
+                                                   comp_attrs.end(), p.var);
+                       });
+      if (!in_place && cap == nullptr && !group_is_full) {
+        owned = FoldJoin(std::move(comp_pieces), jopts, group);
+      } else if (!in_place) {
+        CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
         // Multi-piece folds must be kept whole (no single piece covers
         // them); grouped tables only when grouping actually projected.
-        if (comp.size() >= 2) {
+        if (cap != nullptr && comp.size() >= 2) {
           cap->join = folded;
           cap->join->Normalize(&actx);
         }
+        owned = group_is_full ? std::move(folded)
+                              : GroupBySum(folded, group, &actx);
+        if (cap != nullptr && !group_is_full) cap->table = *owned;
       }
-      CountedRelation table = group_is_full
-                                  ? std::move(folded)
-                                  : GroupBySum(folded, group, &actx);
-      if (cap != nullptr && !group_is_full) cap->table = table;
-      ApplyPredicates(q.atom(a), &table);
+      if (owned.has_value()) ApplyPredicates(q.atom(a), &*owned);
+      const CountedRelation& table =
+          owned.has_value() ? *owned : *pieces[comp[0]];
       max_product *= table.MaxCount();
       if (table.arity() > 0) {  // a scalar component carries no values
         const size_t r = table.ArgMaxRow();
@@ -496,7 +530,7 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
           place(table.attrs(), table.Row(r));
         }
       }
-      if (options.keep_tables) comp_tables.push_back(std::move(table));
+      if (options.keep_tables) comp_tables.push_back(std::move(*owned));
     }
     out.max_sensitivity = max_product;
     out.approximate = truncation_applied;

@@ -325,6 +325,51 @@ TEST(ScanAtomTest, RandomizedMatchesProjectionAndNormalize) {
   }
 }
 
+// A lone kept column whose selected values strictly increase is copied
+// out as it is checked; one that stops increasing (last row, a tie) falls
+// back to the packed path mid-copy. Either way the rows and counts are the
+// reference's and no Normalize runs.
+TEST(ScanAtomTest, StrictlyIncreasingColumnIsCopiedOut) {
+  constexpr size_t kRows = 2 * kChunkRows + 91;
+  // A strictly increases through negative values and across chunks; B
+  // too, except for its last row; C repeats every value twice; D is
+  // strictly increasing but selected through predicates.
+  auto gen = [](size_t i, int c) -> Value {
+    const auto v = static_cast<Value>(i);
+    switch (c) {
+      case 0:
+        return 3 * v - 5000;
+      case 1:
+        return i + 1 == kRows ? Value{0} : v + 1;
+      case 2:
+        return v / 2;
+      default:
+        return 7 * v - 100000;
+    }
+  };
+  {
+    ScanInstance inst = MakeScanInstance(kRows, gen);
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+    const Atom& atom = inst.query.atom(0);
+    ExecContext ctx;
+    const CountedRelation a = ScanAtom(*inst.db.Find("R"), atom,
+                                       AttributeSet{atom.vars[0]}, &ctx);
+    ASSERT_EQ(a.NumRows(), kRows);
+    EXPECT_TRUE(a.sorted());
+    for (size_t i = 0; i < kRows; ++i) {
+      ASSERT_EQ(a.Row(i)[0], gen(i, 0)) << "row " << i;
+      ASSERT_EQ(a.CountAt(i), Count::One()) << "row " << i;
+    }
+    EXPECT_EQ(ctx.FindStats("normalize"), nullptr);
+  }
+  {
+    ScanInstance inst = MakeScanInstance(
+        kRows, gen, {{0, Predicate::Op::kGt, -2000},
+                     {3, Predicate::Op::kLt, 30000}});
+    ExpectScansMatchReference(inst.db, inst.query.atom(0), 0u);
+  }
+}
+
 // Columns spanning INT64_MIN..INT64_MAX take all 64 bits, so any key with
 // a second varying column falls back to projection plus Normalize.
 TEST(ScanAtomTest, FullRangeKeysFallBackToNormalize) {

@@ -2,7 +2,8 @@
 // algorithm (flat-table hash, sort-merge, and the filtered-cross-product
 // oracle) must produce identical normalized outputs on randomized inputs,
 // the kAuto rule must pick its kernel from key order alone (no estimate
-// pass), and ExecContext must collect operator stats end to end.
+// pass), the fused join-group-by must equal the join grouped after it, and
+// ExecContext must collect operator stats end to end.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,207 @@ TEST(JoinDifferentialTest, EmptyKeyAndEmptyInputEdgeCases) {
     // Unit is the neutral element regardless of algorithm.
     CountedRelation u = NaturalJoin(one, CountedRelation::Unit(), {algo});
     EXPECT_TRUE(SameRowsUpToOrder(one, u)) << "unit join";
+  }
+}
+
+// --- Fused join-group-by ---------------------------------------------------
+
+// Random unique relation over `attrs`. Values are drawn from [0, domain),
+// `spread` also mapping half of them far out and negative, and `wide`
+// pinning some to INT64_MIN / INT64_MAX so a column spans all 64 bits.
+// Counts are small, and with `huge` some are near or at Count::Max(), so
+// products and sums saturate.
+struct RandomShape {
+  size_t max_rows;
+  uint64_t domain;
+  bool spread = false;
+  bool wide = false;
+  bool huge = false;
+};
+
+CountedRelation MakeRandomCounted(Rng& rng, AttributeSet attrs,
+                                  const RandomShape& shape) {
+  CountedRelation r(std::move(attrs));
+  const size_t rows = rng.NextBounded(shape.max_rows + 1);
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < rows; ++i) {
+    for (auto& v : row) {
+      v = static_cast<Value>(rng.NextBounded(shape.domain));
+      if (shape.spread && rng.NextBounded(2) == 0) {
+        v = v * -1'000'003 + static_cast<Value>(rng.NextBounded(7));
+      }
+      if (shape.wide && rng.NextBounded(8) == 0) {
+        v = rng.NextBounded(2) == 0 ? std::numeric_limits<Value>::min()
+                                    : std::numeric_limits<Value>::max();
+      }
+    }
+    Count c(1 + rng.NextBounded(4));
+    if (shape.huge && rng.NextBounded(3) == 0) {
+      c = rng.NextBounded(2) == 0
+              ? Count::Max()
+              : Count(~uint64_t{0}) * Count(~uint64_t{0} >> rng.NextBounded(3));
+    }
+    r.AppendRow(row, c);
+  }
+  r.Normalize();
+  return r;
+}
+
+// A random subset of `attrs` with at most `max_size` attributes.
+AttributeSet RandomGroup(Rng& rng, const AttributeSet& attrs,
+                         size_t max_size) {
+  AttributeSet group;
+  for (AttrId attr : attrs) {
+    if (group.size() < max_size && rng.NextBounded(2) == 0) {
+      group.push_back(attr);
+    }
+  }
+  return group;
+}
+
+// JoinGroupBySum(a, b, group) is GroupBySum(NaturalJoin(a, b), group) bit
+// for bit — rows, order, counts, sorted() — under the same options, and
+// records the same join work (the kernel's calls, rows in and out) and,
+// for a non-empty group, the same group-by work.
+void ExpectFusedMatchesTwoStep(const CountedRelation& a,
+                               const CountedRelation& b,
+                               const AttributeSet& group, JoinAlgorithm algo,
+                               int threads, const std::string& what) {
+  ExecContext ref_ctx;
+  ExecContext fused_ctx;
+  const CountedRelation want = GroupBySum(
+      NaturalJoin(a, b, {algo, &ref_ctx, threads}), group, &ref_ctx);
+  const CountedRelation got =
+      JoinGroupBySum(a, b, group, {algo, &fused_ctx, threads});
+  EXPECT_TRUE(got.sorted()) << what;
+  EXPECT_TRUE(got.unique()) << what;
+  EXPECT_TRUE(testing::SameRowsInOrder(want, got)) << what;
+  std::vector<const char*> ops = {"join.hash", "join.sort_merge",
+                                  "join.cross", "join.default"};
+  if (!group.empty()) ops.push_back("group_by_sum");
+  for (const char* op : ops) {
+    const OperatorStats* w = ref_ctx.FindStats(op);
+    const OperatorStats* g = fused_ctx.FindStats(op);
+    ASSERT_EQ(w == nullptr, g == nullptr) << what << " " << op;
+    if (w == nullptr) continue;
+    EXPECT_EQ(w->calls, g->calls) << what << " " << op;
+    EXPECT_EQ(w->rows_in, g->rows_in) << what << " " << op;
+    EXPECT_EQ(w->rows_out, g->rows_out) << what << " " << op;
+    EXPECT_EQ(w->build_rows, g->build_rows) << what << " " << op;
+  }
+}
+
+TEST(JoinGroupBySumTest, RandomizedMatchesGroupBySumOfNaturalJoin) {
+  Rng rng(2106);
+  // Shared keys that trail one side's attributes (sort-merge has to sort
+  // that side), a key leading both sides, full overlap, a key covering the
+  // build side, and a disjoint pair (cross product).
+  const std::vector<std::pair<AttributeSet, AttributeSet>> shapes = {
+      {{1, 2}, {2, 3}}, {{1, 2, 3}, {3, 4}}, {{1, 3}, {1, 2}},
+      {{1, 2}, {1, 2}}, {{2}, {1, 2, 3}},    {{1}, {2}}};
+  const JoinAlgorithm algos[] = {JoinAlgorithm::kAuto, JoinAlgorithm::kHash,
+                                 JoinAlgorithm::kSortMerge};
+  for (int trial = 0; trial < 90; ++trial) {
+    const auto& [attrs_a, attrs_b] = shapes[trial % shapes.size()];
+    RandomShape shape{40, 6};
+    if (trial % 3 == 1) shape = {600, 40, true, false, false};  // radix sorts
+    if (trial % 5 == 2) shape.huge = true;
+    const CountedRelation a = MakeRandomCounted(rng, attrs_a, shape);
+    const CountedRelation b = MakeRandomCounted(rng, attrs_b, shape);
+    const AttributeSet group =
+        RandomGroup(rng, Union(attrs_a, attrs_b), trial % 4);
+    for (JoinAlgorithm algo : algos) {
+      for (int threads : {0, 4}) {
+        ExpectFusedMatchesTwoStep(
+            a, b, group, algo, threads,
+            "trial " + std::to_string(trial) + " algo " +
+                std::to_string(static_cast<int>(algo)) + " threads " +
+                std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(JoinGroupBySumTest, PartitionedProbeMatchesSerial) {
+  // Both sides past the partitioned-probe threshold, so threads = 4 fans
+  // the hash probe out; groups from either side and across both.
+  Rng rng(2107);
+  const RandomShape shape{12000, 3000, true, false, true};
+  CountedRelation a = MakeRandomCounted(rng, {1, 2}, shape);
+  CountedRelation b = MakeRandomCounted(rng, {2, 3}, shape);
+  while (a.NumRows() < 4096) a = MakeRandomCounted(rng, {1, 2}, shape);
+  while (b.NumRows() < 4096) b = MakeRandomCounted(rng, {2, 3}, shape);
+  for (const AttributeSet& group :
+       {AttributeSet{}, AttributeSet{1}, AttributeSet{2}, AttributeSet{3},
+        AttributeSet{1, 3}, AttributeSet{1, 2, 3}}) {
+    for (JoinAlgorithm algo : {JoinAlgorithm::kAuto, JoinAlgorithm::kHash}) {
+      for (int threads : {0, 4}) {
+        ExpectFusedMatchesTwoStep(
+            a, b, group, algo, threads,
+            "group size " + std::to_string(group.size()) + " threads " +
+                std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(JoinGroupBySumTest, FallbacksMatchGroupBySumOfNaturalJoin) {
+  Rng rng(2108);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    // Group columns 1 (of a) and 3 (of b) both span INT64_MIN..INT64_MAX,
+    // so together they need 128 bits.
+    const RandomShape wide{60, 5, true, true, trial % 2 == 0};
+    CountedRelation a = MakeRandomCounted(rng, {1, 2}, wide);
+    CountedRelation b = MakeRandomCounted(rng, {2, 3}, wide);
+    constexpr Value kMin = std::numeric_limits<Value>::min();
+    constexpr Value kMax = std::numeric_limits<Value>::max();
+    a.AppendRow({kMin, 0}, Count(1));
+    a.AppendRow({kMax, 1}, Count(2));
+    b.AppendRow({0, kMax}, Count(3));
+    b.AppendRow({1, kMin}, Count(1));
+    a.Normalize();
+    b.Normalize();
+    for (JoinAlgorithm algo : {JoinAlgorithm::kAuto, JoinAlgorithm::kHash,
+                               JoinAlgorithm::kSortMerge}) {
+      for (int threads : {0, 4}) {
+        ExpectFusedMatchesTwoStep(a, b, {1, 3}, algo, threads,
+                                  "wide " + what);
+      }
+    }
+    // A defaulted side covered by the other: the covering join's default
+    // reaches the rows it does not match.
+    CountedRelation covered = MakeRandomCounted(rng, {2}, {6, 5});
+    covered.set_default_count(Count(1 + rng.NextBounded(5)));
+    for (const AttributeSet& group :
+         {AttributeSet{}, AttributeSet{1}, AttributeSet{2}}) {
+      ExpectFusedMatchesTwoStep(a, covered, group, JoinAlgorithm::kAuto, 0,
+                                "defaulted " + what);
+      ExpectFusedMatchesTwoStep(covered, a, group, JoinAlgorithm::kAuto, 0,
+                                "defaulted first " + what);
+    }
+  }
+}
+
+// FoldJoin with a group is FoldJoin then GroupBySum, for one piece (no
+// join to fuse) and for several (the last join fused).
+TEST(JoinGroupBySumTest, FoldJoinWithGroupMatchesGroupedFold) {
+  Rng rng(2109);
+  for (int trial = 0; trial < 40; ++trial) {
+    const RandomShape shape{50, 6, trial % 2 == 0, false, trial % 3 == 0};
+    const CountedRelation r = MakeRandomCounted(rng, {1, 2}, shape);
+    const CountedRelation s = MakeRandomCounted(rng, {2, 3}, shape);
+    const CountedRelation t = MakeRandomCounted(rng, {3, 4}, shape);
+    const AttributeSet group = RandomGroup(rng, {1, 2, 3, 4}, 3);
+    const std::string what = "trial " + std::to_string(trial);
+    const CountedRelation want = GroupBySum(FoldJoin({&r, &s, &t}), group);
+    EXPECT_TRUE(testing::SameRowsInOrder(
+        want, FoldJoin({&r, &s, &t}, {}, group)))
+        << what;
+    const AttributeSet lone = Intersect(group, r.attrs());
+    EXPECT_TRUE(testing::SameRowsInOrder(GroupBySum(r, lone),
+                                         FoldJoin({&r}, {}, lone)))
+        << what;
   }
 }
 
