@@ -95,12 +95,11 @@ int main() {
       dopts.ell = w.ell;
       dopts.seed = static_cast<uint64_t>(r) + 1;
       dopts.ghd = w.ghd_ptr();
-      dopts.skip_atoms = w.skip_atoms;
       auto t = RunTSensDp(w.query, db, w.private_atom, dopts);
       if (!t.ok()) {
         std::printf("%-7s TSensDP ERROR: %s\n", w.name.c_str(),
                     t.status().ToString().c_str());
-        break;
+        return 1;
       }
       true_answer = t->true_answer;
       tsens_runs.push_back(*t);
@@ -113,7 +112,7 @@ int main() {
       if (!p.ok()) {
         std::printf("%-7s PrivSQL ERROR: %s\n", w.name.c_str(),
                     p.status().ToString().c_str());
-        break;
+        return 1;
       }
       priv_runs.push_back(*p);
     }

@@ -35,11 +35,11 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
     ghd = MakeTrivialGhd(q, *forest);
   }
 
-  // Tuple sensitivities of the primary private relation.
+  // Tuple sensitivities of the private relation; no other table is read.
   TSensOptions topts;
   topts.join = options.join;
   topts.keep_tables = true;
-  for (int a : options.skip_atoms) {
+  for (int a = 0; a < q.num_atoms(); ++a) {
     if (a != private_atom) topts.skip_atoms.push_back(a);
   }
   auto tsens = TSensOverGhd(q, ghd, db, topts);

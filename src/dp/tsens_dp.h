@@ -2,7 +2,6 @@
 #define LSENS_DP_TSENS_DP_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
 #include "exec/join.h"
@@ -48,7 +47,6 @@ struct TSensDpOptions {
   uint64_t seed = 1;
   JoinOptions join;
   const Ghd* ghd = nullptr;           // for cyclic queries
-  std::vector<int> skip_atoms;        // forwarded to TSens
 };
 
 StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,

@@ -240,18 +240,6 @@ void CountedRelation::Filter(
   counts_ = std::move(new_counts);
 }
 
-void CountedRelation::ScaleCounts(Count factor) {
-  default_count_ *= factor;
-  if (factor.IsZero()) {
-    // Every count becomes zero, and zero-count rows are never stored.
-    data_.clear();
-    counts_.clear();
-    unique_ = sorted_ = true;
-    return;
-  }
-  for (Count& c : counts_) c *= factor;
-}
-
 int CountedRelation::ColumnOf(AttrId attr) const {
   auto it = std::lower_bound(attrs_.begin(), attrs_.end(), attr);
   if (it == attrs_.end() || *it != attr) return -1;

@@ -141,10 +141,6 @@ class CountedRelation {
   // unique() and sorted() are preserved.
   void Filter(const std::function<bool(std::span<const Value>)>& keep);
 
-  // Multiplies every count (and the default) by `factor`, saturating. A
-  // zero factor zeroes every count, so every explicit row is dropped.
-  void ScaleCounts(Count factor);
-
   // Column position of `attr` within attrs(), or -1.
   int ColumnOf(AttrId attr) const;
 

@@ -301,8 +301,8 @@ namespace {
 // consumes matching tables. Cyclic queries search their GHD once per
 // fingerprint here, pinned in the plan. Only top_k and keep_tables remain
 // unsupported: both change what the engine computes (truncated tables /
-// retained T_a's) in ways the maintained state deliberately does not
-// model, so they stay version-memoized fallbacks.
+// the kept component tables of each T_a) in ways the maintained state
+// deliberately does not model, so they stay version-memoized fallbacks.
 Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
   Plan plan;
   if (options.top_k > 0 || options.keep_tables) {

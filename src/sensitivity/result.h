@@ -43,10 +43,15 @@ struct AtomSensitivity {
   // (top-k approximation touched this table).
   bool approximate = false;
 
-  // The full multiplicity table (row -> tuple sensitivity over the
-  // representative domain), populated when TSensOptions::keep_tables.
-  // Sorted, so rows can be looked up.
-  std::optional<CountedRelation> table;
+  // T_i as the engine factors it, populated for unskipped atoms when
+  // TSensOptions::keep_tables: T_i(t) = scale × Π_c components[c](t) over
+  // attribute-disjoint, sorted component tables on subsets of table_attrs,
+  // with `scale` the §5.4 product of the other trees' join sizes.
+  struct Factors {
+    std::vector<CountedRelation> components;
+    Count scale;
+  };
+  std::optional<Factors> factors;
 };
 
 // Output of the local sensitivity problem (Definition 2.3): LS(Q, D) plus a

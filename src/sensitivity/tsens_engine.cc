@@ -435,9 +435,10 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     for (size_t t2 = 0; t2 < num_trees; ++t2) {
       if (t2 != static_cast<size_t>(t)) scale *= tree_total[t2];
     }
+    if (options.keep_tables) out.factors = AtomSensitivity::Factors{{}, scale};
 
-    // Fold each attribute-connectivity component separately;
-    // T_a = ⨯ components, and γ/max/argmax distribute over the product.
+    // Fold each attribute-connectivity component separately; T_a = scale ×
+    // ⨯ components (kept so), and γ/max/argmax distribute over the product.
     // The argmax row is stitched from the per-component argmax rows.
     std::vector<AttributeSet> piece_attrs;
     for (const CountedRelation* piece : pieces) {
@@ -445,7 +446,6 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     }
     std::vector<std::vector<size_t>> components =
         ConnectivityComponents(piece_attrs);
-    std::vector<CountedRelation> comp_tables;
     Count max_product = scale;
     std::vector<Value> argmax(out.table_attrs.size(), 0);
     bool argmax_known = true;
@@ -493,12 +493,12 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       }
       // The component table: a lone piece that is already the table, with
       // no predicate to apply, is read in place (every component of a path
-      // query). Otherwise the fold, grouped when the group projects it —
-      // with the last join run straight into the group-by unless the
-      // capture keeps the fold.
+      // query) and copied only when the table is kept. Otherwise the fold,
+      // grouped when the group projects it — with the last join run
+      // straight into the group-by unless the capture keeps the fold.
       std::optional<CountedRelation> owned;
       const bool in_place =
-          comp.size() == 1 && group_is_full && !options.keep_tables &&
+          comp.size() == 1 && group_is_full &&
           std::none_of(atom_preds.begin(), atom_preds.end(),
                        [&](const Predicate& p) {
                          return std::binary_search(comp_attrs.begin(),
@@ -530,32 +530,16 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
           place(table.attrs(), table.Row(r));
         }
       }
-      if (options.keep_tables) comp_tables.push_back(std::move(*owned));
+      if (out.factors.has_value()) {
+        CountedRelation& kept = out.factors->components.emplace_back(
+            owned.has_value() ? std::move(*owned) : CountedRelation(table));
+        kept.Normalize(&actx);
+      }
     }
     out.max_sensitivity = max_product;
     out.approximate = truncation_applied;
     if (!out.max_sensitivity.IsZero() && argmax_known) {
       out.argmax = std::move(argmax);
-    }
-
-    if (options.keep_tables) {
-      // Materialize the cross product of the components (all pairwise
-      // attribute-disjoint, so FoldJoin emits pure cross products).
-      std::vector<const CountedRelation*> comp_ptrs;
-      for (const auto& ct : comp_tables) comp_ptrs.push_back(&ct);
-      CountedRelation table =
-          comp_tables.empty() ? CountedRelation::Unit()
-                              : FoldJoin(std::move(comp_ptrs), jopts);
-      // FoldJoin rejects all-defaulted inputs; top-k combined with
-      // keep_tables is not supported (exact tables are the point).
-      table.ScaleCounts(scale);
-      if (table.attrs() != out.table_attrs) {
-        // Components may be scalars (empty attrs); regroup to be safe.
-        table = GroupBySum(table, Intersect(out.table_attrs, table.attrs()),
-                           &actx);
-      }
-      table.Normalize(&actx);  // TupleSensitivities looks rows up
-      out.table = std::move(table);
     }
   };
 
@@ -607,72 +591,78 @@ StatusOr<std::vector<Count>> TupleSensitivities(const SensitivityResult& result,
                                                 const Database& db,
                                                 int atom_index,
                                                 const TSensOptions& options) {
-  if (atom_index < 0 || atom_index >= static_cast<int>(result.atoms.size())) {
+  LSENS_RETURN_IF_ERROR(q.Validate(db));
+  if (atom_index < 0 || atom_index >= static_cast<int>(result.atoms.size()) ||
+      atom_index >= q.num_atoms()) {
     return Status::InvalidArgument("atom index out of range");
   }
   const AtomSensitivity& as = result.atoms[static_cast<size_t>(atom_index)];
-  if (!as.table.has_value()) {
+  if (as.skipped) return Status::InvalidArgument("atom was skipped");
+  if (!as.factors.has_value()) {
     return Status::InvalidArgument(
         "multiplicity table not stored; compute with keep_tables = true");
   }
   const Atom& atom = q.atom(atom_index);
-  auto rel_or = db.Get(atom.relation);
-  if (!rel_or.ok()) return rel_or.status();
-  const Relation& rel = **rel_or;
-
-  // Column routing: table attr j lives at relation column cols[j].
-  std::vector<size_t> cols(as.table_attrs.size());
-  for (size_t j = 0; j < as.table_attrs.size(); ++j) {
-    size_t c = 0;
-    while (atom.vars[c] != as.table_attrs[j]) ++c;
-    cols[j] = c;
+  if (as.relation != atom.relation) {
+    return Status::InvalidArgument("result is for another query's atom");
   }
-  std::vector<size_t> pred_cols(atom.predicates.size());
-  for (size_t p = 0; p < atom.predicates.size(); ++p) {
-    size_t c = 0;
-    while (atom.vars[c] != atom.predicates[p].var) ++c;
-    pred_cols[p] = c;
+  auto column_of = [&](AttrId var) {
+    return static_cast<size_t>(
+        std::find(atom.vars.begin(), atom.vars.end(), var) - atom.vars.begin());
+  };
+  for (AttrId var : as.table_attrs) {
+    if (column_of(var) == atom.vars.size()) {
+      return Status::InvalidArgument(
+          "table attribute is not a variable of the query atom");
+    }
   }
+  const Relation& rel = *db.Find(atom.relation);
 
-  // Per-tuple δ lookups are independent reads of the (sorted, read-only)
-  // multiplicity table; each row writes only its own slot, so
-  // the fan-out below returns the exact serial vector. The scan reads the
-  // relation's key and predicate columns a chunk at a time instead of
-  // materializing row tuples: each part walks the chunk pieces of its row
-  // range.
+  // δ(t) = scale × Π_c T_c(t|attrs(c)), one lookup per component table
+  // until a factor is zero; each row writes only its own slot, so the
+  // fan-out below returns the exact serial vector. Rows are read a chunk
+  // at a time from `columns`: the components' key columns in component
+  // order, then one column per predicate.
+  const std::vector<CountedRelation>& tables = as.factors->components;
+  std::vector<ChunkedColumn> columns;
+  for (const CountedRelation& table : tables) {
+    for (AttrId var : table.attrs()) {
+      columns.push_back(rel.Chunks(column_of(var)));
+    }
+  }
+  const size_t num_keys = columns.size();
+  for (const Predicate& p : atom.predicates) {
+    columns.push_back(rel.Chunks(column_of(p.var)));
+  }
   ExecContext& ctx = ResolveExecContext(options.join.ctx);
   OpTimer op(ctx, "tsens.tuple_sens", rel.NumRows());
   const size_t n = rel.NumRows();
-  std::vector<ChunkedColumn> key_columns;
-  key_columns.reserve(cols.size());
-  for (size_t c : cols) key_columns.push_back(rel.Chunks(c));
-  std::vector<ChunkedColumn> pred_columns;
-  pred_columns.reserve(pred_cols.size());
-  for (size_t c : pred_cols) pred_columns.push_back(rel.Chunks(c));
   std::vector<Count> out(n, Count::Zero());
   auto lookup_range = [&](size_t begin, size_t end) {
-    std::vector<Value> key(cols.size());
-    std::vector<std::span<const Value>> key_spans(cols.size());
-    std::vector<std::span<const Value>> pred_spans(pred_cols.size());
+    std::vector<Value> key_values(num_keys);
+    const std::span<const Value> key(key_values);
+    std::vector<std::span<const Value>> spans(columns.size());
     while (begin < end) {
       const size_t k = begin / kChunkRows;
       const size_t first = begin - k * kChunkRows;
       const size_t last = std::min(end - k * kChunkRows, kChunkRows);
-      for (size_t j = 0; j < cols.size(); ++j) {
-        key_spans[j] = key_columns[j].chunk(k);
-      }
-      for (size_t p = 0; p < pred_cols.size(); ++p) {
-        pred_spans[p] = pred_columns[p].chunk(k);
-      }
+      for (size_t j = 0; j < spans.size(); ++j) spans[j] = columns[j].chunk(k);
       Count* slot = out.data() + k * kChunkRows;
       for (size_t i = first; i < last; ++i) {
         bool pass = true;
         for (size_t p = 0; p < atom.predicates.size() && pass; ++p) {
-          pass = atom.predicates[p].Eval(pred_spans[p][i]);
+          pass = atom.predicates[p].Eval(spans[num_keys + p][i]);
         }
         if (!pass) continue;
-        for (size_t j = 0; j < cols.size(); ++j) key[j] = key_spans[j][i];
-        slot[i] = as.table->Lookup(key);
+        for (size_t j = 0; j < num_keys; ++j) key_values[j] = spans[j][i];
+        Count delta = as.factors->scale;
+        size_t at = 0;
+        for (const CountedRelation& table : tables) {
+          if (delta.IsZero()) break;
+          delta *= table.Lookup(key.subspan(at, table.arity()));
+          at += table.arity();
+        }
+        slot[i] = delta;
       }
       begin = k * kChunkRows + last;
     }

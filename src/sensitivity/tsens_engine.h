@@ -83,8 +83,8 @@ struct TSensOptions {
   // was affected).
   size_t top_k = 0;
 
-  // Store the full multiplicity tables T_i in the result (needed by the DP
-  // truncation mechanism to look up per-tuple sensitivities).
+  // Store each unskipped atom's multiplicity table T_i in the result
+  // (AtomSensitivity::factors) for TupleSensitivities' per-tuple lookups.
   bool keep_tables = false;
 
   // Atoms whose multiplicity table should not be computed, e.g. relations
@@ -120,8 +120,9 @@ struct TSensOptions {
 //
 // The T_a expression can factor into attribute-disjoint groups (always the
 // case for path queries: ⊤ and ⊥ share nothing). The engine exploits
-// γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to avoid materializing such cross
-// products unless keep_tables requires the full table.
+// γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to never materialize such cross
+// products: max and argmax combine per group, and keep_tables keeps the
+// groups' tables apart.
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});
@@ -136,9 +137,11 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
 std::vector<std::vector<size_t>> ConnectivityComponents(
     const std::vector<AttributeSet>& link);
 
-// δ(t) for every row of the relation bound by `atom_index`, in row order.
+// δ(t) for every row of the relation bound by `atom_index`, in row order:
+// scale × one lookup per component table (AtomSensitivity::factors).
 // Requires `result` computed with keep_tables = true over the same query
-// and database. Rows failing the atom's predicates have sensitivity 0.
+// and database, with the atom unskipped; otherwise InvalidArgument. Rows
+// failing the atom's predicates have sensitivity 0.
 // `options.join` supplies the stats context and the thread count: with
 // threads > 1 the per-row lookups are chunked over the global pool (each
 // row writes its own slot, so the vector is bit-identical to serial).

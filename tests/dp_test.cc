@@ -250,6 +250,12 @@ TEST(TSensDpTest, DeterministicGivenSeed) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->noisy_answer, b->noisy_answer);
   EXPECT_EQ(a->learned_threshold, b->learned_threshold);
+  // The same bits at any thread count.
+  opts.join.threads = 4;
+  auto c = RunTSensDp(q1.query, db, q1.private_atom, opts);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(a->noisy_answer, c->noisy_answer);
+  EXPECT_EQ(a->learned_threshold, c->learned_threshold);
 }
 
 TEST(TSensDpTest, RejectsBadParameters) {

@@ -260,6 +260,29 @@ TEST(EngineEdgeTest, TupleSensitivitiesValidatesInputs) {
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 0).ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, -1).ok());
   EXPECT_FALSE(TupleSensitivities(*result, ex.query, ex.db, 99).ok());
+
+  TSensComputeOptions keep;
+  keep.keep_tables = true;
+  keep.skip_atoms = {1};
+  auto kept = ComputeLocalSensitivity(ex.query, ex.db, keep);
+  ASSERT_TRUE(kept.ok());
+  auto skipped = TupleSensitivities(*kept, ex.query, ex.db, 1);
+  EXPECT_EQ(skipped.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(skipped.status().message().find("skipped"), std::string::npos)
+      << skipped.status().ToString();
+  ASSERT_TRUE(TupleSensitivities(*kept, ex.query, ex.db, 0).ok());
+
+  // A result computed for another query over the same database: atom 0
+  // binds another relation, or the same relation under other variables.
+  ConjunctiveQuery reordered;
+  reordered.AddAtom(ex.db, "R2", {"B", "C"});
+  reordered.AddAtom(ex.db, "R1", {"A", "B"});
+  EXPECT_EQ(TupleSensitivities(*kept, reordered, ex.db, 0).status().code(),
+            Status::Code::kInvalidArgument);
+  ConjunctiveQuery renamed;
+  renamed.AddAtom(ex.db, "R1", {"A", "Z"});
+  EXPECT_EQ(TupleSensitivities(*kept, renamed, ex.db, 0).status().code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST(EngineEdgeDeathTest, DoubleDefaultedJoinIsRejected) {

@@ -36,6 +36,7 @@ using testing::MakeRandomAcyclicInstance;
 using testing::MakeRandomTriangleInstance;
 using testing::PaperExample;
 using testing::RandomQuerySpec;
+using testing::SameRowsInOrder;
 
 // --- bit-identity helper ------------------------------------------------
 
@@ -57,13 +58,15 @@ void ExpectResultsIdentical(const SensitivityResult& a,
     EXPECT_EQ(x.argmax, y.argmax) << context << " atom " << i;
     EXPECT_EQ(x.skipped, y.skipped) << context;
     EXPECT_EQ(x.approximate, y.approximate) << context;
-    ASSERT_EQ(x.table.has_value(), y.table.has_value()) << context;
-    if (x.table.has_value()) {
-      ASSERT_EQ(x.table->NumRows(), y.table->NumRows()) << context;
-      for (size_t r = 0; r < x.table->NumRows(); ++r) {
-        EXPECT_EQ(CompareRows(x.table->Row(r), y.table->Row(r)), 0)
-            << context;
-        EXPECT_EQ(x.table->CountAt(r), y.table->CountAt(r)) << context;
+    ASSERT_EQ(x.factors.has_value(), y.factors.has_value()) << context;
+    if (x.factors.has_value()) {
+      EXPECT_EQ(x.factors->scale, y.factors->scale) << context;
+      const std::vector<CountedRelation>& xc = x.factors->components;
+      const std::vector<CountedRelation>& yc = y.factors->components;
+      ASSERT_EQ(xc.size(), yc.size()) << context;
+      for (size_t c = 0; c < xc.size(); ++c) {
+        EXPECT_TRUE(SameRowsInOrder(xc[c], yc[c]))
+            << context << " atom " << i << " component " << c;
       }
     }
   }

@@ -181,7 +181,6 @@ TEST(IntegrationTest, TSensDpRunsOnAllQueries) {
     opts.ell = 2 * max_delta.ToUint64Saturated();
     opts.seed = 3;
     opts.ghd = w.ghd_ptr();
-    opts.skip_atoms = w.skip_atoms;
     auto run = RunTSensDp(w.query, db, w.private_atom, opts);
     ASSERT_TRUE(run.ok()) << w.name << ": " << run.status().ToString();
     if (run->true_answer > 0) {

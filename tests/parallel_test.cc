@@ -308,10 +308,16 @@ void ExpectSameResult(const SensitivityResult& expected,
     EXPECT_EQ(e.free_vars, r.free_vars) << atom_what;
     EXPECT_EQ(e.skipped, r.skipped) << atom_what;
     EXPECT_EQ(e.approximate, r.approximate) << atom_what;
-    ASSERT_EQ(e.table.has_value(), r.table.has_value()) << atom_what;
-    if (e.table.has_value()) {
-      EXPECT_TRUE(SameRowsInOrder(*e.table, *r.table)) << atom_what
-                                                       << " table";
+    ASSERT_EQ(e.factors.has_value(), r.factors.has_value()) << atom_what;
+    if (e.factors.has_value()) {
+      EXPECT_EQ(e.factors->scale, r.factors->scale) << atom_what;
+      const std::vector<CountedRelation>& ec = e.factors->components;
+      const std::vector<CountedRelation>& rc = r.factors->components;
+      ASSERT_EQ(ec.size(), rc.size()) << atom_what;
+      for (size_t c = 0; c < ec.size(); ++c) {
+        EXPECT_TRUE(SameRowsInOrder(ec[c], rc[c]))
+            << atom_what << " component " << c;
+      }
     }
   }
 }

@@ -15,8 +15,14 @@
 namespace lsens {
 namespace {
 
+using testing::CycleKeys;
+using testing::ExpectTupleSensitivitiesMatchOracle;
 using testing::MakeRandomAcyclicInstance;
+using testing::MakeRandomCycleInstance;
+using testing::MakeRandomPathInstance;
 using testing::MakeRandomTriangleInstance;
+using testing::PairedCycleGhd;
+using testing::PaperExample;
 using testing::RandomQuerySpec;
 
 class AcyclicPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -60,35 +66,73 @@ TEST_P(AcyclicPropertyTest, TSensMatchesNaiveOracle) {
   }
 }
 
+// Adds a second connected component S0(y0,y1), S1(y1) to `ex` (1..3 and
+// 0..3 rows over {0, 1}), so the query becomes a disconnected forest whose
+// other component's join size, the §5.4 scale, ranges over 0..3.
+void AddRandomComponent(Rng& rng, PaperExample* ex) {
+  auto* s0 = ex->db.AddRelation("S0", {"y0", "y1"});
+  auto* s1 = ex->db.AddRelation("S1", {"y1"});
+  for (uint64_t r = 1 + rng.NextBounded(3); r > 0; --r) {
+    s0->AppendRow({static_cast<Value>(rng.NextBounded(2)),
+                   static_cast<Value>(rng.NextBounded(2))});
+  }
+  for (uint64_t r = rng.NextBounded(4); r > 0; --r) {
+    s1->AppendRow({static_cast<Value>(rng.NextBounded(2))});
+  }
+  ex->query.AddAtom(ex->db, "S0", {"y0", "y1"});
+  ex->query.AddAtom(ex->db, "S1", {"y1"});
+}
+
+// Every atom's δ(t) against the oracle, over `opts` with keep_tables. With
+// `read_only` >= 0 every other atom is skipped, as TSensDP computes it.
+void ExpectPerTupleMatchesOracle(PaperExample& ex, TSensComputeOptions opts,
+                                 const NaiveOptions& nopts = {},
+                                 int read_only = -1) {
+  opts.keep_tables = true;
+  for (int a = 0; a < ex.query.num_atoms(); ++a) {
+    if (read_only >= 0 && a != read_only) opts.skip_atoms.push_back(a);
+  }
+  auto tsens = ComputeLocalSensitivity(ex.query, ex.db, opts);
+  ASSERT_TRUE(tsens.ok()) << tsens.status().ToString();
+  for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
+    if (read_only >= 0 && atom != read_only) continue;
+    ExpectTupleSensitivitiesMatchOracle(*tsens, ex, atom, nopts);
+  }
+}
+
 TEST_P(AcyclicPropertyTest, PerTupleSensitivitiesMatchOracle) {
   Rng rng(GetParam() ^ 0x7a91ULL);
+  Rng more(GetParam() ^ 0x7a92ULL);  // the inputs beyond the first
   RandomQuerySpec spec;
   spec.max_atoms = 4;
   spec.max_rows = 5;
   for (int trial = 0; trial < 8; ++trial) {
     auto ex = MakeRandomAcyclicInstance(rng, spec);
-    TSensComputeOptions opts;
-    opts.keep_tables = true;
-    auto tsens = ComputeLocalSensitivity(ex.query, ex.db, opts);
-    ASSERT_TRUE(tsens.ok());
-    for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
-      auto sens = TupleSensitivities(*tsens, ex.query, ex.db, atom);
-      ASSERT_TRUE(sens.ok());
-      // Snapshot rows first: NaiveTupleSensitivity restores contents but
-      // may permute row order.
-      const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
-      std::vector<std::vector<Value>> rows;
-      for (size_t r = 0; r < rel->NumRows(); ++r) {
-        rows.push_back(rel->Row(r));
-      }
-      for (size_t row = 0; row < rows.size(); ++row) {
-        auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
-        ASSERT_TRUE(naive.ok());
-        EXPECT_EQ((*sens)[row], *naive)
-            << ex.query.ToString(ex.db.attrs()) << " atom " << atom
-            << " row " << row;
-      }
-    }
+    ExpectPerTupleMatchesOracle(ex, {});
+    // Only the atom read is computed.
+    const int read = static_cast<int>(
+        more.NextBounded(static_cast<uint64_t>(ex.query.num_atoms())));
+    ExpectPerTupleMatchesOracle(ex, {}, {}, read);
+    // Disconnected forests: every δ(t) carries the other tree's join size.
+    // A path's interior atoms also split T_a into two components (⊤ and ⊥
+    // share no attribute).
+    AddRandomComponent(more, &ex);
+    ExpectPerTupleMatchesOracle(ex, {});
+    auto path = MakeRandomPathInstance(more, 4, 6, 3);
+    AddRandomComponent(more, &path);
+    ExpectPerTupleMatchesOracle(path, {});
+    // A 4-cycle over its width-2 GHD: each atom's table folds its bag
+    // co-atom and the other bag's ⊥ into one multi-piece component, which
+    // E0's predicate (half the instances) filters.
+    const CycleKeys keys = trial % 2 ? CycleKeys::kUnkeyed : CycleKeys::kKeyed;
+    auto cycle = MakeRandomCycleInstance(more, 4, 5, 3, keys);
+    const Ghd ghd = PairedCycleGhd(cycle.query);
+    TSensComputeOptions cycle_opts;
+    cycle_opts.ghd = &ghd;
+    NaiveOptions nopts;
+    nopts.ghd = &ghd;
+    ExpectPerTupleMatchesOracle(cycle, cycle_opts, nopts);
+    ExpectPerTupleMatchesOracle(cycle, cycle_opts, nopts, 0);
   }
 }
 
@@ -256,17 +300,7 @@ TEST_P(HardAcyclicPropertyTest, StarWithCyclicMultiplicityJoinMatchesOracle) {
     topts.keep_tables = true;
     auto with_tables = ComputeLocalSensitivity(ex.query, ex.db, topts);
     ASSERT_TRUE(with_tables.ok());
-    auto sens = TupleSensitivities(*with_tables, ex.query, ex.db, 0);
-    ASSERT_TRUE(sens.ok());
-    std::vector<std::vector<Value>> rows;
-    for (size_t r = 0; r < r0->NumRows(); ++r) {
-      rows.push_back(r0->Row(r));
-    }
-    for (size_t r = 0; r < rows.size(); ++r) {
-      auto oracle = NaiveTupleSensitivity(ex.query, ex.db, 0, rows[r]);
-      ASSERT_TRUE(oracle.ok());
-      EXPECT_EQ((*sens)[r], *oracle) << "row " << r;
-    }
+    ExpectTupleSensitivitiesMatchOracle(*with_tables, ex, 0);
   }
 }
 

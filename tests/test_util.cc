@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "sensitivity/tsens_engine.h"
 
 namespace lsens::testing {
 
@@ -41,6 +42,24 @@ namespace lsens::testing {
   e.Normalize();
   a.Normalize();
   return SameRowsInOrder(e, a);
+}
+
+void ExpectTupleSensitivitiesMatchOracle(const SensitivityResult& result,
+                                         PaperExample& ex, int atom,
+                                         const NaiveOptions& nopts) {
+  const std::string what =
+      ex.query.ToString(ex.db.attrs()) + " atom " + std::to_string(atom);
+  auto sens = TupleSensitivities(result, ex.query, ex.db, atom);
+  ASSERT_TRUE(sens.ok()) << what << ": " << sens.status().ToString();
+  const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
+  std::vector<std::vector<Value>> rows;
+  for (size_t r = 0; r < rel->NumRows(); ++r) rows.push_back(rel->Row(r));
+  ASSERT_EQ(sens->size(), rows.size()) << what;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[r], nopts);
+    ASSERT_TRUE(naive.ok()) << what << ": " << naive.status().ToString();
+    EXPECT_EQ((*sens)[r], *naive) << what << " row " << r;
+  }
 }
 
 PaperExample MakeFigure1Example() {

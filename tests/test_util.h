@@ -10,6 +10,8 @@
 #include "exec/counted_relation.h"
 #include "query/conjunctive_query.h"
 #include "query/ghd.h"
+#include "sensitivity/naive.h"
+#include "sensitivity/result.h"
 #include "storage/database.h"
 
 namespace lsens::testing {
@@ -40,6 +42,14 @@ PaperExample MakeFigure1Example();
 // R3 = {(c1,d1),(c1,d2)}, R4 = {(d1,e1),(d2,e1)}; |Q(D)| = 4 and the most
 // sensitive tuple is R2(b1, c1) with sensitivity 4.
 PaperExample MakeFigure3Example();
+
+// TupleSensitivities(result, atom) — result computed with keep_tables over
+// ex — against NaiveTupleSensitivity, row for row. The rows are
+// snapshotted first: the oracle restores the relation's contents but may
+// permute its row order.
+void ExpectTupleSensitivitiesMatchOracle(const SensitivityResult& result,
+                                         PaperExample& ex, int atom,
+                                         const NaiveOptions& nopts = {});
 
 // Random-instance generators for property-based tests. Values are drawn
 // from a small domain so joins collide; duplicate rows are possible (bag

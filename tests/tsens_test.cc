@@ -333,33 +333,45 @@ TEST(TSensTest, TopKProducesUpperBound) {
   }
 }
 
+// Figure 3 joined with a second tree U(X), W(X, Y): every δ(t) of the
+// path carries the other tree's join size (the §5.4 scale), and vice versa.
+// `w_rows` W rows join U's single value; 0 makes that tree's size 0.
+testing::PaperExample MakeFigure3WithSecondTree(int w_rows) {
+  testing::PaperExample ex = MakeFigure3Example();
+  auto* u = ex.db.AddRelation("U", {"X"});
+  auto* w = ex.db.AddRelation("W", {"X", "Y"});
+  u->AppendRow({1});
+  u->AppendRow({1});
+  for (int i = 0; i < w_rows; ++i) w->AppendRow({1, i});
+  w->AppendRow({2, 0});
+  ex.query.AddAtom(ex.db, "U", {"X"});
+  ex.query.AddAtom(ex.db, "W", {"X", "Y"});
+  return ex;
+}
+
 TEST(TSensTest, KeepTablesMatchesNaivePerTuple) {
   // Figure 3 is a path query: its tables come from the chain tree.
   std::vector<testing::PaperExample> instances;
   instances.push_back(MakeFigure1Example());
   instances.push_back(MakeFigure3Example());
+  // Disconnected forests, the other tree's join size 4 and 0.
+  instances.push_back(MakeFigure3WithSecondTree(2));
+  instances.push_back(MakeFigure3WithSecondTree(0));
+  // Figure 1 with a predicate on R2's A: R2's table is one component of
+  // several pieces sharing A and B, which the predicate filters.
+  instances.push_back(MakeFigure1Example());
+  Predicate p;
+  p.var = instances.back().db.attrs().Lookup("A");
+  p.op = Predicate::Op::kNe;
+  p.rhs = instances.back().db.dict().Lookup("a1");
+  instances.back().query.AddPredicate(1, p);
   for (testing::PaperExample& ex : instances) {
     TSensComputeOptions opts;
     opts.keep_tables = true;
     auto result = ComputeLocalSensitivity(ex.query, ex.db, opts);
     ASSERT_TRUE(result.ok());
     for (int atom = 0; atom < ex.query.num_atoms(); ++atom) {
-      auto sens = TupleSensitivities(*result, ex.query, ex.db, atom);
-      ASSERT_TRUE(sens.ok());
-      // Snapshot rows first: NaiveTupleSensitivity restores contents but
-      // may permute row order, which would desynchronize row indices.
-      const Relation* rel = ex.db.Find(ex.query.atom(atom).relation);
-      std::vector<std::vector<Value>> rows;
-      for (size_t r = 0; r < rel->NumRows(); ++r) {
-        rows.push_back(rel->Row(r));
-      }
-      for (size_t row = 0; row < rows.size(); ++row) {
-        auto naive = NaiveTupleSensitivity(ex.query, ex.db, atom, rows[row]);
-        ASSERT_TRUE(naive.ok());
-        EXPECT_EQ((*sens)[row], *naive)
-            << ex.query.ToString(ex.db.attrs()) << " atom " << atom
-            << " row " << row;
-      }
+      testing::ExpectTupleSensitivitiesMatchOracle(*result, ex, atom);
     }
   }
 }
