@@ -8,8 +8,7 @@
 #include "common/timer.h"
 #include "dp/laplace.h"
 #include "dp/svt.h"
-#include "query/eval.h"
-#include "query/join_tree.h"
+#include "query/ghd.h"
 #include "sensitivity/tsens_engine.h"
 
 namespace lsens {
@@ -25,15 +24,8 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
   WallTimer timer;
   Rng rng(options.seed);
 
-  // Decomposition (provided GHD for cyclic queries, GYO otherwise).
-  Ghd ghd;
-  if (options.ghd != nullptr) {
-    ghd = *options.ghd;
-  } else {
-    auto forest = BuildJoinForestGYO(q);
-    if (!forest.ok()) return forest.status();
-    ghd = MakeTrivialGhd(q, *forest);
-  }
+  auto plan = ChooseTSensPlan(q, options.ghd, /*allow_path=*/true);
+  if (!plan.ok()) return plan.status();
 
   // Tuple sensitivities of the private relation; no other table is read.
   TSensOptions topts;
@@ -42,14 +34,16 @@ StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,
   for (int a = 0; a < q.num_atoms(); ++a) {
     if (a != private_atom) topts.skip_atoms.push_back(a);
   }
-  auto tsens = TSensOverGhd(q, ghd, db, topts);
+  auto tsens = TSensOverGhd(q, plan->ghd, db, topts);
   if (!tsens.ok()) return tsens.status();
   auto sens = TupleSensitivities(*tsens, q, db, private_atom, topts);
   if (!sens.ok()) return sens.status();
 
-  auto full = CountGhd(q, ghd, db, options.join);
-  if (!full.ok()) return full.status();
-  const double q_full = full->ToDouble();
+  // Every output tuple holds exactly one private tuple (no self-joins), so
+  // |Q(D)| = Σ_t δ(t); a row failing a predicate has δ = 0.
+  Count count = Count::Zero();
+  for (Count c : *sens) count += c;
+  const double q_full = count.ToDouble();
 
   // Self-join-freeness makes PR deletions additive:
   //   Q(T(D, i)) = Q(D) - Σ_{t in PR : δ(t) > i} δ(t).

@@ -46,7 +46,7 @@ struct TSensDpOptions {
   uint64_t ell = 100;               // assumed max tuple sensitivity ℓ
   uint64_t seed = 1;
   JoinOptions join;
-  const Ghd* ghd = nullptr;           // for cyclic queries
+  const Ghd* ghd = nullptr;  // null: the decomposition ChooseTSensPlan picks
 };
 
 StatusOr<DpRunResult> RunTSensDp(const ConjunctiveQuery& q, const Database& db,

@@ -17,28 +17,29 @@
 
 namespace lsens {
 
-// Internal machinery. The repairable state mirrors the engine's data flow
-// as a DAG of maintained tables:
+// Internal machinery. The repairable state is the engine's dataflow
+// (PlanTSensDataflow), one node form per fold, as a DAG of maintained
+// tables:
 //
 //   sources      S_a = γ_keep(σ_pred(R_a))           one per atom
-//   group nodes  out = γ_group(driver ⋈ inputs...)   the ⊥/⊤ fold tables
-//   join nodes   out[t] = Π_i pieces[i][proj_i(t)]   materialized r⋈
+//   group nodes  out = γ_group(driver ⋈ inputs...)   a driven fold's γ
+//   join nodes   out[t] = Π_i pieces[i][proj_i(t)]   an undriven fold's r⋈
 //
-// A group node's inputs are keyed on column subsets of its driver (running
-// intersection guarantees this for join trees), so a node's group `g`
-// re-aggregates as
+// A driven fold's other inputs are keyed on column subsets of its driver
+// (running intersection guarantees this for join trees), so a node's
+// group `g` re-aggregates as
 //
 //   out[g] = Σ_{driver rows r, r.group = g} cnt(r) · Π_i inputs[i][r.key_i]
 //
 // — the exact multiset of saturating products the from-scratch FoldJoin +
 // GroupBySum pipeline sums, which is why repaired tables are bit-identical
 // (saturating + and · are order-independent over a fixed multiset). Where
-// no single relation covers a fold — multi-atom GHD bags, multiplicity-
-// table components whose pieces share attributes, the per-tree root folds
-// behind the §5.4 cross-tree totals — a join node materializes the fold
-// itself: pieces are unique, so every output row combines exactly one
-// row per piece and its count is a pure product, recomputable per row from
-// point lookups.
+// no single input drives a fold — a multi-atom GHD bag, a T_a component
+// whose pieces share attributes — a join node materializes the fold (and a
+// group node driven by it takes the γ): pieces are unique, so every output
+// row combines exactly one row per piece and its count is a pure product,
+// recomputable per row from point lookups. A forest's tree totals keep
+// their full fold the same way, for the §5.4 cross-tree scale factors.
 //
 // Cross-query sharing: nodes are not owned per cache entry. Every node is
 // keyed by its canonical subtree signature (query/conjunctive_query.h) in
@@ -130,10 +131,10 @@ struct Tracker {
 //   kSource — S_a = γ_keep(σ_pred(R_a)): repaired straight from the
 //   relation's change log (keep_cols/preds address relation columns).
 //
-//   kGroup — out = γ_group(driver ⋈ inputs...). The driver is a source
-//   (inputs keyed on driver columns), or a join node's output (a γ over a
-//   materialized fold; inputs stay empty — the join already folded
-//   everything in).
+//   kGroup — out = γ_group(driver ⋈ inputs...). The driver is a driven
+//   fold's first input, a source or a node (inputs keyed on driver
+//   columns), or a join node's output (a γ over a materialized fold;
+//   inputs stay empty — the join already folded everything in).
 //
 //   kJoin — out = r⋈(pieces...): the materialized fold of pieces no single
 //   relation covers. Pieces are unique, so every output row combines
@@ -280,8 +281,8 @@ struct RepairState {
   // never touched again.
   std::vector<std::vector<Tracker>> trackers;
   // §5.4 disconnected forests: the root node carrying each tree's running
-  // total and the tree each atom lives in. Empty for single-tree forests —
-  // the scale factor is then an empty product.
+  // total (empty for a single tree — the scale factor is then an empty
+  // product), and the tree each atom lives in.
   std::vector<std::shared_ptr<SharedNode>> total_nodes;
   std::vector<int> atom_tree;
 };
@@ -673,16 +674,11 @@ struct StateBuilder {
     return node;
   }
 
-  // S_a = γ_keep(σ_pred(R_a)). `engine_sig` is the canonical signature the
-  // engine derived for its captured table — it must agree with the cache's
-  // own derivation, so engine and cache can never silently disagree about
-  // what a shared table holds.
+  // S_a = γ_keep(σ_pred(R_a)).
   TableRef AcquireSource(int atom_index, AttributeSet keep,
-                         const CountedRelation& snapshot,
-                         const std::string& engine_sig) {
+                         const CountedRelation& snapshot) {
     const Atom& atom = q.atom(atom_index);
     std::string sig = CanonicalSourceSignature(atom, keep);
-    LSENS_CHECK(sig == engine_sig);
     bool current = false;
     std::shared_ptr<SharedNode> node = Acquire(
         sig, SharedNode::Kind::kSource, snapshot,
@@ -817,6 +813,38 @@ struct StateBuilder {
     return TableRef{-1, static_cast<int>(state.nodes.size() - 1)};
   }
 
+  // One dataflow fold: a kGroup node driven by inputs[0] (the other inputs
+  // are keyed on its columns) when the fold is driven — no node at all when
+  // it would copy its lone input — else a kJoin node over the inputs,
+  // grouped by a kGroup node when the fold has a group. `tables` maps the
+  // dataflow's table ids to this entry's refs.
+  TableRef AddFold(const TSensFold& fold, const std::vector<TableRef>& tables,
+                   const TSensCapture::Fold& cap) {
+    std::vector<TableRef> in;
+    in.reserve(fold.inputs.size());
+    for (int id : fold.inputs) in.push_back(tables[static_cast<size_t>(id)]);
+    if (fold.driven) {
+      if (in.size() == 1 && !fold.group.has_value() && !fold.total) {
+        return in[0];
+      }
+      std::vector<std::pair<TableRef, std::vector<int>>> keyed;
+      keyed.reserve(in.size() - 1);
+      for (size_t i = 1; i < in.size(); ++i) {
+        keyed.emplace_back(in[i], ColsOf(attrs_of(in[0]), attrs_of(in[i])));
+      }
+      const std::optional<CountedRelation>& snapshot =
+          fold.group.has_value() ? cap.grouped : cap.join;
+      LSENS_CHECK(snapshot.has_value());
+      return AddGroupNode(in[0], fold.group.value_or(fold.scope), keyed,
+                          *snapshot);
+    }
+    LSENS_CHECK(cap.join.has_value());
+    const TableRef join = AddJoinNode(in, *cap.join);
+    if (!fold.group.has_value()) return join;
+    LSENS_CHECK(cap.grouped.has_value());
+    return AddGroupNode(join, *fold.group, {}, *cap.grouped);
+  }
+
   Tracker MakeTracker(int atom_index, TableRef ref) {
     Tracker t;
     t.target = ptr_of(ref).get();
@@ -833,7 +861,7 @@ struct StateBuilder {
 
 // Builds the repairable state for a supported plan from the engine capture
 // (the exact tables the from-scratch answer was computed from), acquiring
-// every table through the shared store.
+// every table through the shared store: one node form per dataflow fold.
 std::unique_ptr<RepairState> BuildState(
     const ConjunctiveQuery& q, const Plan& plan, TSensCapture capture,
     const std::vector<int>& skip_atoms, const Database& db, NodeStore& ns,
@@ -842,213 +870,55 @@ std::unique_ptr<RepairState> BuildState(
   state->mode = plan.mode;
   if (plan.mode == RepairState::Mode::kConstant) return state;
 
+  // The engine just planned this dataflow from the same inputs.
+  StatusOr<TSensDataflow> flow =
+      PlanTSensDataflow(q, plan.engine.ghd, skip_atoms);
+  LSENS_CHECK(flow.ok());
+  LSENS_CHECK(capture.folds.size() == flow->folds.size());
   StateBuilder b{q, db, ns, stats, tick, *state, {}, {}, 0};
 
-  const Ghd& ghd = plan.engine.ghd;
   const int num_atoms = q.num_atoms();
-  const size_t num_bags = ghd.bags.size();
-  const size_t num_trees = ghd.forest.trees.size();
-
-  LSENS_CHECK(capture.s_sig.size() == static_cast<size_t>(num_atoms));
-  std::vector<TableRef> sources(static_cast<size_t>(num_atoms));
+  std::vector<TableRef> tables;  // by dataflow table id
+  tables.reserve(static_cast<size_t>(num_atoms) + flow->folds.size());
   for (int a = 0; a < num_atoms; ++a) {
     AttributeSet keep = q.SharedVarsOf(a);
     LSENS_CHECK(capture.s[static_cast<size_t>(a)].attrs() == keep);
-    sources[static_cast<size_t>(a)] =
-        b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)],
-                        capture.s_sig[static_cast<size_t>(a)]);
+    tables.push_back(
+        b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)]));
   }
 
-  std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
-  for (size_t v = 0; v < num_bags; ++v) {
-    for (int a : ghd.bags[v].atom_indices) {
-      bag_of[static_cast<size_t>(a)] = static_cast<int>(v);
-    }
-  }
-
-  std::vector<TableRef> bot_node(num_bags);
-  std::vector<TableRef> top_node(num_bags);
+  // §5.4: a tree's running total is kept only when other trees' scale
+  // factors read it.
+  const size_t num_trees = flow->tree_folds.size();
   const bool track_totals = num_trees >= 2;
   if (track_totals) {
     LSENS_CHECK(capture.tree_total.size() == num_trees);
     state->total_nodes.resize(num_trees);
   }
-
-  for (size_t t = 0; t < num_trees; ++t) {
-    const JoinTree& tree = ghd.forest.trees[t];
-    // ⊥ in post-order: ⊥(v) = γ_link(v)(r⋈({S_a : a ∈ v}, {⊥(c)})).
-    // Single-atom bags keep the legacy driver form (S_v drives, children
-    // join in per key); multi-atom bags materialize the fold first.
-    for (int bag : tree.PostOrder()) {
-      const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-      const int parent = tree.Parent(bag);
-      std::vector<TableRef> piece_refs;
-      for (int a : spec.atom_indices) {
-        piece_refs.push_back(sources[static_cast<size_t>(a)]);
-      }
-      for (int c : tree.Children(bag)) {
-        piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
-      }
-      auto child_inputs = [&](const AttributeSet& driver_attrs) {
-        std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-        for (int c : tree.Children(bag)) {
-          const TableRef cn = bot_node[static_cast<size_t>(c)];
-          inputs.emplace_back(cn, ColsOf(driver_attrs, b.attrs_of(cn)));
-        }
-        return inputs;
-      };
-      if (parent == -1) {
-        // Root bag: the full fold is only materialized when the §5.4
-        // cross-tree scale factors need its running total.
-        if (!track_totals) continue;
-        LSENS_CHECK(capture.root_join[t].has_value());
-        TableRef root;
-        if (spec.atom_indices.size() == 1) {
-          const TableRef drv = sources[static_cast<size_t>(
-              spec.atom_indices[0])];
-          const AttributeSet keep = b.attrs_of(drv);
-          root = b.AddGroupNode(drv, keep, child_inputs(keep),
-                                *capture.root_join[t]);
-        } else {
-          root = b.AddJoinNode(piece_refs, *capture.root_join[t]);
-        }
-        // The engine's total reflects exactly the rows just loaded (or
-        // verified current), so it is correct for every acquire outcome.
-        const std::shared_ptr<SharedNode>& root_node = b.ptr_of(root);
-        root_node->track_total = true;
-        root_node->total = capture.tree_total[t];
-        state->total_nodes[t] = root_node;
-        continue;
-      }
-      const AttributeSet link = Intersect(
-          spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-      if (spec.atom_indices.size() == 1) {
-        const TableRef drv = sources[static_cast<size_t>(spec.atom_indices[0])];
-        bot_node[static_cast<size_t>(bag)] =
-            b.AddGroupNode(drv, link, child_inputs(b.attrs_of(drv)),
-                           *capture.bot[static_cast<size_t>(bag)]);
-      } else {
-        LSENS_CHECK(capture.bot_join[static_cast<size_t>(bag)].has_value());
-        const TableRef j = b.AddJoinNode(
-            piece_refs, *capture.bot_join[static_cast<size_t>(bag)]);
-        bot_node[static_cast<size_t>(bag)] =
-            b.AddGroupNode(j, link, {}, *capture.bot[static_cast<size_t>(bag)]);
-      }
+  for (size_t f = 0; f < flow->folds.size(); ++f) {
+    const TSensFold& fold = flow->folds[f];
+    if (fold.total && !track_totals) {
+      tables.emplace_back();
+      continue;
     }
-    // ⊤ in pre-order: ⊤(v) = γ_link(v)(r⋈({S_a : a ∈ p}, ⊤(p)?,
-    // {⊥(sib)})), driven by the parent bag.
-    for (int bag : tree.PreOrder()) {
-      const int p = tree.Parent(bag);
-      if (p == -1) continue;
-      const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
-      const AttributeSet link = Intersect(
-          ghd.bags[static_cast<size_t>(bag)].vars, pspec.vars);
-      std::vector<TableRef> upper_refs;  // ⊤(p)? then sibling ⊥s
-      if (tree.Parent(p) != -1) {
-        upper_refs.push_back(top_node[static_cast<size_t>(p)]);
-      }
-      for (int sib : tree.Neighbors(bag)) {
-        upper_refs.push_back(bot_node[static_cast<size_t>(sib)]);
-      }
-      if (pspec.atom_indices.size() == 1) {
-        const TableRef drv =
-            sources[static_cast<size_t>(pspec.atom_indices[0])];
-        const AttributeSet& driver_attrs = b.attrs_of(drv);
-        std::vector<std::pair<TableRef, std::vector<int>>> inputs;
-        for (TableRef ref : upper_refs) {
-          inputs.emplace_back(ref, ColsOf(driver_attrs, b.attrs_of(ref)));
-        }
-        top_node[static_cast<size_t>(bag)] =
-            b.AddGroupNode(drv, link, inputs,
-                           *capture.top[static_cast<size_t>(bag)]);
-      } else {
-        std::vector<TableRef> piece_refs;
-        for (int a : pspec.atom_indices) {
-          piece_refs.push_back(sources[static_cast<size_t>(a)]);
-        }
-        for (TableRef ref : upper_refs) piece_refs.push_back(ref);
-        LSENS_CHECK(capture.top_join[static_cast<size_t>(bag)].has_value());
-        const TableRef j = b.AddJoinNode(
-            piece_refs, *capture.top_join[static_cast<size_t>(bag)]);
-        top_node[static_cast<size_t>(bag)] =
-            b.AddGroupNode(j, link, {}, *capture.top[static_cast<size_t>(bag)]);
-      }
+    tables.push_back(b.AddFold(fold, tables, capture.folds[f]));
+    if (fold.total) {
+      // The engine's total reflects exactly the rows just loaded (or
+      // verified current), so it is correct for every acquire outcome.
+      const std::shared_ptr<SharedNode>& root = b.ptr_of(tables.back());
+      root->track_total = true;
+      root->total = capture.tree_total[static_cast<size_t>(fold.tree)];
+      state->total_nodes[static_cast<size_t>(fold.tree)] = root;
     }
   }
+  state->atom_tree = flow->atom_tree;
 
-  // Per-atom multiplicity tables: T_a folds ⊤(bag), the children's ⊥ and
-  // the co-atoms' S tables per attribute-connectivity component. The
-  // component partition, order and per-component grouping replicate the
-  // engine's compute_atom exactly, so the capture's atom_components line
-  // up index for index.
+  // Per atom, one tracker per T_a component, in component order.
   state->trackers.resize(static_cast<size_t>(num_atoms));
-  if (track_totals) {
-    state->atom_tree.assign(static_cast<size_t>(num_atoms), -1);
-  }
   for (int a = 0; a < num_atoms; ++a) {
-    const int v = bag_of[static_cast<size_t>(a)];
-    const int t = ghd.forest.TreeOf(v);
-    LSENS_CHECK(t >= 0);
-    if (track_totals) {
-      state->atom_tree[static_cast<size_t>(a)] = t;
-    }
-    if (ContainsAtom(skip_atoms, a)) continue;  // engine skipped T_a
-    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
-
-    std::vector<TableRef> piece_refs;  // engine piece order
-    if (tree.Parent(v) != -1) {
-      piece_refs.push_back(top_node[static_cast<size_t>(v)]);
-    }
-    for (int c : tree.Children(v)) {
-      piece_refs.push_back(bot_node[static_cast<size_t>(c)]);
-    }
-    for (int other : ghd.bags[static_cast<size_t>(v)].atom_indices) {
-      if (other != a) {
-        piece_refs.push_back(sources[static_cast<size_t>(other)]);
-      }
-    }
-
-    std::vector<AttributeSet> piece_attrs;
-    piece_attrs.reserve(piece_refs.size());
-    for (TableRef ref : piece_refs) piece_attrs.push_back(b.attrs_of(ref));
-    const std::vector<std::vector<size_t>> components =
-        ConnectivityComponents(piece_attrs);
-
-    const AttributeSet table_attrs = q.SharedVarsOf(a);
-    const auto& caps = capture.atom_components[static_cast<size_t>(a)];
-    LSENS_CHECK(caps.size() == components.size());
-    for (size_t ci = 0; ci < components.size(); ++ci) {
-      const std::vector<size_t>& comp = components[ci];
-      AttributeSet comp_attrs;
-      for (size_t idx : comp) {
-        comp_attrs = Union(comp_attrs, b.attrs_of(piece_refs[idx]));
-      }
-      const AttributeSet group = Intersect(table_attrs, comp_attrs);
-      const bool group_is_full = group == comp_attrs;
-      TableRef target;
-      if (comp.size() == 1 && group_is_full) {
-        // The piece itself is the component table: track it directly
-        // (zero extra state — the common acyclic shape stays as cheap
-        // as before).
-        target = piece_refs[comp[0]];
-      } else if (comp.size() == 1) {
-        LSENS_CHECK(caps[ci].table.has_value());
-        target = b.AddGroupNode(piece_refs[comp[0]], group, {},
-                                *caps[ci].table);
-      } else {
-        LSENS_CHECK(caps[ci].join.has_value());
-        std::vector<TableRef> comp_refs;
-        for (size_t idx : comp) comp_refs.push_back(piece_refs[idx]);
-        const TableRef j = b.AddJoinNode(comp_refs, *caps[ci].join);
-        if (group_is_full) {
-          target = j;
-        } else {
-          LSENS_CHECK(caps[ci].table.has_value());
-          target = b.AddGroupNode(j, group, {}, *caps[ci].table);
-        }
-      }
+    for (int f : flow->atom_folds[static_cast<size_t>(a)]) {
       state->trackers[static_cast<size_t>(a)].push_back(
-          b.MakeTracker(a, target));
+          b.MakeTracker(a, tables[static_cast<size_t>(num_atoms + f)]));
     }
   }
 
@@ -1076,7 +946,6 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
                            const TSensComputeOptions& options,
                            uint64_t* rows_touched) {
   SensitivityResult result;
-  result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(q.num_atoms()));
   for (int a = 0; a < q.num_atoms(); ++a) {
     AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
@@ -1120,16 +989,7 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
       out.argmax = std::move(argmax);
     }
   }
-  // Winner reduction in atom order, as the engine does (skipped atoms lose
-  // by their zero maxima).
-  for (int a = 0; a < q.num_atoms(); ++a) {
-    const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-    if (out.max_sensitivity > result.local_sensitivity ||
-        (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-      result.local_sensitivity = out.max_sensitivity;
-      result.argmax_atom = a;
-    }
-  }
+  result.SelectMostSensitive();
   return result;
 }
 

@@ -9,6 +9,17 @@ const AtomSensitivity* SensitivityResult::MostSensitive() const {
   return &atoms[static_cast<size_t>(argmax_atom)];
 }
 
+void SensitivityResult::SelectMostSensitive() {
+  local_sensitivity = Count::Zero();
+  argmax_atom = -1;
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    if (atoms[a].max_sensitivity > local_sensitivity) {
+      local_sensitivity = atoms[a].max_sensitivity;
+      argmax_atom = static_cast<int>(a);
+    }
+  }
+}
+
 std::string SensitivityResult::DescribeMostSensitive(
     const AttributeCatalog& attrs, const Dictionary* dict) const {
   const AtomSensitivity* best = MostSensitive();

@@ -63,6 +63,11 @@ struct SensitivityResult {
 
   const AtomSensitivity* MostSensitive() const;
 
+  // Sets local_sensitivity and argmax_atom from `atoms`: a strictly greater
+  // max_sensitivity wins, so the lowest atom index wins a tie, and an
+  // all-zero result (skipped atoms are zero) has LS 0 and no argmax atom.
+  void SelectMostSensitive();
+
   // Human-readable description of the most sensitive tuple, e.g.
   // "R1(A=a2, B=b2, C=c1) with sensitivity 4". Uses `dict` to render
   // interned string values when provided.

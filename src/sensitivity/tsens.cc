@@ -11,12 +11,6 @@ StatusOr<SensitivityResult> ComputeLocalSensitivity(
     const ConjunctiveQuery& q, const Database& db,
     const TSensComputeOptions& options) {
   LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
-  for (int a : options.skip_atoms) {
-    if (a < 0 || a >= q.num_atoms()) {
-      return Status::InvalidArgument("skip_atoms entry " + std::to_string(a) +
-                                     " is outside the query");
-    }
-  }
   // Times the facade end-to-end (dispatch included) so the stats report
   // shows total sensitivity wall time next to the per-operator rows.
   OpTimer op(ResolveExecContext(options.join.ctx), "tsens.compute",
@@ -43,8 +37,6 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
   // active domain replaces the representative-domain max, and the argmax
   // becomes a concrete present tuple's shared projection.
   SensitivityResult result = *std::move(full);
-  result.local_sensitivity = Count::Zero();
-  result.argmax_atom = -1;
   for (AtomSensitivity& atom : result.atoms) {
     if (atom.skipped) continue;
     auto per_tuple = TupleSensitivities(result, q, db, atom.atom_index,
@@ -72,12 +64,8 @@ StatusOr<SensitivityResult> ComputeDownwardLocalSensitivity(
         atom.argmax.push_back(rel->At(best_row, col));
       }
     }
-    if (atom.max_sensitivity > result.local_sensitivity ||
-        (result.argmax_atom == -1 && !atom.max_sensitivity.IsZero())) {
-      result.local_sensitivity = atom.max_sensitivity;
-      result.argmax_atom = atom.atom_index;
-    }
   }
+  result.SelectMostSensitive();
   return result;
 }
 

@@ -80,6 +80,38 @@ bool GroupDeterminesDropped(const std::vector<const CountedRelation*>& pieces,
   return IsSubset(dropped, known);
 }
 
+// Partitions pieces into connectivity components over `link`: pieces whose
+// link attributes intersect transitively end up together, and pieces with
+// no link attributes are singleton components (scalars, when linking by
+// the pieces' own attributes). Components are ordered by their first
+// piece, pieces within one in input order.
+std::vector<std::vector<size_t>> ConnectivityComponents(
+    const std::vector<AttributeSet>& link) {
+  const size_t n = link.size();
+  std::vector<size_t> parent(n);
+  for (size_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
+    }
+  }
+  std::vector<std::vector<size_t>> components;
+  std::vector<int> comp_of(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    size_t root = find(i);
+    if (comp_of[root] == -1) {
+      comp_of[root] = static_cast<int>(components.size());
+      components.emplace_back();
+    }
+    components[static_cast<size_t>(comp_of[root])].push_back(i);
+  }
+  return components;
+}
+
 // Max and argmax of T = γ_group(⋈ pieces) without materializing T, given
 // GroupDeterminesDropped: every group value g has exactly one join row, so
 //   max_g T(g) = max_d Π_j max_{g_j} F_j(g_j, d_j)
@@ -189,44 +221,22 @@ bool FactorizedMax(const std::vector<const CountedRelation*>& pieces,
 
 }  // namespace
 
-std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<AttributeSet>& link) {
-  const size_t n = link.size();
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
-    }
-  }
-  std::vector<std::vector<size_t>> components;
-  std::vector<int> comp_of(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    size_t root = find(i);
-    if (comp_of[root] == -1) {
-      comp_of[root] = static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[static_cast<size_t>(comp_of[root])].push_back(i);
-  }
-  return components;
+bool TSensDataflow::CapturesJoin(size_t f) const {
+  const TSensFold& fold = folds[f];
+  return fold.total ? tree_folds.size() >= 2 : !fold.driven;
 }
 
-StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
-                                         const Ghd& ghd, const Database& db,
-                                         const TSensOptions& options) {
-  LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
-  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+StatusOr<TSensDataflow> PlanTSensDataflow(const ConjunctiveQuery& q,
+                                          const Ghd& ghd,
+                                          const std::vector<int>& skip_atoms) {
   const int num_atoms = q.num_atoms();
   const size_t num_bags = ghd.bags.size();
-  const int threads = options.join.threads;
-
   std::vector<int> bag_of(static_cast<size_t>(num_atoms), -1);
   for (size_t v = 0; v < num_bags; ++v) {
+    if (ghd.forest.TreeOf(static_cast<int>(v)) < 0) {
+      return Status::InvalidArgument("GHD bag " + std::to_string(v) +
+                                     " is in no tree");
+    }
     for (int a : ghd.bags[v].atom_indices) {
       if (a < 0 || a >= num_atoms) {
         return Status::InvalidArgument("GHD bag " + std::to_string(v) +
@@ -246,6 +256,131 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                      std::to_string(a));
     }
   }
+  for (int a : skip_atoms) {
+    if (a < 0 || a >= num_atoms) {
+      return Status::InvalidArgument("skip_atoms entry " + std::to_string(a) +
+                                     " is outside the query");
+    }
+  }
+
+  TSensDataflow flow;
+  std::vector<AttributeSet> attrs;  // per table id
+  attrs.reserve(static_cast<size_t>(num_atoms));
+  for (int a = 0; a < num_atoms; ++a) attrs.push_back(q.SharedVarsOf(a));
+  auto scope_of = [&](const std::vector<int>& inputs) {
+    AttributeSet scope;
+    for (int id : inputs) scope = Union(scope, attrs[static_cast<size_t>(id)]);
+    return scope;
+  };
+  // Appends `fold`; returns its fold id.
+  auto add = [&](TSensFold fold) {
+    attrs.push_back(fold.group.value_or(fold.scope));
+    flow.folds.push_back(std::move(fold));
+    return static_cast<int>(flow.folds.size()) - 1;
+  };
+
+  const size_t num_trees = ghd.forest.trees.size();
+  flow.tree_folds.resize(num_trees);
+  std::vector<int> bot(num_bags, -1);  // table ids of ⊥(v) and ⊤(v)
+  std::vector<int> top(num_bags, -1);
+  for (size_t t = 0; t < num_trees; ++t) {
+    const JoinTree& tree = ghd.forest.trees[t];
+    // The fold of `bag`'s atoms and the `keyed` tables, grouped onto `link`
+    // (the tree total when there is none); returns its table id.
+    auto bag_fold = [&](int bag, const std::vector<int>& keyed,
+                        std::optional<AttributeSet> link) {
+      const std::vector<int>& atoms =
+          ghd.bags[static_cast<size_t>(bag)].atom_indices;
+      TSensFold fold;
+      fold.inputs = atoms;
+      fold.inputs.insert(fold.inputs.end(), keyed.begin(), keyed.end());
+      fold.scope = scope_of(fold.inputs);
+      fold.total = !link.has_value();
+      fold.group = std::move(link);
+      fold.tree = static_cast<int>(t);
+      fold.driven = atoms.size() == 1;
+      const int f = add(std::move(fold));
+      flow.tree_folds[t].push_back(f);
+      return num_atoms + f;
+    };
+    auto link_of = [&](int bag, int parent) {
+      return Intersect(ghd.bags[static_cast<size_t>(bag)].vars,
+                       ghd.bags[static_cast<size_t>(parent)].vars);
+    };
+    for (int bag : tree.PostOrder()) {
+      std::vector<int> children;
+      children.reserve(tree.Children(bag).size());
+      for (int c : tree.Children(bag)) {
+        children.push_back(bot[static_cast<size_t>(c)]);
+      }
+      const int parent = tree.Parent(bag);
+      bot[static_cast<size_t>(bag)] = bag_fold(
+          bag, children,
+          parent == -1 ? std::nullopt
+                       : std::optional<AttributeSet>(link_of(bag, parent)));
+    }
+    for (int bag : tree.PreOrder()) {
+      const int p = tree.Parent(bag);
+      if (p == -1) continue;
+      std::vector<int> upper;
+      if (tree.Parent(p) != -1) upper.push_back(top[static_cast<size_t>(p)]);
+      for (int sibling : tree.Neighbors(bag)) {
+        upper.push_back(bot[static_cast<size_t>(sibling)]);
+      }
+      top[static_cast<size_t>(bag)] = bag_fold(p, upper, link_of(bag, p));
+    }
+  }
+
+  flow.atom_folds.resize(static_cast<size_t>(num_atoms));
+  flow.atom_tree.resize(static_cast<size_t>(num_atoms));
+  for (int a = 0; a < num_atoms; ++a) {
+    const int v = bag_of[static_cast<size_t>(a)];
+    const int t = ghd.forest.TreeOf(v);
+    flow.atom_tree[static_cast<size_t>(a)] = t;
+    if (std::find(skip_atoms.begin(), skip_atoms.end(), a) !=
+        skip_atoms.end()) {
+      continue;
+    }
+    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
+    std::vector<int> pieces;
+    if (tree.Parent(v) != -1) pieces.push_back(top[static_cast<size_t>(v)]);
+    for (int c : tree.Children(v)) {
+      pieces.push_back(bot[static_cast<size_t>(c)]);
+    }
+    for (int b : ghd.bags[static_cast<size_t>(v)].atom_indices) {
+      if (b != a) pieces.push_back(b);
+    }
+    std::vector<AttributeSet> piece_attrs;
+    piece_attrs.reserve(pieces.size());
+    for (int id : pieces) piece_attrs.push_back(attrs[static_cast<size_t>(id)]);
+    for (const std::vector<size_t>& comp :
+         ConnectivityComponents(piece_attrs)) {
+      TSensFold fold;
+      for (size_t i : comp) fold.inputs.push_back(pieces[i]);
+      fold.scope = scope_of(fold.inputs);
+      AttributeSet group = Intersect(q.SharedVarsOf(a), fold.scope);
+      if (group != fold.scope) fold.group = std::move(group);
+      fold.tree = t;
+      fold.driven = comp.size() == 1;
+      flow.atom_folds[static_cast<size_t>(a)].push_back(add(std::move(fold)));
+    }
+  }
+  return flow;
+}
+
+StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
+                                         const Ghd& ghd, const Database& db,
+                                         const TSensOptions& options) {
+  LSENS_RETURN_IF_ERROR(q.ValidateForSensitivity(db));
+  auto planned = PlanTSensDataflow(q, ghd, options.skip_atoms);
+  if (!planned.ok()) return planned.status();
+  const TSensDataflow& flow = *planned;
+  ExecContext& ctx = ResolveExecContext(options.join.ctx);
+  const int num_atoms = q.num_atoms();
+  const size_t num_folds = flow.folds.size();
+  const size_t num_trees = flow.tree_folds.size();
+  const int threads = options.join.threads;
+  TSensCapture* const capture = options.capture;
 
   // S_a: shared-variable projections with predicates applied. Relation
   // lookups stay serial (Status propagation stays simple); the per-atom
@@ -266,119 +401,79 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                       *atom_rels[a], q.atom(ai), q.SharedVarsOf(ai), &wctx);
                 });
 
-  const size_t num_trees = ghd.forest.trees.size();
   // Capture slots are pre-sized here so the concurrent tree/atom tasks
   // below only ever write disjoint elements.
-  if (options.capture != nullptr) {
-    options.capture->bot_join.assign(num_bags, std::nullopt);
-    options.capture->top_join.assign(num_bags, std::nullopt);
-    options.capture->root_join.assign(num_trees, std::nullopt);
-    options.capture->atom_components.assign(static_cast<size_t>(num_atoms),
-                                            {});
-  }
+  if (capture != nullptr) capture->folds.assign(num_folds, {});
   std::vector<Count> tree_total(num_trees, Count::Zero());
-  // ⊥ and ⊤ per bag: *_full are the exact tables the multiplicity-table
-  // step consumes, *_use point at the versions the recursions consume —
-  // the exact table itself, or its top-k truncation held in *_trunc.
-  std::vector<std::optional<CountedRelation>> bot_full(num_bags);
-  std::vector<std::optional<CountedRelation>> top_full(num_bags);
-  std::vector<std::optional<CountedRelation>> bot_trunc(num_bags);
-  std::vector<std::optional<CountedRelation>> top_trunc(num_bags);
-  std::vector<const CountedRelation*> bot_use(num_bags, nullptr);
-  std::vector<const CountedRelation*> top_use(num_bags, nullptr);
+  // Per fold: full[f] is the exact output the T_a components read, use[f]
+  // the version later ⊥/⊤ folds read — the exact output itself, or its
+  // top-k truncation held in trunc[f].
+  std::vector<std::optional<CountedRelation>> full(num_folds);
+  std::vector<std::optional<CountedRelation>> trunc(num_folds);
+  std::vector<const CountedRelation*> use(num_folds, nullptr);
   // Per-tree so concurrent trees never share a flag; OR-reduced below.
   std::vector<uint8_t> tree_truncated(num_trees, 0);
 
-  // The ⊥/⊤ recursions of one tree are order-dependent (post/pre order),
-  // but distinct trees of the decomposition forest touch disjoint bags —
+  auto pieces_of = [&](const TSensFold& fold, bool exact) {
+    std::vector<const CountedRelation*> pieces;
+    pieces.reserve(fold.inputs.size());
+    for (int id : fold.inputs) {
+      const size_t i = static_cast<size_t>(id);
+      if (id < num_atoms) {
+        pieces.push_back(&s[i]);
+      } else {
+        const size_t f = i - static_cast<size_t>(num_atoms);
+        pieces.push_back(exact ? &*full[f] : use[f]);
+      }
+    }
+    return pieces;
+  };
+  // Fold f: γ_group(⋈ pieces), ⋈ pieces itself when f has no group, or
+  // γ_∅ (the join's total) for a tree total. The last join runs straight
+  // into the group-by unless the capture stores the join: then the join is
+  // built, grouped, and stored sorted.
+  auto run_fold = [&](size_t f, std::vector<const CountedRelation*> pieces,
+                      ExecContext& fctx, const JoinOptions& jopts) {
+    const TSensFold& fold = flow.folds[f];
+    TSensCapture::Fold* cap =
+        capture != nullptr ? &capture->folds[f] : nullptr;
+    CountedRelation out{AttributeSet{}};
+    if (cap != nullptr && flow.CapturesJoin(f)) {
+      CountedRelation join = FoldJoin(std::move(pieces), jopts);
+      out = fold.group.has_value() ? GroupBySum(join, *fold.group, &fctx)
+                                   : join;
+      join.Normalize(&fctx);
+      cap->join = std::move(join);
+    } else if (fold.total) {
+      out = FoldJoin(std::move(pieces), jopts, AttributeSet{});
+    } else {
+      out = FoldJoin(std::move(pieces), jopts, fold.group);
+    }
+    return out;
+  };
+
+  // The ⊥/⊤ folds of one tree run in order (post-order, then pre-order),
+  // but distinct trees of the decomposition forest touch disjoint folds —
   // disconnected components run concurrently, each on its own context.
   // Within a tree the FoldJoins parallelize internally (partitioned probe)
   // whenever this pass runs on the main thread.
   auto run_tree = [&](size_t t, ExecContext& tctx, const JoinOptions& jopts) {
-    const JoinTree& tree = ghd.forest.trees[t];
-    auto maybe_truncate = [&](const CountedRelation& full,
-                              std::optional<CountedRelation>* trunc)
-        -> const CountedRelation* {
-      if (options.top_k == 0 || full.NumRows() <= options.top_k) return &full;
-      *trunc = full;
-      (*trunc)->TruncateTopK(options.top_k, &tctx);
-      tree_truncated[t] = 1;
-      return &**trunc;
-    };
-    // γ_group(⋈ pieces). The last join runs straight into the group-by,
-    // unless the capture keeps the fold: then the fold is built, grouped,
-    // and stored sorted in `keep` (its capture slot).
-    auto fold_group = [&](std::vector<const CountedRelation*> pieces,
-                          const AttributeSet& group,
-                          std::optional<CountedRelation>* keep) {
-      if (keep == nullptr) {
-        return FoldJoin(std::move(pieces), jopts, group);
+    for (int fi : flow.tree_folds[t]) {
+      const size_t f = static_cast<size_t>(fi);
+      CountedRelation out = run_fold(
+          f, pieces_of(flow.folds[f], /*exact=*/false), tctx, jopts);
+      if (flow.folds[f].total) {
+        tree_total[t] = out.TotalCount();
+        continue;
       }
-      CountedRelation folded = FoldJoin(std::move(pieces), jopts);
-      CountedRelation grouped = GroupBySum(folded, group, &tctx);
-      folded.Normalize(&tctx);
-      *keep = std::move(folded);
-      return grouped;
-    };
-    // Botjoins, leaves to root (Eq. 7 generalized to bags).
-    for (int bag : tree.PostOrder()) {
-      const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-      std::vector<const CountedRelation*> pieces;
-      for (int a : spec.atom_indices) {
-        pieces.push_back(&s[static_cast<size_t>(a)]);
+      full[f] = std::move(out);
+      use[f] = &*full[f];
+      if (options.top_k > 0 && full[f]->NumRows() > options.top_k) {
+        trunc[f] = *full[f];
+        trunc[f]->TruncateTopK(options.top_k, &tctx);
+        tree_truncated[t] = 1;
+        use[f] = &*trunc[f];
       }
-      for (int c : tree.Children(bag)) {
-        pieces.push_back(bot_use[static_cast<size_t>(c)]);
-      }
-      int parent = tree.Parent(bag);
-      if (parent == -1) {
-        if (options.capture != nullptr && num_trees >= 2) {
-          CountedRelation folded = FoldJoin(std::move(pieces), jopts);
-          tree_total[t] = folded.TotalCount();
-          folded.Normalize(&tctx);
-          options.capture->root_join[t] = std::move(folded);
-        } else {
-          tree_total[t] =
-              FoldJoin(std::move(pieces), jopts, AttributeSet{}).TotalCount();
-        }
-      } else {
-        AttributeSet link = Intersect(
-            spec.vars, ghd.bags[static_cast<size_t>(parent)].vars);
-        bot_full[static_cast<size_t>(bag)] = fold_group(
-            std::move(pieces), link,
-            options.capture != nullptr && spec.atom_indices.size() >= 2
-                ? &options.capture->bot_join[static_cast<size_t>(bag)]
-                : nullptr);
-        bot_use[static_cast<size_t>(bag)] =
-            maybe_truncate(*bot_full[static_cast<size_t>(bag)],
-                           &bot_trunc[static_cast<size_t>(bag)]);
-      }
-    }
-    // Topjoins, root to leaves (Eq. 8 generalized to bags).
-    for (int bag : tree.PreOrder()) {
-      int p = tree.Parent(bag);
-      if (p == -1) continue;
-      const GhdBag& spec = ghd.bags[static_cast<size_t>(bag)];
-      const GhdBag& pspec = ghd.bags[static_cast<size_t>(p)];
-      std::vector<const CountedRelation*> pieces;
-      for (int a : pspec.atom_indices) {
-        pieces.push_back(&s[static_cast<size_t>(a)]);
-      }
-      if (tree.Parent(p) != -1) {
-        pieces.push_back(top_use[static_cast<size_t>(p)]);
-      }
-      for (int sibling : tree.Neighbors(bag)) {
-        pieces.push_back(bot_use[static_cast<size_t>(sibling)]);
-      }
-      AttributeSet link = Intersect(spec.vars, pspec.vars);
-      top_full[static_cast<size_t>(bag)] = fold_group(
-          std::move(pieces), link,
-          options.capture != nullptr && pspec.atom_indices.size() >= 2
-              ? &options.capture->top_join[static_cast<size_t>(bag)]
-              : nullptr);
-      top_use[static_cast<size_t>(bag)] =
-          maybe_truncate(*top_full[static_cast<size_t>(bag)],
-                         &top_trunc[static_cast<size_t>(bag)]);
     }
   };
   if (ShouldRunParallel(threads, num_trees)) {
@@ -397,7 +492,6 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   // fan out one task per atom; the winner reduction runs afterwards in
   // atom order, exactly matching the serial tie-breaking.
   SensitivityResult result;
-  result.local_sensitivity = Count::Zero();
   result.atoms.resize(static_cast<size_t>(num_atoms));
   auto compute_atom = [&](int a, ExecContext& actx, const JoinOptions& jopts) {
     AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
@@ -412,40 +506,20 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
       return;
     }
 
-    const int v = bag_of[static_cast<size_t>(a)];
-    const int t = ghd.forest.TreeOf(v);
-    LSENS_CHECK(t >= 0);
-    const JoinTree& tree = ghd.forest.trees[static_cast<size_t>(t)];
-
-    std::vector<const CountedRelation*> pieces;
-    if (tree.Parent(v) != -1) {
-      pieces.push_back(&*top_full[static_cast<size_t>(v)]);
-    }
-    for (int c : tree.Children(v)) {
-      pieces.push_back(&*bot_full[static_cast<size_t>(c)]);
-    }
-    for (int b : ghd.bags[static_cast<size_t>(v)].atom_indices) {
-      if (b != a) pieces.push_back(&s[static_cast<size_t>(b)]);
-    }
-
     // Scale factor from the other connected components (§5.4 disconnected
     // join trees): adding a tuple here combines with every full result of
     // the other components.
+    const int t = flow.atom_tree[static_cast<size_t>(a)];
     Count scale = Count::One();
     for (size_t t2 = 0; t2 < num_trees; ++t2) {
       if (t2 != static_cast<size_t>(t)) scale *= tree_total[t2];
     }
     if (options.keep_tables) out.factors = AtomSensitivity::Factors{{}, scale};
 
-    // Fold each attribute-connectivity component separately; T_a = scale ×
-    // ⨯ components (kept so), and γ/max/argmax distribute over the product.
-    // The argmax row is stitched from the per-component argmax rows.
-    std::vector<AttributeSet> piece_attrs;
-    for (const CountedRelation* piece : pieces) {
-      piece_attrs.push_back(piece->attrs());
-    }
-    std::vector<std::vector<size_t>> components =
-        ConnectivityComponents(piece_attrs);
+    // Each attribute-connectivity component is folded separately; T_a =
+    // scale × ⨯ components (kept so), and γ/max/argmax distribute over the
+    // product. The argmax row is stitched from the per-component argmax
+    // rows.
     Count max_product = scale;
     std::vector<Value> argmax(out.table_attrs.size(), 0);
     bool argmax_known = true;
@@ -460,67 +534,48 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     // Only max and argmax are needed unless a table is kept or captured:
     // then a component whose group determines its join rows is maxed per
     // factor instead of materialized (FactorizedMax).
-    const bool max_only = !options.keep_tables && options.capture == nullptr;
+    const bool max_only = !options.keep_tables && capture == nullptr;
     const std::vector<Predicate>& atom_preds = q.atom(a).predicates;
-    for (const auto& comp : components) {
-      std::vector<const CountedRelation*> comp_pieces;
-      AttributeSet comp_attrs;
-      bool defaulted = false;
-      for (size_t idx : comp) {
-        comp_pieces.push_back(pieces[idx]);
-        comp_attrs = Union(comp_attrs, pieces[idx]->attrs());
-        defaulted = defaulted || pieces[idx]->has_default();
-      }
-      AttributeSet group = Intersect(out.table_attrs, comp_attrs);
-      const bool group_is_full = group == comp_attrs;
-      if (max_only && !defaulted) {
-        const AttributeSet dropped = Difference(comp_attrs, group);
+    for (int fi : flow.atom_folds[static_cast<size_t>(a)]) {
+      const size_t f = static_cast<size_t>(fi);
+      const TSensFold& fold = flow.folds[f];
+      const std::vector<const CountedRelation*> pieces =
+          pieces_of(fold, /*exact=*/true);
+      const bool defaulted = std::any_of(
+          pieces.begin(), pieces.end(),
+          [](const CountedRelation* p) { return p->has_default(); });
+      if (max_only && !defaulted && fold.group.has_value()) {
+        const AttributeSet dropped = Difference(fold.scope, *fold.group);
         Count comp_max;
         std::vector<Value> comp_argmax;
-        if (!dropped.empty() &&
-            GroupDeterminesDropped(comp_pieces, group, dropped, actx) &&
-            FactorizedMax(comp_pieces, group, dropped, q.atom(a), actx, jopts,
-                          &comp_max, &comp_argmax)) {
+        if (GroupDeterminesDropped(pieces, *fold.group, dropped, actx) &&
+            FactorizedMax(pieces, *fold.group, dropped, q.atom(a), actx,
+                          jopts, &comp_max, &comp_argmax)) {
           max_product *= comp_max;
-          if (!comp_max.IsZero()) place(group, comp_argmax);
+          if (!comp_max.IsZero()) place(*fold.group, comp_argmax);
           continue;
         }
-      }
-      TSensCapture::AtomComponent* cap = nullptr;
-      if (options.capture != nullptr) {
-        cap = &options.capture->atom_components[static_cast<size_t>(a)]
-                   .emplace_back();
       }
       // The component table: a lone piece that is already the table, with
       // no predicate to apply, is read in place (every component of a path
       // query) and copied only when the table is kept. Otherwise the fold,
-      // grouped when the group projects it — with the last join run
-      // straight into the group-by unless the capture keeps the fold.
+      // filtered by the atom's predicates.
       std::optional<CountedRelation> owned;
       const bool in_place =
-          comp.size() == 1 && group_is_full &&
+          !fold.group.has_value() && pieces.size() == 1 &&
           std::none_of(atom_preds.begin(), atom_preds.end(),
                        [&](const Predicate& p) {
-                         return std::binary_search(comp_attrs.begin(),
-                                                   comp_attrs.end(), p.var);
+                         return std::binary_search(fold.scope.begin(),
+                                                   fold.scope.end(), p.var);
                        });
-      if (!in_place && cap == nullptr && !group_is_full) {
-        owned = FoldJoin(std::move(comp_pieces), jopts, group);
-      } else if (!in_place) {
-        CountedRelation folded = FoldJoin(std::move(comp_pieces), jopts);
-        // Multi-piece folds must be kept whole (no single piece covers
-        // them); grouped tables only when grouping actually projected.
-        if (cap != nullptr && comp.size() >= 2) {
-          cap->join = folded;
-          cap->join->Normalize(&actx);
+      if (!in_place) {
+        owned = run_fold(f, pieces, actx, jopts);
+        if (capture != nullptr && fold.group.has_value()) {
+          capture->folds[f].grouped = *owned;
         }
-        owned = group_is_full ? std::move(folded)
-                              : GroupBySum(folded, group, &actx);
-        if (cap != nullptr && !group_is_full) cap->table = *owned;
+        ApplyPredicates(q.atom(a), &*owned);
       }
-      if (owned.has_value()) ApplyPredicates(q.atom(a), &*owned);
-      const CountedRelation& table =
-          owned.has_value() ? *owned : *pieces[comp[0]];
+      const CountedRelation& table = owned.has_value() ? *owned : *pieces[0];
       max_product *= table.MaxCount();
       if (table.arity() > 0) {  // a scalar component carries no values
         const size_t r = table.ArgMaxRow();
@@ -563,25 +618,13 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
     for (int a = 0; a < num_atoms; ++a) compute_atom(a, ctx, options.join);
   }
 
-  for (int a = 0; a < num_atoms; ++a) {
-    const AtomSensitivity& out = result.atoms[static_cast<size_t>(a)];
-    if (out.max_sensitivity > result.local_sensitivity ||
-        (result.argmax_atom == -1 && !out.max_sensitivity.IsZero())) {
-      result.local_sensitivity = out.max_sensitivity;
-      result.argmax_atom = a;
+  result.SelectMostSensitive();
+  if (capture != nullptr) {
+    capture->s = std::move(s);
+    capture->tree_total = std::move(tree_total);
+    for (size_t f = 0; f < num_folds; ++f) {  // the ⊥ and ⊤ outputs
+      if (full[f].has_value()) capture->folds[f].grouped = std::move(full[f]);
     }
-  }
-  if (options.capture != nullptr) {
-    options.capture->s_sig.clear();
-    options.capture->s_sig.reserve(s.size());
-    for (size_t a = 0; a < s.size(); ++a) {
-      options.capture->s_sig.push_back(CanonicalSourceSignature(
-          q.atom(static_cast<int>(a)), s[a].attrs()));
-    }
-    options.capture->s = std::move(s);
-    options.capture->bot = std::move(bot_full);
-    options.capture->top = std::move(top_full);
-    options.capture->tree_total = tree_total;
   }
   return result;
 }

@@ -12,59 +12,72 @@
 
 namespace lsens {
 
-// Internal engine state exported for the incremental sensitivity subsystem
-// (sensitivity/incremental.h) when TSensOptions::capture is set: the
-// per-atom projections and the untruncated fold tables the result was
-// derived from, so a cache can repair them under updates instead of
-// rebuilding. `s` is indexed by atom, `bot`/`top` by bag (disengaged at
-// roots).
+// Algorithm 2's dataflow over one decomposition (and its §5.4 GHD
+// extension), planned from the query and the GHD before any table is read.
+// Tables are numbered: id a below the query's atom count n is S_a, atom a's
+// relation projected onto its shared variables; id n + f is fold f's
+// output.
 //
-// The capture also holds the intermediate fold tables the grouped results
-// were derived from, exactly where a repairing cache needs to materialize
-// them as its own maintained state: per-bag pre-group-by joins (multi-atom
-// bags have no single relation covering the fold, so the join itself must
-// be kept to route deltas through), per-tree root folds and totals (§5.4
-// disconnected scale factors), and per-atom multiplicity-table
-// components. Every captured table is sorted().
+// Every fold is γ_group(r⋈ inputs). Per tree of the decomposition forest:
+//   ⊥(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ v}, {⊥(c) : c child} )
+//   ⊤(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ parent}, ⊤(parent),
+//                                          {⊥(s) : s sibling} )
+// and the root bag's fold r⋈( {S_a : a ∈ root}, {⊥(c)} ), whose total is the
+// tree's join size. Per unskipped atom, T_a's attribute-disjoint components:
+//   T_a  = γ_{shared(a)} r⋈( ⊤(bag(a)), {⊥(c) : c child},
+//                            {S_b : b ∈ bag(a), b ≠ a} )
+// split into the components the pieces form when linked by shared
+// attributes, one fold per component.
+struct TSensFold {
+  std::vector<int> inputs;  // table ids, in the engine's piece order
+  AttributeSet scope;       // ∪ of the inputs' attributes
+  // The output's attributes. Disengaged when the output is the join itself:
+  // a tree total, or a component whose group covers its scope.
+  std::optional<AttributeSet> group;
+  int tree = -1;       // the decomposition tree the fold belongs to
+  bool total = false;  // the root fold: its TotalCount is the tree's size
+  // inputs[0] covers the scope and every other input is keyed on its
+  // columns, so the fold is a sum over inputs[0]'s rows: a bag fold whose
+  // bag (the parent's, for ⊤) holds one atom, or a component of one piece.
+  // Otherwise two or more of the inputs join as equals.
+  bool driven = false;
+};
+
+struct TSensDataflow {
+  std::vector<TSensFold> folds;
+  // Per tree: its ⊥ folds in post-order (the root's total last), then its ⊤
+  // folds in pre-order. Fold ids ascend along the list.
+  std::vector<std::vector<int>> tree_folds;
+  // Per atom: the folds of T_a's components, in component order; empty for
+  // a skipped atom.
+  std::vector<std::vector<int>> atom_folds;
+  std::vector<int> atom_tree;  // per atom: the tree its bag is in
+
+  // Whether a capture stores fold f's join: a repairing cache keeps it as
+  // its own table when no input drives the fold, and keeps a tree total
+  // only when other trees' scale factors read it.
+  bool CapturesJoin(size_t f) const;
+};
+
+// Validates `ghd` against `q` (every atom in exactly one bag, every bag in a
+// tree) and `skip_atoms` (each a query atom), and plans the dataflow.
+StatusOr<TSensDataflow> PlanTSensDataflow(const ConjunctiveQuery& q,
+                                          const Ghd& ghd,
+                                          const std::vector<int>& skip_atoms);
+
+// The tables a TSensOverGhd run derived its result from (TSensOptions::
+// capture): S_a per atom, and per dataflow fold its join (when
+// TSensDataflow::CapturesJoin) and its grouped output before any predicate
+// filter (when it has a group). Every captured table is sorted(); the
+// folds' tables are the exact ones, never their top-k truncations.
 struct TSensCapture {
-  std::vector<CountedRelation> s;
-
-  // Canonical subtree tag per s[i] (query/conjunctive_query.h:
-  // CanonicalSourceSignature over the producing atom and its keep set),
-  // filled alongside `s`. The cross-query plan cache keys
-  // shared S_a tables by these; BuildState cross-checks them against its
-  // own derivation so engine and cache can never disagree silently about
-  // what a captured table is.
-  std::vector<std::string> s_sig;
-  std::vector<std::optional<CountedRelation>> bot;
-  std::vector<std::optional<CountedRelation>> top;
-
-  // Per bag: the fold behind bot[v] / top[v] before the group-by onto the
-  // parent link. bot_join[v] is filled when bag v holds >= 2 atoms;
-  // top_join[v] when v's *parent* bag does (otherwise the fold is covered
-  // by a single S table and needs no separate state).
-  std::vector<std::optional<CountedRelation>> bot_join;
-  std::vector<std::optional<CountedRelation>> top_join;
-
-  // Per tree of the decomposition forest: the root bag's full fold (whose
-  // TotalCount is the tree's join size) and that total. root_join is only
-  // filled for forests with >= 2 trees — connected queries never consume
-  // the cross-tree scale factors.
-  std::vector<std::optional<CountedRelation>> root_join;
-  std::vector<Count> tree_total;
-
-  // Per atom, per attribute-connectivity component of its multiplicity
-  // table (engine component order): `join` is the fold over the
-  // component's pieces (filled when the component has >= 2 pieces), and
-  // `table` the grouped — but not yet predicate-filtered — component table
-  // (filled when grouping actually projected the fold, i.e. the group
-  // attributes are a proper subset of the fold's). Skipped atoms keep an
-  // empty component list.
-  struct AtomComponent {
+  struct Fold {
     std::optional<CountedRelation> join;
-    std::optional<CountedRelation> table;
+    std::optional<CountedRelation> grouped;
   };
-  std::vector<std::vector<AtomComponent>> atom_components;
+  std::vector<CountedRelation> s;
+  std::vector<Fold> folds;
+  std::vector<Count> tree_total;
 };
 
 // Options shared by all TSens algorithm variants.
@@ -90,52 +103,35 @@ struct TSensOptions {
   // Atoms whose multiplicity table should not be computed, e.g. relations
   // whose query variables contain a superkey so δ <= 1 by construction (the
   // paper skips Lineitem in q3 this way). Skipped atoms report
-  // max_sensitivity 0 and do not participate in the argmax.
+  // max_sensitivity 0 and do not participate in the argmax. An entry
+  // outside the query is InvalidArgument.
   std::vector<int> skip_atoms;
 
-  // When non-null, the engine additionally exports its internal tables
-  // here (copies made after the run; the result is unaffected). Used by
-  // SensitivityCache to seed its repairable state from the exact tables
-  // the from-scratch answer was computed from.
+  // When non-null, the engine also exports the tables its result was
+  // derived from here (the result is unaffected). SensitivityCache seeds
+  // its repairable state from them.
   TSensCapture* capture = nullptr;
 };
 
 // TSens over a generalized hypertree decomposition (Algorithm 2 and its
-// §5.4 GHD extension; acyclic queries use the trivial width-1 GHD).
-// Algorithm 1 is this engine over a path query's chain join tree, whose
-// ⊤/⊥ are the prefix and suffix folds along the chain.
-//
-// Per tree of the decomposition forest:
-//   ⊥(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ v}, {⊥(c) : c child} )
-//   ⊤(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ parent}, ⊤(parent),
-//                                          {⊥(s) : s sibling} )
-//   T_a  = γ_{shared(a)}             r⋈( ⊤(bag(a)), {⊥(c) : c child},
-//                                          {S_b : b ∈ bag(a), b ≠ a} )
-// where S_a is atom a's relation projected onto its shared variables with
-// multiplicity counts (exclusive attributes contribute their multiplicity
-// and are reported as free values of the most sensitive tuple).
+// §5.4 GHD extension; acyclic queries use the trivial width-1 GHD): plans
+// the dataflow (PlanTSensDataflow), scans S_a per atom, runs each tree's
+// folds and then each atom's T_a components, and reduces the per-atom
+// maxima. Algorithm 1 is this engine over a path query's chain join tree,
+// whose ⊤/⊥ are the prefix and suffix folds along the chain. S_a keeps an
+// atom's shared variables with multiplicity counts (exclusive attributes
+// contribute their multiplicity and are reported as free values of the most
+// sensitive tuple).
 //
 // Disconnected queries (§5.4): T_a counts are scaled by the product of the
-// other components' total join sizes.
+// other trees' total join sizes.
 //
-// The T_a expression can factor into attribute-disjoint groups (always the
-// case for path queries: ⊤ and ⊥ share nothing). The engine exploits
-// γ_{X∪Y}(A × B) = γ_X(A) × γ_Y(B) to never materialize such cross
-// products: max and argmax combine per group, and keep_tables keeps the
-// groups' tables apart.
+// T_a is never materialized across its components: γ_{X∪Y}(A × B) =
+// γ_X(A) × γ_Y(B), so max and argmax combine per component, and
+// keep_tables keeps the components' tables apart.
 StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
                                          const Ghd& ghd, const Database& db,
                                          const TSensOptions& options = {});
-
-// Partitions pieces into connectivity components over `link`: pieces whose
-// link attributes intersect transitively end up together, and pieces with
-// no link attributes are singleton components (scalars, when linking by
-// the pieces' own attributes). Components are ordered by their first
-// piece, pieces within one in input order. The engine factors T_a along
-// these; SensitivityCache's state builder reuses it so the two partitions
-// line up index for index.
-std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<AttributeSet>& link);
 
 // δ(t) for every row of the relation bound by `atom_index`, in row order:
 // scale × one lookup per component table (AtomSensitivity::factors).

@@ -219,6 +219,62 @@ TEST(TSensDpTest, AdditiveTruncatedCountsOnTriangles) {
   }
 }
 
+// TSensDP reads |Q(D)| off the private atom's tuple sensitivities: every
+// output tuple holds exactly one private tuple, so Σ_t δ(t) = |Q(D)|.
+TEST(TSensDpTest, TrueAnswerIsTheQueryCount) {
+  auto expect_count = [](const ConjunctiveQuery& q, const Database& db,
+                         int private_atom, const Ghd* ghd,
+                         const std::string& name) {
+    TSensDpOptions opts;
+    opts.ghd = ghd;
+    auto run = RunTSensDp(q, db, private_atom, opts);
+    ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
+    auto count = CountQuery(q, db, {}, ghd);
+    ASSERT_TRUE(count.ok()) << name;
+    EXPECT_GT(count->ToDouble(), 0.0) << name;
+    EXPECT_EQ(run->true_answer, count->ToDouble()) << name;
+  };
+  TpchOptions topts;
+  topts.scale = 0.001;
+  Database db = MakeTpchDatabase(topts);
+  WorkloadQuery q1 = MakeTpchQ1(db);
+  expect_count(q1.query, db, q1.private_atom, nullptr, "q1");
+  WorkloadQuery q3 = MakeTpchQ3(db);
+  expect_count(q3.query, db, q3.private_atom, q3.ghd_ptr(), "q3");
+
+  // A predicate on the private atom: its failing rows have δ = 0.
+  ConjunctiveQuery filtered = q1.query;
+  const Atom& customer = q1.query.atom(q1.private_atom);
+  const Relation* rel = db.Find(customer.relation);
+  ASSERT_NE(rel, nullptr);
+  ASSERT_GT(rel->NumRows(), 1u);
+  filtered.AddPredicate(q1.private_atom,
+                        Predicate{customer.vars[0], Predicate::Op::kLe,
+                                  rel->At(rel->NumRows() / 2, 0)});
+  expect_count(filtered, db, q1.private_atom, nullptr, "q1 with predicate");
+
+  // Two trees: the private atom's δ carries the other tree's size.
+  Rng rng(31);
+  Database fdb;
+  ConjunctiveQuery forest;
+  for (const auto& [name, vars] :
+       std::vector<std::pair<std::string, std::vector<std::string>>>{
+           {"F1", {"A", "B"}}, {"F2", {"B", "C"}}, {"F3", {"X", "Y"}}}) {
+    Relation* r = fdb.AddRelation(name, vars);
+    for (int i = 0; i < 12; ++i) {
+      r->AppendRow({static_cast<Value>(rng.NextBounded(3)),
+                    static_cast<Value>(rng.NextBounded(3))});
+    }
+    forest.AddAtom(fdb, name, vars);
+  }
+  TSensComputeOptions kept;
+  kept.keep_tables = true;
+  auto tsens = ComputeLocalSensitivity(forest, fdb, kept);
+  ASSERT_TRUE(tsens.ok());
+  EXPECT_EQ(tsens->atoms[0].factors->scale, Count(12));
+  expect_count(forest, fdb, 0, nullptr, "two-tree forest");
+}
+
 TEST(TSensDpTest, HighBudgetGivesAccurateAnswers) {
   TpchOptions topts;
   topts.scale = 0.001;

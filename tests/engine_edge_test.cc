@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "dp/tsens_dp.h"
 #include "query/enumerate.h"
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
+#include "sensitivity/incremental.h"
 #include "sensitivity/naive.h"
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
@@ -190,6 +192,22 @@ TEST(EngineEdgeTest, SkipAtomsNeverRaisesLs) {
   }
 }
 
+// A GHD that does not decompose `q` is InvalidArgument for the cache and
+// for TSensDP too, and the cache keeps no node of the failed run.
+void ExpectCacheAndDpReject(const ConjunctiveQuery& q, Database& db,
+                            const Ghd& ghd) {
+  TSensComputeOptions opts;
+  opts.ghd = &ghd;
+  SensitivityCache cache;
+  EXPECT_EQ(cache.Compute(q, db, opts).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(cache.stats().shared_nodes, 0u);
+  TSensDpOptions dp;
+  dp.ghd = &ghd;
+  EXPECT_EQ(RunTSensDp(q, db, 0, dp).status().code(),
+            Status::Code::kInvalidArgument);
+}
+
 TEST(EngineEdgeTest, GhdOfAnotherQueryIsRejected) {
   // q3's decomposition names atoms 5..7, which q1 (5 atoms) lacks.
   TpchOptions topts;
@@ -203,6 +221,7 @@ TEST(EngineEdgeTest, GhdOfAnotherQueryIsRejected) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(TSensOverGhd(q1.query, *q3.ghd, db).status().code(),
             Status::Code::kInvalidArgument);
+  ExpectCacheAndDpReject(q1.query, db, *q3.ghd);
 }
 
 TEST(EngineEdgeTest, GhdBagAtomIndicesAreValidated) {
@@ -220,6 +239,7 @@ TEST(EngineEdgeTest, GhdBagAtomIndicesAreValidated) {
     EXPECT_EQ(ComputeLocalSensitivity(ex.query, ex.db, opts).status().code(),
               Status::Code::kInvalidArgument)
         << "second bag of size " << second_bag.size();
+    ExpectCacheAndDpReject(ex.query, ex.db, bad);
   }
 }
 
@@ -236,6 +256,16 @@ TEST(EngineEdgeTest, OutOfRangeSkipAtomsAreRejected) {
                 Status::Code::kInvalidArgument)
           << "skip " << skip << " prefer_path " << prefer_path;
     }
+  }
+  // The engine itself refuses one too, under any decomposition.
+  auto plan = ChooseTSensPlan(ex.query, nullptr, /*allow_path=*/true);
+  ASSERT_TRUE(plan.ok());
+  for (int skip : {-1, 4, 99}) {
+    TSensOptions opts;
+    opts.skip_atoms = {skip};
+    EXPECT_EQ(TSensOverGhd(ex.query, plan->ghd, ex.db, opts).status().code(),
+              Status::Code::kInvalidArgument)
+        << "skip " << skip;
   }
 }
 

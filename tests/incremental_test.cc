@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1119,6 +1120,58 @@ TEST_P(IncrementalStreamTest, DisconnectedForestPrefixesRepairAndMatch) {
   EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
 }
 
+TEST_P(IncrementalStreamTest, CyclicForestPrefixesRepairAndMatch) {
+  // The triangle plus a two-atom path: the triangle's tree is rooted at its
+  // two-atom bag, so that tree's running total lives on a join node, and a
+  // repair there re-multiplies the path atoms' scale factors.
+  const auto [seed, threads] = GetParam();
+  Rng rng(seed * 257 + 23);
+  Database db;
+  ConjunctiveQuery q;
+  for (const auto& [name, vars] :
+       std::vector<std::pair<std::string, std::vector<std::string>>>{
+           {"G1", {"A", "B"}},
+           {"G2", {"B", "C"}},
+           {"G3", {"C", "A"}},
+           {"H1", {"X", "Y"}},
+           {"H2", {"Y", "Z"}}}) {
+    Relation* rel = db.AddRelation(name, vars);
+    for (int i = 0; i < 4; ++i) {
+      rel->AppendRow({static_cast<Value>(rng.NextBounded(3)),
+                      static_cast<Value>(rng.NextBounded(3))});
+    }
+    q.AddAtom(db, name, vars);
+  }
+  // The searched GHD would join G3 and H1 into one bag of a single tree.
+  auto ghd = BuildGhd(q, {{2}, {0, 1}, {3}, {4}});
+  ASSERT_TRUE(ghd.ok()) << ghd.status().ToString();
+  ASSERT_EQ(ghd->forest.trees.size(), 2u);
+  ASSERT_EQ(ghd->bags[static_cast<size_t>(ghd->forest.trees[0].root())]
+                .atom_indices.size(),
+            2u);
+  SensitivityCacheConfig config;
+  config.max_delta_fraction = 1.0;
+  SensitivityCache cache(config);
+  TSensComputeOptions options = ThreadedOptions(threads);
+  options.ghd = &*ghd;
+  for (int step = 0; step < 10; ++step) {
+    auto cached = cache.Compute(q, db, options);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    auto fresh = ComputeLocalSensitivity(q, db, options);
+    ASSERT_TRUE(fresh.ok());
+    ExpectResultsIdentical(*cached, *fresh,
+                           "cyclic forest step " + std::to_string(step));
+    Database clone = db.Clone();
+    auto naive = NaiveLocalSensitivity(q, clone);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(cached->local_sensitivity, naive->local_sensitivity)
+        << "cyclic forest step " << step;
+    RandomMutation(rng, q, db, 3);
+  }
+  EXPECT_GT(cache.stats().repairs, 0u);
+  EXPECT_EQ(cache.stats().fallback_unsupported, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Seeds, IncrementalStreamTest,
     ::testing::Combine(::testing::Values<uint64_t>(1, 2, 3),
@@ -1261,14 +1314,24 @@ TEST(ShardedRepairTest, MatchesSerialRepairIncludingCounters) {
 // The repairable shapes the work bound covers: a path over its chain tree,
 // a caterpillar join tree (its GYO tree, not a chain),
 // TPC-H q1 with its superkey skips, the triangle through its searched GHD,
-// and a two-tree forest whose repairs re-multiply the other tree's total.
-enum class WorkShape { kPath4, kCaterpillar, kTpchQ1, kTriangle, kForest };
+// and a two-tree forest whose repairs re-multiply the other tree's total;
+// plus the triangle beside a path, whose triangle tree keeps its total on
+// a join node.
+enum class WorkShape {
+  kPath4,
+  kCaterpillar,
+  kTpchQ1,
+  kTriangle,
+  kForest,
+  kCyclicForest
+};
 
 // A database, a query over it, and the options both the full compute and
-// the cache run with.
+// the cache run with (`options.ghd` points into `ghd` when one is set).
 struct WorkInstance {
   Database db;
   ConjunctiveQuery query;
+  std::shared_ptr<const Ghd> ghd;
   TSensComputeOptions options;
 };
 
@@ -1322,6 +1385,16 @@ WorkInstance MakeWorkInstance(WorkShape shape, int rows, int domain) {
     case WorkShape::kForest:
       return MakeSyntheticWorkInstance(
           {"F1 A B", "F2 B C", "F3 X Y", "F4 Y Z"}, rows, domain);
+    case WorkShape::kCyclicForest: {
+      WorkInstance w = MakeSyntheticWorkInstance(
+          {"C1 A B", "C2 B C", "C3 C A", "F3 X Y", "F4 Y Z"}, rows / 2,
+          domain);
+      auto ghd = BuildGhd(w.query, {{2}, {0, 1}, {3}, {4}});
+      LSENS_CHECK(ghd.ok());
+      w.ghd = std::make_shared<const Ghd>(*std::move(ghd));
+      w.options.ghd = w.ghd.get();
+      return w;
+    }
   }
   return {};
 }
@@ -1390,6 +1463,24 @@ TEST(IncrementalWorkTest, SingleRowRepairDoesAsymptoticallyLessWork) {
         WorkShape::kTriangle, WorkShape::kForest}) {
     SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)));
     ExpectSingleRowRepairsDoLessWork(MakeWorkInstance(shape, 2000, 100));
+  }
+}
+
+TEST(IncrementalWorkTest, PrimedNodeCountsArePinned) {
+  // The store nodes one primed entry holds (S_a sources, ⊥/⊤ fold nodes,
+  // T_a component nodes, tree-total nodes) depend only on the query shape:
+  // pinned, so a change in how the cache turns the dataflow into nodes
+  // shows up here.
+  const std::vector<std::pair<WorkShape, size_t>> expected = {
+      {WorkShape::kPath4, 10},   {WorkShape::kCaterpillar, 10},
+      {WorkShape::kTpchQ1, 13},  {WorkShape::kTriangle, 10},
+      {WorkShape::kForest, 10},  {WorkShape::kCyclicForest, 16}};
+  for (const auto& [shape, nodes] : expected) {
+    SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)));
+    WorkInstance w = MakeWorkInstance(shape, 200, 20);
+    SensitivityCache cache;
+    ASSERT_TRUE(cache.Compute(w.query, w.db, w.options).ok());
+    EXPECT_EQ(cache.stats().shared_nodes, nodes);
   }
 }
 
