@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/macros.h"
 #include "exec/exec_context.h"
 
 namespace lsens {
+
+namespace {
+
+// The most rows acc ⋈ piece can have when a key bounds it. Both are
+// unique(), so a side whose attributes lie inside the other's meets each
+// row of the other at most once: the join has at most the other's rows.
+std::optional<size_t> KeyBound(const CountedRelation& acc,
+                               const CountedRelation& piece) {
+  std::optional<size_t> bound;
+  if (IsSubset(acc.attrs(), piece.attrs())) bound = piece.NumRows();
+  if (IsSubset(piece.attrs(), acc.attrs())) {
+    bound = std::min(bound.value_or(SIZE_MAX), acc.NumRows());
+  }
+  return bound;
+}
+
+}  // namespace
 
 CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
                          const JoinOptions& options,
@@ -47,15 +65,19 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
     // share no attribute with the accumulator (cross products) only pick
     // one if no sharing piece exists. Defaulted pieces are eligible only
     // when covered by the accumulator's attributes. Only a contest between
-    // two or more sharing pieces needs exact counts: a lone sharing piece
-    // wins regardless of its size.
+    // two or more sharing pieces needs row counts: a lone sharing piece
+    // wins regardless of its size. A contest ranks by key bounds when
+    // every contender has one, and by exact counts otherwise, never by a
+    // mix of the two.
     auto eligible = [&](const CountedRelation* piece) {
       return !piece->has_default() || IsSubset(piece->attrs(), acc->attrs());
     };
     size_t sharing = 0;
+    bool keyed = true;
     for (const CountedRelation* piece : remaining) {
       if (eligible(piece) && Intersects(piece->attrs(), acc->attrs())) {
         ++sharing;
+        keyed = keyed && KeyBound(*acc, *piece).has_value();
       }
     }
     size_t best = SIZE_MAX;
@@ -71,7 +93,9 @@ CountedRelation FoldJoin(std::vector<const CountedRelation*> pieces,
       } else if (!shares) {
         rows = acc->NumRows() * piece->NumRows();  // cross product
       } else if (sharing >= 2) {
-        rows = EstimateJoinRows(*acc, *piece, options.ctx, options.threads);
+        rows = keyed ? *KeyBound(*acc, *piece)
+                     : EstimateJoinRows(*acc, *piece, options.ctx,
+                                        options.threads);
       }
       if (best == SIZE_MAX || (shares && !best_shares) ||
           (shares == best_shares && rows < best_rows)) {

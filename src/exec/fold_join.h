@@ -12,12 +12,15 @@ namespace lsens {
 // greedily: the accumulator starts at the piece with the fewest rows (among
 // non-defaulted pieces) and each step picks the remaining piece minimizing
 // the result-row count, preferring attribute-sharing pieces over cross
-// products. Exact counts (EstimateJoinRows) are taken only when two or
-// more attribute-sharing pieces compete; a lone sharing piece is joined
-// next without one, and cross-product sizes are plain products. Defaulted
-// (top-k) pieces are only joined once the accumulator covers their
-// attributes; a defaulted piece the accumulator never covers is a caller
-// error and CHECK-fails (its dropped rows cannot be restored).
+// products. A lone sharing piece is joined next without a count, and
+// cross-product sizes are plain products. Two or more sharing pieces
+// compete by key bounds when each has one: pieces are unique(), so when
+// one side's attributes lie inside the other's, the join has at most the
+// other side's rows. A contest with any unbounded contender counts every
+// contender exactly (EstimateJoinRows) instead. Defaulted (top-k) pieces
+// are only joined once the accumulator covers their attributes; a
+// defaulted piece the accumulator never covers is a caller error and
+// CHECK-fails (its dropped rows cannot be restored).
 //
 // This is the workhorse behind the paper's r⋈(X1, ..., Xp) expressions:
 // botjoins/topjoins (Eq. 7–8), multiplicity tables (Eq. 6, including the

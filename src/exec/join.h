@@ -90,7 +90,8 @@ CountedRelation JoinGroupBySum(const CountedRelation& a,
 // O(|a| + |b|) with a flat hash-group table on the smaller side (key
 // verification included, so the count is exact even under hash
 // collisions). Recorded as "estimate_join_rows"; FoldJoin's greedy
-// join-order heuristic is its only engine caller. (The hash kernels take
+// join-order heuristic is its only engine caller, in contests that key
+// bounds do not settle. (The hash kernels take
 // the same exact count inside their own "join.hash" timer to size their
 // output, unless the key covers every build attribute: then each probe row
 // matches at most once and the probe side's size is the bound.)

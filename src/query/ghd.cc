@@ -86,6 +86,17 @@ StatusOr<Ghd> SearchGhd(const ConjunctiveQuery& q, int max_width,
   std::vector<int> rgs(static_cast<size_t>(m), 0);
   bool have_best = false;
   Ghd best;
+  // Per atom, its connected component (atoms linked by shared variables).
+  // A bag spanning two components would fold their cross product and merge
+  // their trees, losing §5.4's per-tree scale factors.
+  std::vector<AttributeSet> atom_vars;
+  for (int i = 0; i < m; ++i) atom_vars.push_back(q.atom(i).VarSet());
+  std::vector<size_t> component(static_cast<size_t>(m));
+  const std::vector<std::vector<size_t>> components =
+      ConnectivityComponents(atom_vars);
+  for (size_t c = 0; c < components.size(); ++c) {
+    for (size_t i : components[c]) component[i] = c;
+  }
 
   auto try_partition = [&]() {
     int num_blocks = *std::max_element(rgs.begin(), rgs.end()) + 1;
@@ -99,6 +110,14 @@ StatusOr<Ghd> SearchGhd(const ConjunctiveQuery& q, int max_width,
     }
     if (width > max_width) return;
     if (have_best && width >= best.Width()) return;
+    for (const auto& b : blocks) {
+      for (int atom : b) {
+        if (component[static_cast<size_t>(atom)] !=
+            component[static_cast<size_t>(b[0])]) {
+          return;
+        }
+      }
+    }
     auto ghd = BuildGhd(q, blocks);
     if (!ghd.ok()) return;
     best = std::move(ghd).value();

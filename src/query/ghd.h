@@ -35,9 +35,10 @@ StatusOr<Ghd> BuildGhd(const ConjunctiveQuery& q,
 
 // Exhaustive search for a minimum-width GHD of this restricted form, by
 // enumerating set partitions of the atoms (restricted-growth strings) with
-// block size <= max_width and testing bag-hypergraph acyclicity. Exponential
-// in the number of atoms — intended for the small queries of the paper
-// (<= ~10 atoms); returns Unsupported beyond `max_atoms`.
+// block size <= max_width, none spanning two connected components of the
+// query, and testing bag-hypergraph acyclicity. Exponential in the number
+// of atoms — intended for the small queries of the paper (<= ~10 atoms);
+// returns Unsupported beyond `max_atoms`.
 StatusOr<Ghd> SearchGhd(const ConjunctiveQuery& q, int max_width,
                         int max_atoms = 12);
 

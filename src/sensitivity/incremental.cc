@@ -887,20 +887,13 @@ std::unique_ptr<RepairState> BuildState(
         b.AcquireSource(a, std::move(keep), capture.s[static_cast<size_t>(a)]));
   }
 
-  // §5.4: a tree's running total is kept only when other trees' scale
-  // factors read it.
+  // §5.4: only a forest plans tree totals, and each one's running total is
+  // kept for the other trees' scale factors.
   const size_t num_trees = flow->tree_folds.size();
-  const bool track_totals = num_trees >= 2;
-  if (track_totals) {
-    LSENS_CHECK(capture.tree_total.size() == num_trees);
-    state->total_nodes.resize(num_trees);
-  }
+  LSENS_CHECK(capture.tree_total.size() == (num_trees >= 2 ? num_trees : 0));
+  if (!capture.tree_total.empty()) state->total_nodes.resize(num_trees);
   for (size_t f = 0; f < flow->folds.size(); ++f) {
     const TSensFold& fold = flow->folds[f];
-    if (fold.total && !track_totals) {
-      tables.emplace_back();
-      continue;
-    }
     tables.push_back(b.AddFold(fold, tables, capture.folds[f]));
     if (fold.total) {
       // The engine's total reflects exactly the rows just loaded (or

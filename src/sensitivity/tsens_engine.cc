@@ -80,38 +80,6 @@ bool GroupDeterminesDropped(const std::vector<const CountedRelation*>& pieces,
   return IsSubset(dropped, known);
 }
 
-// Partitions pieces into connectivity components over `link`: pieces whose
-// link attributes intersect transitively end up together, and pieces with
-// no link attributes are singleton components (scalars, when linking by
-// the pieces' own attributes). Components are ordered by their first
-// piece, pieces within one in input order.
-std::vector<std::vector<size_t>> ConnectivityComponents(
-    const std::vector<AttributeSet>& link) {
-  const size_t n = link.size();
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
-    }
-  }
-  std::vector<std::vector<size_t>> components;
-  std::vector<int> comp_of(n, -1);
-  for (size_t i = 0; i < n; ++i) {
-    size_t root = find(i);
-    if (comp_of[root] == -1) {
-      comp_of[root] = static_cast<int>(components.size());
-      components.emplace_back();
-    }
-    components[static_cast<size_t>(comp_of[root])].push_back(i);
-  }
-  return components;
-}
-
 // Max and argmax of T = γ_group(⋈ pieces) without materializing T, given
 // GroupDeterminesDropped: every group value g has exactly one join row, so
 //   max_g T(g) = max_d Π_j max_{g_j} F_j(g_j, d_j)
@@ -223,7 +191,7 @@ bool FactorizedMax(const std::vector<const CountedRelation*>& pieces,
 
 bool TSensDataflow::CapturesJoin(size_t f) const {
   const TSensFold& fold = folds[f];
-  return fold.total ? tree_folds.size() >= 2 : !fold.driven;
+  return fold.total || !fold.driven;
 }
 
 StatusOr<TSensDataflow> PlanTSensDataflow(const ConjunctiveQuery& q,
@@ -308,12 +276,15 @@ StatusOr<TSensDataflow> PlanTSensDataflow(const ConjunctiveQuery& q,
                        ghd.bags[static_cast<size_t>(parent)].vars);
     };
     for (int bag : tree.PostOrder()) {
+      const int parent = tree.Parent(bag);
+      // A root's total only scales the other trees' atoms (§5.4); a lone
+      // tree's root ⊥ has no reader, so it is not planned.
+      if (parent == -1 && num_trees < 2) continue;
       std::vector<int> children;
       children.reserve(tree.Children(bag).size());
       for (int c : tree.Children(bag)) {
         children.push_back(bot[static_cast<size_t>(c)]);
       }
-      const int parent = tree.Parent(bag);
       bot[static_cast<size_t>(bag)] = bag_fold(
           bag, children,
           parent == -1 ? std::nullopt
@@ -404,7 +375,9 @@ StatusOr<SensitivityResult> TSensOverGhd(const ConjunctiveQuery& q,
   // Capture slots are pre-sized here so the concurrent tree/atom tasks
   // below only ever write disjoint elements.
   if (capture != nullptr) capture->folds.assign(num_folds, {});
-  std::vector<Count> tree_total(num_trees, Count::Zero());
+  // Only a forest plans tree totals (a lone tree's would have no reader).
+  std::vector<Count> tree_total(num_trees >= 2 ? num_trees : 0,
+                                Count::Zero());
   // Per fold: full[f] is the exact output the T_a components read, use[f]
   // the version later ⊥/⊤ folds read — the exact output itself, or its
   // top-k truncation held in trunc[f].

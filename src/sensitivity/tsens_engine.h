@@ -22,8 +22,11 @@ namespace lsens {
 //   ⊥(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ v}, {⊥(c) : c child} )
 //   ⊤(v) = γ_{vars(v) ∩ vars(parent)} r⋈( {S_a : a ∈ parent}, ⊤(parent),
 //                                          {⊥(s) : s sibling} )
-// and the root bag's fold r⋈( {S_a : a ∈ root}, {⊥(c)} ), whose total is the
-// tree's join size. Per unskipped atom, T_a's attribute-disjoint components:
+// and, only in a forest of two or more trees, the root bag's fold
+// r⋈( {S_a : a ∈ root}, {⊥(c)} ), whose total is the tree's join size: it
+// scales the other trees' atoms (§5.4), and nothing else reads it, so a
+// lone tree's root has no ⊥ fold. Per unskipped atom, T_a's
+// attribute-disjoint components:
 //   T_a  = γ_{shared(a)} r⋈( ⊤(bag(a)), {⊥(c) : c child},
 //                            {S_b : b ∈ bag(a), b ≠ a} )
 // split into the components the pieces form when linked by shared
@@ -35,7 +38,7 @@ struct TSensFold {
   // a tree total, or a component whose group covers its scope.
   std::optional<AttributeSet> group;
   int tree = -1;       // the decomposition tree the fold belongs to
-  bool total = false;  // the root fold: its TotalCount is the tree's size
+  bool total = false;  // a forest root's fold: TotalCount is the tree's size
   // inputs[0] covers the scope and every other input is keyed on its
   // columns, so the fold is a sum over inputs[0]'s rows: a bag fold whose
   // bag (the parent's, for ⊤) holds one atom, or a component of one piece.
@@ -45,8 +48,8 @@ struct TSensFold {
 
 struct TSensDataflow {
   std::vector<TSensFold> folds;
-  // Per tree: its ⊥ folds in post-order (the root's total last), then its ⊤
-  // folds in pre-order. Fold ids ascend along the list.
+  // Per tree: its ⊥ folds in post-order (in a forest, the root's total
+  // last), then its ⊤ folds in pre-order. Fold ids ascend along the list.
   std::vector<std::vector<int>> tree_folds;
   // Per atom: the folds of T_a's components, in component order; empty for
   // a skipped atom.
@@ -54,8 +57,8 @@ struct TSensDataflow {
   std::vector<int> atom_tree;  // per atom: the tree its bag is in
 
   // Whether a capture stores fold f's join: a repairing cache keeps it as
-  // its own table when no input drives the fold, and keeps a tree total
-  // only when other trees' scale factors read it.
+  // its own table when no input drives the fold, and keeps every tree
+  // total (only forests plan them) for the other trees' scale factors.
   bool CapturesJoin(size_t f) const;
 };
 
@@ -77,6 +80,8 @@ struct TSensCapture {
   };
   std::vector<CountedRelation> s;
   std::vector<Fold> folds;
+  // Per tree, its join size, for a forest of two or more trees; empty for
+  // a lone tree, whose total nothing reads (so none was computed).
   std::vector<Count> tree_total;
 };
 

@@ -61,4 +61,31 @@ bool Intersects(const AttributeSet& a, const AttributeSet& b) {
   return false;
 }
 
+std::vector<std::vector<size_t>> ConnectivityComponents(
+    const std::vector<AttributeSet>& link) {
+  const size_t n = link.size();
+  std::vector<size_t> parent(n);
+  for (size_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      if (Intersects(link[i], link[j])) parent[find(i)] = find(j);
+    }
+  }
+  std::vector<std::vector<size_t>> components;
+  std::vector<int> comp_of(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    size_t root = find(i);
+    if (comp_of[root] == -1) {
+      comp_of[root] = static_cast<int>(components.size());
+      components.emplace_back();
+    }
+    components[static_cast<size_t>(comp_of[root])].push_back(i);
+  }
+  return components;
+}
+
 }  // namespace lsens

@@ -24,6 +24,14 @@ bool Contains(const AttributeSet& set, AttrId attr);
 bool IsSubset(const AttributeSet& sub, const AttributeSet& super);
 bool Intersects(const AttributeSet& a, const AttributeSet& b);
 
+// Partitions items into connectivity components over their `link`
+// attributes: items whose link attributes intersect transitively end up
+// together, and items with no link attributes are singleton components.
+// Components are ordered by their first item, items within one in input
+// order.
+std::vector<std::vector<size_t>> ConnectivityComponents(
+    const std::vector<AttributeSet>& link);
+
 }  // namespace lsens
 
 #endif  // LSENS_STORAGE_ATTRIBUTE_SET_H_

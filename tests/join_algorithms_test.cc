@@ -390,23 +390,82 @@ TEST(JoinPickerTest, PrefersHashWhenOneSideUnsorted) {
 TEST(JoinPickerTest, FoldJoinEstimatesOnlyContestedSteps) {
   Rng rng(7);
   CountedRelation small = MakeRandom(rng, {1}, 20, 50);
+  CountedRelation small_wide = MakeRandom(rng, {1, 4}, 20, 50);
   CountedRelation left = MakeRandom(rng, {1, 2}, 400, 50);
   CountedRelation right = MakeRandom(rng, {1, 3}, 400, 50);
   ASSERT_LT(small.NumRows(), left.NumRows());
   ASSERT_LT(small.NumRows(), right.NumRows());
+  ASSERT_LT(small_wide.NumRows(), left.NumRows());
+  ASSERT_LT(small_wide.NumRows(), right.NumRows());
 
   // {1} then {1,2}: a lone sharing candidate is joined without a count.
   ExecContext lone;
   FoldJoin({&small, &left}, {JoinAlgorithm::kAuto, &lone});
   EXPECT_EQ(lone.FindStats("estimate_join_rows"), nullptr);
 
-  // {1} against {1,2} and {1,3}: both share attribute 1, so the first step
-  // counts each candidate exactly; the last step has one candidate left.
+  // {1} against {1,2} and {1,3}: both contenders are keyed on the
+  // accumulator's attributes, so each join has at most the contender's
+  // rows and the contest ranks those bounds without a count.
+  ExecContext keyed;
+  FoldJoin({&small, &left, &right}, {JoinAlgorithm::kAuto, &keyed});
+  EXPECT_EQ(keyed.FindStats("estimate_join_rows"), nullptr);
+
+  // {1,4} against {1,2} and {1,3}: neither side's attributes lie inside
+  // the other's, so the first step counts each candidate exactly; the last
+  // step has one candidate left.
   ExecContext contested;
-  FoldJoin({&small, &left, &right}, {JoinAlgorithm::kAuto, &contested});
+  FoldJoin({&small_wide, &left, &right}, {JoinAlgorithm::kAuto, &contested});
   const OperatorStats* est = contested.FindStats("estimate_join_rows");
   ASSERT_NE(est, nullptr);
   EXPECT_EQ(est->calls, 2u);
+}
+
+// Whatever order FoldJoin's contests pick, by key bounds or by exact
+// counts, its output is the join of the pieces: it equals a left-deep
+// NaturalJoin chain in input order (grouped after, with a group). Keyed
+// sets draw every piece's attributes from one chain {1} ⊂ {1,2} ⊂ ... so
+// every contest is key-bounded and nothing is counted.
+TEST(JoinPickerTest, FoldJoinMatchesLeftDeepChain) {
+  Rng rng(2411);
+  const std::vector<AttributeSet> chain = {
+      {1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}};
+  for (int trial = 0; trial < 120; ++trial) {
+    const bool keyed_set = trial % 2 == 0;
+    const RandomShape shape{12, 3, false, false, trial % 5 == 0};
+    const size_t num_pieces = 2 + rng.NextBounded(3);
+    std::vector<CountedRelation> pieces;
+    for (size_t i = 0; i < num_pieces; ++i) {
+      AttributeSet attrs;
+      if (keyed_set) {
+        attrs = chain[rng.NextBounded(chain.size())];
+      } else {
+        while (attrs.empty()) attrs = RandomGroup(rng, {1, 2, 3, 4, 5}, 3);
+      }
+      pieces.push_back(MakeRandomCounted(rng, attrs, shape));
+    }
+    std::vector<const CountedRelation*> ptrs;
+    for (const CountedRelation& piece : pieces) ptrs.push_back(&piece);
+    CountedRelation want = pieces[0];
+    AttributeSet scope = pieces[0].attrs();
+    for (size_t i = 1; i < pieces.size(); ++i) {
+      want = NaturalJoin(want, pieces[i]);
+      scope = Union(scope, pieces[i].attrs());
+    }
+    const std::string what = "trial " + std::to_string(trial);
+
+    ExecContext ctx;
+    EXPECT_TRUE(SameRowsUpToOrder(
+        want, FoldJoin(ptrs, {JoinAlgorithm::kAuto, &ctx})))
+        << what;
+    const AttributeSet group = RandomGroup(rng, scope, 3);
+    EXPECT_TRUE(SameRowsUpToOrder(
+        GroupBySum(want, group),
+        FoldJoin(ptrs, {JoinAlgorithm::kAuto, &ctx}, group)))
+        << what;
+    if (keyed_set) {
+      EXPECT_EQ(ctx.FindStats("estimate_join_rows"), nullptr) << what;
+    }
+  }
 }
 
 // --- ExecContext stats ----------------------------------------------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "query/conjunctive_query.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
+#include "sensitivity/naive.h"
+#include "sensitivity/tsens.h"
 #include "test_util.h"
 
 namespace lsens {
@@ -300,6 +305,68 @@ TEST(GhdTest, FourCycleDecomposition) {
   auto searched = SearchGhd(q, 2);
   ASSERT_TRUE(searched.ok());
   EXPECT_EQ(searched->Width(), 2);
+}
+
+TEST(GhdTest, SearchKeepsQueryComponentsApart) {
+  // A triangle G1(A,B), G2(B,C), G3(C,A) beside a path H1(X,Y), H2(Y,Z):
+  // the triangle needs a width-2 bag, and a bag holding atoms of both
+  // components (such as {G3,H1}) would fold their cross product and merge
+  // the two §5.4 trees into one.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Database db;
+    ConjunctiveQuery q;
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        atoms = {{"G1", {"A", "B"}}, {"G2", {"B", "C"}}, {"G3", {"C", "A"}},
+                 {"H1", {"X", "Y"}}, {"H2", {"Y", "Z"}}};
+    for (const auto& [name, vars] : atoms) {
+      Relation* rel = db.AddRelation(name, vars);
+      for (int i = 0; i < 8; ++i) {
+        rel->AppendRow({static_cast<Value>(rng.NextBounded(4)),
+                        static_cast<Value>(rng.NextBounded(4))});
+      }
+      q.AddAtom(db, name, vars);
+    }
+    const std::vector<int> component = {0, 0, 0, 1, 1};
+
+    auto searched = SearchGhd(q, q.num_atoms());
+    ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+    EXPECT_EQ(searched->Width(), 2);
+    EXPECT_EQ(searched->forest.trees.size(), 2u);
+    for (const GhdBag& bag : searched->bags) {
+      for (int a : bag.atom_indices) {
+        EXPECT_EQ(component[static_cast<size_t>(a)],
+                  component[static_cast<size_t>(bag.atom_indices[0])]);
+      }
+    }
+    auto plan = ChooseTSensPlan(q, nullptr, /*allow_path=*/true);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->source, TSensPlan::Source::kSearched);
+    EXPECT_EQ(plan->ghd.forest.trees.size(), 2u);
+
+    auto result = ComputeLocalSensitivity(q, db);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto explicit_ghd = BuildGhd(q, {{2}, {0, 1}, {3}, {4}});
+    ASSERT_TRUE(explicit_ghd.ok());
+    ASSERT_EQ(explicit_ghd->forest.trees.size(), 2u);
+    TSensComputeOptions explicit_options;
+    explicit_options.ghd = &*explicit_ghd;
+    auto want = ComputeLocalSensitivity(q, db, explicit_options);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(result->local_sensitivity, want->local_sensitivity);
+    EXPECT_EQ(result->argmax_atom, want->argmax_atom);
+    for (int a = 0; a < q.num_atoms(); ++a) {
+      const size_t i = static_cast<size_t>(a);
+      EXPECT_EQ(result->atoms[i].max_sensitivity,
+                want->atoms[i].max_sensitivity)
+          << "atom " << a;
+      EXPECT_EQ(result->atoms[i].argmax, want->atoms[i].argmax) << "atom " << a;
+    }
+    auto naive = NaiveLocalSensitivity(q, db);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(naive->local_sensitivity, result->local_sensitivity);
+  }
 }
 
 TEST(GhdTest, TrivialGhdMirrorsForest) {

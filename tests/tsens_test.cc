@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "exec/exec_context.h"
 #include "query/eval.h"
 #include "query/ghd.h"
 #include "query/join_tree.h"
@@ -10,6 +13,8 @@
 #include "sensitivity/tsens.h"
 #include "sensitivity/tsens_engine.h"
 #include "test_util.h"
+#include "workload/queries.h"
+#include "workload/tpch.h"
 
 namespace lsens {
 namespace {
@@ -443,6 +448,130 @@ TEST(DownwardSensitivityTest, RejectsTopK) {
                 .status()
                 .code(),
             Status::Code::kUnsupported);
+}
+
+// --- Dataflow plan: a tree total only where §5.4 reads it -----------------
+
+size_t CountTotalFolds(const TSensDataflow& flow) {
+  return static_cast<size_t>(
+      std::count_if(flow.folds.begin(), flow.folds.end(),
+                    [](const TSensFold& fold) { return fold.total; }));
+}
+
+// One tree: nothing reads the root's total, so the root has no ⊥ fold and
+// the tree's folds are one ⊥ and one ⊤ per non-root bag.
+void ExpectLoneTreePlansNoTotal(const ConjunctiveQuery& q, const Ghd& ghd,
+                                const std::vector<int>& skip_atoms) {
+  ASSERT_EQ(ghd.forest.trees.size(), 1u);
+  auto flow = PlanTSensDataflow(q, ghd, skip_atoms);
+  ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+  EXPECT_EQ(CountTotalFolds(*flow), 0u);
+  ASSERT_EQ(flow->tree_folds.size(), 1u);
+  EXPECT_EQ(flow->tree_folds[0].size(), 2 * (ghd.bags.size() - 1));
+}
+
+TEST(TSensDataflowTest, LoneTreePlansNoTotal) {
+  auto ex = MakeFigure1Example();
+  auto forest = BuildJoinForestGYO(ex.query);
+  ASSERT_TRUE(forest.ok());
+  {
+    SCOPED_TRACE("Figure 1");
+    ExpectLoneTreePlansNoTotal(ex.query, MakeTrivialGhd(ex.query, *forest),
+                               {});
+  }
+
+  TpchOptions topts;
+  topts.scale = 0.001;
+  Database db = MakeTpchDatabase(topts);
+  {
+    SCOPED_TRACE("q1 chain");
+    WorkloadQuery q1 = MakeTpchQ1(db);
+    auto plan = ChooseTSensPlan(q1.query, q1.ghd_ptr(), /*allow_path=*/true);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_EQ(plan->source, TSensPlan::Source::kPath);
+    ExpectLoneTreePlansNoTotal(q1.query, plan->ghd, q1.skip_atoms);
+  }
+  {
+    SCOPED_TRACE("q3 Figure 5a GHD");
+    WorkloadQuery q3 = MakeTpchQ3(db);
+    ASSERT_TRUE(q3.ghd.has_value());
+    ExpectLoneTreePlansNoTotal(q3.query, *q3.ghd, q3.skip_atoms);
+  }
+}
+
+TEST(TSensDataflowTest, ForestPlansOneTotalPerTreeLastAmongItsBotFolds) {
+  Database db;
+  db.AddRelation("R", {"A", "B"});
+  db.AddRelation("S", {"B", "C"});
+  db.AddRelation("T", {"C", "D"});
+  db.AddRelation("U", {"X", "Y"});
+  db.AddRelation("V", {"Y", "Z"});
+  ConjunctiveQuery q;
+  q.AddAtom(db, "R", {"A", "B"});
+  q.AddAtom(db, "U", {"X", "Y"});
+  q.AddAtom(db, "S", {"B", "C"});
+  q.AddAtom(db, "V", {"Y", "Z"});
+  q.AddAtom(db, "T", {"C", "D"});
+  auto forest = BuildJoinForestGYO(q);
+  ASSERT_TRUE(forest.ok());
+  const Ghd ghd = MakeTrivialGhd(q, *forest);
+  ASSERT_EQ(ghd.forest.trees.size(), 2u);
+  auto flow = PlanTSensDataflow(q, ghd, {});
+  ASSERT_TRUE(flow.ok()) << flow.status().ToString();
+  EXPECT_EQ(CountTotalFolds(*flow), 2u);
+  ASSERT_EQ(flow->tree_folds.size(), 2u);
+  for (size_t t = 0; t < 2; ++t) {
+    SCOPED_TRACE("tree " + std::to_string(t));
+    // The ⊥ folds come first, one per bag in post-order: the root's last.
+    const size_t bags = ghd.forest.trees[t].PostOrder().size();
+    const std::vector<int>& folds = flow->tree_folds[t];
+    ASSERT_EQ(folds.size(), 2 * bags - 1);
+    for (size_t i = 0; i < folds.size(); ++i) {
+      const TSensFold& fold = flow->folds[static_cast<size_t>(folds[i])];
+      EXPECT_EQ(fold.tree, static_cast<int>(t));
+      EXPECT_EQ(fold.total, i == bags - 1) << "fold " << i;
+      if (fold.total) {
+        EXPECT_TRUE(flow->CapturesJoin(static_cast<size_t>(folds[i])));
+      }
+    }
+  }
+}
+
+// The fold and join-count work TSens does on the TPC-H queries depends only
+// on the plan and the data, not the thread count: pinned, so a fold or an
+// exact count nothing reads shows up here when it comes back. q1 and q2
+// settle every join-order contest by key bounds; the T_a components of
+// q3's multi-atom bags hold many-to-many contests that still count.
+TEST(TSensWorkTest, FoldAndCountCallsArePinned) {
+  TpchOptions topts;
+  topts.scale = 0.001;
+  Database db = MakeTpchDatabase(topts);
+  struct Pin {
+    WorkloadQuery w;
+    uint64_t fold_join;
+    uint64_t estimate_join_rows;
+  };
+  const std::vector<Pin> pins = {{MakeTpchQ1(db), 8, 0},
+                                 {MakeTpchQ2(db), 7, 0},
+                                 {MakeTpchQ3(db), 12, 8}};
+  for (const Pin& pin : pins) {
+    for (int threads : {0, 4}) {
+      SCOPED_TRACE(pin.w.name + " threads " + std::to_string(threads));
+      ExecContext ctx;
+      TSensComputeOptions opts;
+      opts.ghd = pin.w.ghd_ptr();
+      opts.skip_atoms = pin.w.skip_atoms;
+      opts.join.ctx = &ctx;
+      opts.join.threads = threads;
+      ASSERT_TRUE(ComputeLocalSensitivity(pin.w.query, db, opts).ok());
+      auto calls = [&](const char* op) {
+        const OperatorStats* stats = ctx.FindStats(op);
+        return stats == nullptr ? uint64_t{0} : stats->calls;
+      };
+      EXPECT_EQ(calls("fold_join"), pin.fold_join);
+      EXPECT_EQ(calls("estimate_join_rows"), pin.estimate_join_rows);
+    }
+  }
 }
 
 TEST(NaiveTest, Figure1MatchesPaper) {
