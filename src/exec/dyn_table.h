@@ -43,10 +43,9 @@ namespace lsens {
 // index for the snapshot size; rehashes compact tombstones.
 //
 // Thread-safety: const lookups (Get / FindRow / LookupIndex / row
-// accessors) may run concurrently with each other — sharded repair reads
-// driver and input tables from several workers — and write nothing, not
-// even stats. Mutations require exclusive access; stats() counts the
-// mutating paths only.
+// accessors) write nothing, not even stats, so concurrent readers are
+// safe. Mutations require exclusive access; stats() counts the mutating
+// paths only.
 class DynTable {
  public:
   static constexpr uint32_t kNoRow = UINT32_MAX;

@@ -46,8 +46,8 @@ struct FlatProbeSeq {
 // Deletion writes a tombstone (probe chains stay intact); rehashing drops
 // every tombstone (compaction) and resizes for the live count only, so a
 // table that shrinks also releases probe-chain debris. Stats (probe steps,
-// rehashes) are counted only on the mutating paths — const lookups run
-// concurrently during sharded repair and must not write anything.
+// rehashes) are counted only on the mutating paths — const lookups write
+// nothing.
 class FlatRowIndex {
  public:
   static constexpr uint32_t kNoRow = UINT32_MAX;

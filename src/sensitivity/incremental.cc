@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/rng.h"
 #include "common/timer.h"
 #include "exec/dyn_table.h"
 #include "exec/exec_context.h"
@@ -258,8 +257,6 @@ void MarkStale(SharedNode* node, SharedNode::StaleReason reason) {
 }
 
 struct RepairState {
-  enum class Mode { kConstant, kGhd };
-
   RepairState() = default;
   RepairState(const RepairState&) = delete;
   RepairState& operator=(const RepairState&) = delete;
@@ -272,7 +269,6 @@ struct RepairState {
     }
   }
 
-  Mode mode = Mode::kConstant;
   std::vector<std::shared_ptr<SharedNode>> sources;  // per atom
   std::vector<std::shared_ptr<SharedNode>> nodes;    // acquire order
   // Result assembly: atom a multiplies the pieces trackers[a] (engine
@@ -287,9 +283,8 @@ struct RepairState {
   std::vector<int> atom_tree;
 };
 
-// The plan the facade picks (ChooseTSensPlan), seen as a repair mode.
+// The plan the facade picks (ChooseTSensPlan), and whether repair models it.
 struct Plan {
-  RepairState::Mode mode = RepairState::Mode::kConstant;
   bool supported = false;
   std::string reason;  // when !supported
   TSensPlan engine;    // the decomposition TSensOverGhd runs over
@@ -318,13 +313,6 @@ Plan MakePlan(const ConjunctiveQuery& q, const TSensComputeOptions& options) {
   }
   plan.supported = true;
   plan.engine = *std::move(engine);
-  if (plan.engine.source == TSensPlan::Source::kGyo && q.num_atoms() == 1) {
-    // A single-atom query's sensitivity is data-independent (inserting
-    // one matching tuple always changes the count by exactly 1).
-    plan.mode = RepairState::Mode::kConstant;
-  } else {
-    plan.mode = RepairState::Mode::kGhd;
-  }
   return plan;
 }
 
@@ -377,13 +365,6 @@ void Project(std::span<const Value> row, const std::vector<int>& cols,
   for (int c : cols) out->push_back(row[static_cast<size_t>(c)]);
 }
 
-// Shard routing for the parallel repair stages: the shared key-hash fold
-// (storage/value.h), so Relation::CollectChangesShardedSince and this
-// always route one key to one shard.
-size_t KeyShard(std::span<const Value> key, size_t num_shards) {
-  return static_cast<size_t>(HashValues(key) % num_shards);
-}
-
 void SortUnique(std::vector<std::vector<Value>>* keys) {
   std::sort(keys->begin(), keys->end());
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
@@ -423,7 +404,6 @@ struct NodeStore {
 
 using incremental_detail::CanonicalAttrs;
 using incremental_detail::ColsOf;
-using incremental_detail::KeyShard;
 using incremental_detail::MakePlan;
 using incremental_detail::MarkStale;
 using incremental_detail::NodeStore;
@@ -867,8 +847,6 @@ std::unique_ptr<RepairState> BuildState(
     const std::vector<int>& skip_atoms, const Database& db, NodeStore& ns,
     SensitivityCacheStats& stats, uint64_t tick, uint64_t* rows_touched) {
   auto state = std::make_unique<RepairState>();
-  state->mode = plan.mode;
-  if (plan.mode == RepairState::Mode::kConstant) return state;
 
   // The engine just planned this dataflow from the same inputs.
   StatusOr<TSensDataflow> flow =
@@ -998,18 +976,7 @@ SensitivityResult Assemble(RepairState& state, const ConjunctiveQuery& q,
 // the same sweep. Nodes that cannot be repaired — unanswerable log, a
 // delta over the global gate, saturation — are marked stale (cascading to
 // dependents) and skipped; the pass itself never aborts.
-//
-// `threads` > 1 shards the pass over the global thread pool (via
-// ParallelApply on `ctx`): change-log entries and affected join-key groups
-// are hash-partitioned into per-worker shards, the pure read-only work
-// (predicate filtering, key projection, group re-aggregation) fans out,
-// and every table mutation and tracker update applies serially in a
-// scheduling-independent order, so repaired state, results, and all
-// counters are bit-identical to the serial pass at any thread count.
-// Deltas below the kShardMinWork gate stay on the serial loops — a
-// single-row update never pays a pool round-trip.
-void SensitivityCache::SyncStore(Database& db, int threads,
-                                 ExecContext& ctx) {
+void SensitivityCache::SyncStore(Database& db, ExecContext& ctx) {
   NodeStore& ns = store_->ns;
   if (ns.by_sig.empty()) return;
   WallTimer timer;
@@ -1071,31 +1038,15 @@ void SensitivityCache::SyncStore(Database& db, int threads,
     return;
   }
 
-  // One shard per requested thread; 1 collapses every stage to the plain
-  // serial loops (ShouldRunParallel also refuses nested regions).
-  const size_t num_shards =
-      ShouldRunParallel(threads, static_cast<size_t>(threads) + 1)
-          ? static_cast<size_t>(threads)
-          : 1;
-  // Sharding pays a pool round-trip per source and per node; below this
-  // many work items (pending changes / affected groups) the serial loop
-  // wins — the typical single-row update never leaves it. The gate reads
-  // only the data, so either outcome yields identical results.
-  constexpr size_t kShardMinWork = 32;
-
   uint64_t delta_rows = 0;
   uint64_t rows_touched = 0;
   uint64_t nodes_patched = 0;
 
   // Stage 1 — sources: apply the row-level deltas, collecting the touched
-  // keys. The change log is filtered, projected onto each source's key
-  // columns, and partitioned by projected-key hash in one walk
-  // (Relation::CollectProjectedChangesShardedSince) — only the key columns
-  // of passing changes are copied, never whole rows. Per-key order is
-  // preserved inside a shard and the Adjust calls apply serially shard by
-  // shard, so per-key adjustment sequences (and thus the final table and
-  // any underflow poisoning) match a serial single-shard walk exactly.
-  std::vector<std::vector<ProjectedRowChange>> shard_keys;
+  // keys. The change log is filtered and projected onto each source's key
+  // columns in one walk (Relation::CollectProjectedChangesSince) — only the
+  // key columns of passing changes are copied, never whole rows.
+  std::vector<ProjectedRowChange> changes;
   for (SharedNode* src : pending) {
     const Relation* rel = db.Find(src->relation);
     LSENS_CHECK(rel != nullptr);  // the pre-pass just found it
@@ -1105,30 +1056,20 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       }
       return true;
     };
-    auto apply_shard = [&](std::vector<ProjectedRowChange>& shard) {
-      for (ProjectedRowChange& pc : shard) {
-        const Count before = src->table.Get(pc.key);
-        if (!src->table.Adjust(pc.key, Count::One(), pc.insert)) {
-          return false;
-        }
-        src->changed.push_back(std::move(pc.key));
-        src->changed_old.push_back(before);
-      }
-      return true;
-    };
-    const size_t src_shards =
-        (num_shards > 1 && rel->NumChangesSince(src->version) > kShardMinWork)
-            ? num_shards
-            : 1;
-    shard_keys.assign(src_shards, {});
+    changes.clear();
     size_t num_changes = 0;
-    LSENS_CHECK(rel->CollectProjectedChangesShardedSince(
-        src->version, src->keep_cols, src_shards, filter, &shard_keys,
-        &num_changes));
+    LSENS_CHECK(rel->CollectProjectedChangesSince(
+        src->version, src->keep_cols, filter, &changes, &num_changes));
     delta_rows += num_changes;
     bool ok = true;
-    for (size_t s = 0; s < src_shards && ok; ++s) {
-      ok = apply_shard(shard_keys[s]);
+    for (ProjectedRowChange& pc : changes) {
+      const Count before = src->table.Get(pc.key);
+      if (!src->table.Adjust(pc.key, Count::One(), pc.insert)) {
+        ok = false;
+        break;
+      }
+      src->changed.push_back(std::move(pc.key));
+      src->changed_old.push_back(before);
     }
     if (!ok) {
       // Inexact adjustment (saturation / stale log): the table is poisoned
@@ -1138,8 +1079,8 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       continue;
     }
     src->version = rel->version();
-    // A key's changes all sit in one shard, in log order, so its first
-    // recorded count is its count before the pass.
+    // Changes apply in log order, so a key's first recorded count is its
+    // count before the pass.
     SortUniqueKeepFirst(&src->changed, &src->changed_old);
     // Trackers sitting directly on this S table (single-piece multiplicity
     // components): fold in each changed key's final value.
@@ -1167,10 +1108,10 @@ void SensitivityCache::SyncStore(Database& db, int threads,
   // through the other pieces' indexes), and recompute each row's count as
   // the product of point lookups.
   //
-  // Either way the recomputation reads only upstream state, so the
-  // affected keys — disjoint work — fan out over key-hash shards; the
-  // recomputed counts land in per-key slots and are applied (with tracker
-  // and tree-total maintenance) serially in sorted key order.
+  // Either way the recomputation reads only upstream state: every affected
+  // key's count is computed first, then applied (with tracker and
+  // tree-total maintenance) in sorted key order. The apply loop may stop
+  // early on a saturated tree total; repair_rows still counts every key.
   std::vector<uint32_t> rows;
   std::vector<Value> key;
   for (SharedNode* node : nodes) {
@@ -1263,80 +1204,59 @@ void SensitivityCache::SyncStore(Database& db, int threads,
       SortUnique(&affected);
     }
     if (affected.empty()) continue;
-    const size_t node_shards =
-        num_shards > 1 && affected.size() > kShardMinWork ? num_shards : 1;
-    std::vector<size_t> shard_of;
-    if (node_shards > 1) {
-      shard_of.resize(affected.size());
-      for (size_t g = 0; g < affected.size(); ++g) {
-        shard_of[g] = KeyShard(affected[g], node_shards);
-      }
-    }
     std::vector<Count> sums(affected.size());
-    std::vector<uint64_t> shard_touched(node_shards, 0);
-    ParallelApply(ctx, threads, node_shards, [&](size_t s, ExecContext&) {
-      std::vector<uint32_t> group_rows;
-      std::vector<Value> lookup_key;
-      uint64_t touched = 0;
-      for (size_t g = 0; g < affected.size(); ++g) {
-        if (node_shards > 1 && shard_of[g] != s) continue;
-        if (node->kind == SharedNode::Kind::kGroup) {
-          const DynTable& driver = node->driver->table;
-          // Delta: old count + new terms - old terms, all exact.
-          Count plus = Count::Zero();
-          Count minus = Count::Zero();
-          bool exact = true;
-          touched += term_begin[g + 1] - term_begin[g] + 1;
-          for (size_t t = term_begin[g]; t < term_begin[g + 1] && exact; ++t) {
-            const std::vector<Value>& row = terms[t].second;
-            Count old_term = node->driver->OldCount(row);
-            Count new_term = driver.Get(row);
-            for (const SharedNode::Input& input : node->inputs) {
-              Project(row, input.driver_cols, &lookup_key);
-              old_term *= input.node->OldCount(lookup_key);
-              new_term *= input.node->table.Get(lookup_key);
-            }
-            exact = !old_term.IsSaturated() && !new_term.IsSaturated();
-            minus += old_term;
-            plus += new_term;
+    for (size_t g = 0; g < affected.size(); ++g) {
+      if (node->kind == SharedNode::Kind::kGroup) {
+        const DynTable& driver = node->driver->table;
+        // Delta: old count + new terms - old terms, all exact.
+        Count plus = Count::Zero();
+        Count minus = Count::Zero();
+        bool exact = true;
+        rows_touched += term_begin[g + 1] - term_begin[g] + 1;
+        for (size_t t = term_begin[g]; t < term_begin[g + 1] && exact; ++t) {
+          const std::vector<Value>& row = terms[t].second;
+          Count old_term = node->driver->OldCount(row);
+          Count new_term = driver.Get(row);
+          for (const SharedNode::Input& input : node->inputs) {
+            Project(row, input.driver_cols, &key);
+            old_term *= input.node->OldCount(key);
+            new_term *= input.node->table.Get(key);
           }
-          const Count old_sum = node->table.Get(affected[g]);
-          const Count grown = old_sum + plus;
-          if (exact && !grown.IsSaturated() && !(grown < minus)) {
-            sums[g] = grown.SaturatingSub(minus);
-            continue;
-          }
-          group_rows.clear();
-          driver.LookupIndex(node->driver_group_index, affected[g],
-                             &group_rows);
-          touched += group_rows.size();
-          Count sum = Count::Zero();
-          for (uint32_t r : group_rows) {
-            std::span<const Value> row = driver.RowValues(r);
-            Count term = driver.RowCount(r);
-            for (const SharedNode::Input& input : node->inputs) {
-              Project(row, input.driver_cols, &lookup_key);
-              term *= input.node->table.Get(lookup_key);
-              if (term.IsZero()) break;
-            }
-            sum += term;
-          }
-          sums[g] = sum;
-        } else {
-          touched += 1;
-          Count product = Count::One();
-          for (const SharedNode::Piece& piece : node->pieces) {
-            Project(affected[g], piece.scope_cols, &lookup_key);
-            product *= piece.ref->table.Get(lookup_key);
-            if (product.IsZero()) break;
-          }
-          sums[g] = product;
+          exact = !old_term.IsSaturated() && !new_term.IsSaturated();
+          minus += old_term;
+          plus += new_term;
         }
+        const Count old_sum = node->table.Get(affected[g]);
+        const Count grown = old_sum + plus;
+        if (exact && !grown.IsSaturated() && !(grown < minus)) {
+          sums[g] = grown.SaturatingSub(minus);
+          continue;
+        }
+        rows.clear();
+        driver.LookupIndex(node->driver_group_index, affected[g], &rows);
+        rows_touched += rows.size();
+        Count sum = Count::Zero();
+        for (uint32_t r : rows) {
+          std::span<const Value> row = driver.RowValues(r);
+          Count term = driver.RowCount(r);
+          for (const SharedNode::Input& input : node->inputs) {
+            Project(row, input.driver_cols, &key);
+            term *= input.node->table.Get(key);
+            if (term.IsZero()) break;
+          }
+          sum += term;
+        }
+        sums[g] = sum;
+      } else {
+        rows_touched += 1;
+        Count product = Count::One();
+        for (const SharedNode::Piece& piece : node->pieces) {
+          Project(affected[g], piece.scope_cols, &key);
+          product *= piece.ref->table.Get(key);
+          if (product.IsZero()) break;
+        }
+        sums[g] = product;
       }
-      shard_touched[s] += touched;
-    });
-    for (size_t s = 0; s < node_shards; ++s) {
-      rows_touched += shard_touched[s];
     }
     bool ok = true;
     for (size_t g = 0; g < affected.size() && ok; ++g) {
@@ -1386,13 +1306,9 @@ bool SensitivityCache::Peek(const ConjunctiveQuery& q, const Database& db,
   const std::string key = Fingerprint(q, options);
   for (const auto& e : entries_) {
     if (e->key != key) continue;
-    const bool constant =
-        e->state != nullptr && e->state->mode == RepairState::Mode::kConstant;
-    if (!constant) {
-      for (size_t i = 0; i < e->relations.size(); ++i) {
-        const Relation* rel = db.Find(e->relations[i]);
-        if (rel == nullptr || rel->version() != e->versions[i]) return false;
-      }
+    for (size_t i = 0; i < e->relations.size(); ++i) {
+      const Relation* rel = db.Find(e->relations[i]);
+      if (rel == nullptr || rel->version() != e->versions[i]) return false;
     }
     if (out != nullptr) *out = e->result;
     return true;
@@ -1438,7 +1354,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   bool synced = false;
   auto sync = [&] {
     if (!synced) {
-      SyncStore(db, options.join.threads, ctx);
+      SyncStore(db, ctx);
       synced = true;
     }
   };
@@ -1447,10 +1363,6 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
     entry->last_used = ++tick_;
     std::optional<std::vector<uint64_t>> versions =
         current_versions(entry->relations);
-    // A constant-mode result is data-independent: any version is a hit.
-    const bool constant =
-        entry->state != nullptr &&
-        entry->state->mode == RepairState::Mode::kConstant;
     // Touch the entry's shared nodes so the spill LRU tracks use by any
     // dependent entry, hits included.
     if (entry->state != nullptr) {
@@ -1461,7 +1373,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
         node->last_used = entry->last_used;
       }
     }
-    if (versions.has_value() && (constant || *versions == entry->versions)) {
+    if (versions.has_value() && *versions == entry->versions) {
       ++stats_.hits;
       ctx.Record("cache.hit", 0, 0, 0, timer.ElapsedSeconds());
       return entry->result;
@@ -1541,13 +1453,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
   std::unique_ptr<RepairState> state;
   uint64_t build_rows = 0;
   auto run_full = [&]() -> StatusOr<SensitivityResult> {
-    if (!plan.supported || plan.mode == RepairState::Mode::kConstant) {
-      auto r = ComputeLocalSensitivity(q, db, options);
-      if (r.ok() && plan.supported) {
-        state = std::make_unique<RepairState>();  // kConstant
-      }
-      return r;
-    }
+    if (!plan.supported) return ComputeLocalSensitivity(q, db, options);
     sync();
     TSensCapture capture;
     TSensComputeOptions run = options;
@@ -1605,8 +1511,7 @@ StatusOr<SensitivityResult> SensitivityCache::Compute(
 
   // Cross-check at capture time: the assembled-from-trackers result must
   // equal the engine's, so every later repair starts from verified state.
-  if (entry->state != nullptr &&
-      entry->state->mode != RepairState::Mode::kConstant) {
+  if (entry->state != nullptr) {
     uint64_t ignored = 0;
     SensitivityResult assembled =
         Assemble(*entry->state, q, options, &ignored);

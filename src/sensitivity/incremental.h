@@ -125,11 +125,8 @@ class SensitivityCache {
   // Compute-or-reuse LS(Q, D). `db` is non-const only so the cache can
   // install change logs on the query's relations; contents are never
   // modified. `options.join` supplies the stats context and thread count
-  // for full computes exactly as the facade does — and `options.join.
-  // threads` also parallelizes delta repair itself: changed join keys are
-  // hash-partitioned into per-worker shards and the affected groups
-  // re-aggregated on the global thread pool, with results (and every
-  // counter) bit-identical to the serial repair at any thread count.
+  // for full computes exactly as the facade does; delta repair always runs
+  // on the calling thread, so results and counters never depend on it.
   // `options.capture` is ignored (the hook belongs to the cache: hits and
   // repairs never run an engine, so it could not be filled consistently).
   StatusOr<SensitivityResult> Compute(const ConjunctiveQuery& q, Database& db,
@@ -177,10 +174,10 @@ class SensitivityCache {
 
   // One global delta pass: pulls every live source node's pending change-
   // log window, applies it, and re-aggregates affected keys through the
-  // store's fold nodes in dependency order — each node exactly once,
-  // updating all attached trackers. Nodes it cannot repair are marked
-  // stale (with a reason) instead of aborting the pass.
-  void SyncStore(Database& db, int threads, ExecContext& ctx);
+  // store's fold nodes in dependency order — each node exactly once, on
+  // the calling thread, updating all attached trackers. Nodes it cannot
+  // repair are marked stale (with a reason) instead of aborting the pass.
+  void SyncStore(Database& db, ExecContext& ctx);
 
   // Spills shared-node tables — stale first, then LRU — until the DynTable
   // byte total fits config_.max_state_bytes (no-op when the budget is 0).

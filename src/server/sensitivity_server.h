@@ -38,8 +38,9 @@ struct ServingConfig {
   SensitivityCacheConfig cache;
 
   // Compute options shared by all sessions; the server sets join.ctx and
-  // capture per call. join.threads drives the writer's repair/warm pass
-  // (sharded delta repair); reader cold computes always run serially.
+  // capture per call. join.threads parallelizes only the engine's full
+  // computes in the writer's warm pass (delta repair is serial); reader
+  // cold computes always run serially.
   TSensComputeOptions options;
 
   // Admission cap: queued DatabaseDelta batches coalesced into one writer

@@ -296,30 +296,10 @@ bool Relation::CollectChangesSince(uint64_t since,
   return true;
 }
 
-bool Relation::CollectChangesShardedSince(
-    uint64_t since, std::span<const size_t> key_cols, size_t num_shards,
-    std::vector<std::vector<RowChange>>* shards) const {
-  LSENS_CHECK(num_shards > 0 && shards->size() >= num_shards);
-  if (!log_enabled_ || since < log_base_version_ || since > version_) {
-    return false;
-  }
-  LSENS_CHECK(version_ - log_base_version_ == log_.size());
-  for (size_t i = static_cast<size_t>(since - log_base_version_);
-       i < log_.size(); ++i) {
-    const RowChange& change = log_[i];
-    uint64_t h = kValueHashSeed;
-    for (size_t col : key_cols) h = HashValueFold(h, change.row[col]);
-    (*shards)[static_cast<size_t>(h % num_shards)].push_back(change);
-  }
-  return true;
-}
-
-bool Relation::CollectProjectedChangesShardedSince(
-    uint64_t since, std::span<const size_t> key_cols, size_t num_shards,
+bool Relation::CollectProjectedChangesSince(
+    uint64_t since, std::span<const size_t> key_cols,
     const std::function<bool(const RowChange&)>& filter,
-    std::vector<std::vector<ProjectedRowChange>>* shards,
-    size_t* num_changes) const {
-  LSENS_CHECK(num_shards > 0 && shards->size() >= num_shards);
+    std::vector<ProjectedRowChange>* out, size_t* num_changes) const {
   if (!log_enabled_ || since < log_base_version_ || since > version_) {
     return false;
   }
@@ -332,13 +312,8 @@ bool Relation::CollectProjectedChangesShardedSince(
     ProjectedRowChange pc;
     pc.insert = change.insert;
     pc.key.reserve(key_cols.size());
-    uint64_t h = kValueHashSeed;
-    for (size_t col : key_cols) {
-      const Value v = change.row[col];
-      pc.key.push_back(v);
-      h = HashValueFold(h, v);
-    }
-    (*shards)[static_cast<size_t>(h % num_shards)].push_back(std::move(pc));
+    for (size_t col : key_cols) pc.key.push_back(change.row[col]);
+    out->push_back(std::move(pc));
   }
   return true;
 }

@@ -26,8 +26,8 @@ struct RowChange {
 
 // A logged mutation projected onto a key-column subset: what the delta
 // repair in sensitivity/incremental.cc actually consumes. Produced by
-// CollectProjectedChangesShardedSince, which copies only the key columns of
-// each passing change instead of slicing whole rows.
+// CollectProjectedChangesSince, which copies only the key columns of each
+// passing change instead of slicing whole rows.
 struct ProjectedRowChange {
   bool insert = true;
   std::vector<Value> key;
@@ -247,31 +247,16 @@ class Relation {
   // when it would return false.
   size_t NumChangesSince(uint64_t since) const;
 
-  // Like CollectChangesSince, but routes each change to shard
-  // Mix64-hash(row projected onto `key_cols`) mod num_shards, appending to
-  // shards[s]. Every change to one key lands in one shard in log order, so
-  // shards are disjoint per-key work. `shards` must hold at least
-  // num_shards vectors. Returns false exactly when CollectChangesSince
-  // would (nothing appended).
-  bool CollectChangesShardedSince(uint64_t since,
-                                  std::span<const size_t> key_cols,
-                                  size_t num_shards,
-                                  std::vector<std::vector<RowChange>>* shards)
-      const;
-
   // The projected form the delta repair consumes: one log walk that drops
-  // changes failing `filter` (pass nullptr to keep everything), copies
-  // only the `key_cols` projection of each survivor, and routes it to
-  // shard Mix64-hash(key) mod num_shards — the same routing as
-  // CollectChangesShardedSince, so per-key order within a shard is
-  // preserved. `*num_changes` (optional) receives the total number of log
-  // entries walked, pre-filter — the repair's delta_rows accounting.
-  // Returns false exactly when CollectChangesSince would.
-  bool CollectProjectedChangesShardedSince(
-      uint64_t since, std::span<const size_t> key_cols, size_t num_shards,
+  // changes failing `filter` (pass nullptr to keep everything) and appends
+  // the `key_cols` projection of each survivor onto `out`, in log order.
+  // `*num_changes` (optional) receives the total number of log entries
+  // walked, pre-filter — the repair's delta_rows accounting. Returns false
+  // exactly when CollectChangesSince would (nothing appended).
+  bool CollectProjectedChangesSince(
+      uint64_t since, std::span<const size_t> key_cols,
       const std::function<bool(const RowChange&)>& filter,
-      std::vector<std::vector<ProjectedRowChange>>* shards,
-      size_t* num_changes) const;
+      std::vector<ProjectedRowChange>* out, size_t* num_changes) const;
 
   // Column index for `column_name`, or -1.
   int ColumnIndex(const std::string& column_name) const;

@@ -19,10 +19,9 @@ using AttrId = int32_t;
 inline constexpr AttrId kInvalidAttr = -1;
 
 // The 64-bit key-hash fold every hash structure in the library shares:
-// FlatGroupTable's buckets (HashRowKey), DynTable's flat indexes, and the
-// change-log / repair shard routing — the last two MUST agree pairwise so
-// one join key always lands in one shard. One definition pins that
-// coupling; column-subset callers chain HashValueFold themselves.
+// FlatGroupTable's buckets (HashRowKey) and DynTable's flat indexes. One
+// definition keeps them in step; column-subset callers chain HashValueFold
+// themselves.
 inline constexpr uint64_t kValueHashSeed = 0x9e3779b97f4a7c15ULL;
 
 inline uint64_t HashValueFold(uint64_t h, Value v) {
@@ -40,8 +39,8 @@ inline uint64_t HashValues(std::span<const Value> values) {
 // per-row hashes, then fold each key column in order. After seeding and
 // folding columns c0..ck, hashes[i] == HashValues({col_c0[i], ...,
 // col_ck[i]}) — the batch and scalar forms are pinned equal by
-// storage_test, so flat hash tables and change-log shard routing agree no
-// matter which form produced the hash.
+// storage_test, so every flat hash table agrees no matter which form
+// produced the hash.
 inline void HashValuesBatchSeed(std::span<uint64_t> hashes) {
   for (uint64_t& h : hashes) h = kValueHashSeed;
 }

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -130,58 +129,6 @@ TEST(RelationVersionTest, LogWindowAndClearInvalidate) {
   rel.Clear();
   EXPECT_FALSE(rel.change_log_enabled());
   EXPECT_FALSE(rel.CollectChangesSince(rel.version(), &changes));
-}
-
-TEST(RelationVersionTest, ShardedCollectionPartitionsByKeyHash) {
-  Relation rel("R", {"a", "b"});
-  rel.EnableChangeLog(64);
-  uint64_t v0 = rel.version();
-  for (int i = 0; i < 20; ++i) {
-    rel.AppendRow({i % 5, i});
-  }
-  rel.SwapRemoveRow(0);  // removes (0, 0): same shard as its insert
-
-  const size_t kShards = 3;
-  std::vector<size_t> key_cols = {0};
-  std::vector<std::vector<RowChange>> shards(kShards);
-  ASSERT_TRUE(
-      rel.CollectChangesShardedSince(v0, key_cols, kShards, &shards));
-
-  // Every change lands in exactly one shard; equal keys share a shard and
-  // keep their log order there.
-  std::vector<RowChange> flat;
-  ASSERT_TRUE(rel.CollectChangesSince(v0, &flat));
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  EXPECT_EQ(total, flat.size());
-  std::map<Value, size_t> shard_of_key;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (const RowChange& ch : shards[s]) {
-      auto it = shard_of_key.emplace(ch.row[0], s).first;
-      EXPECT_EQ(it->second, s) << "key " << ch.row[0] << " split";
-    }
-  }
-  // Per-key order inside a shard matches log order: the erase of (0, 0)
-  // appears after its insert.
-  size_t erase_shard = shard_of_key.at(0);
-  bool saw_insert = false;
-  bool ordered = false;
-  for (const RowChange& ch : shards[erase_shard]) {
-    if (ch.row == std::vector<Value>{0, 0}) {
-      if (ch.insert) {
-        saw_insert = true;
-      } else {
-        ordered = saw_insert;
-      }
-    }
-  }
-  EXPECT_TRUE(ordered);
-
-  // Same answerability contract as the flat collection.
-  std::vector<std::vector<RowChange>> unanswerable(kShards);
-  EXPECT_FALSE(rel.CollectChangesShardedSince(rel.version() + 1, key_cols,
-                                              kShards, &unanswerable));
-  for (const auto& shard : unanswerable) EXPECT_TRUE(shard.empty());
 }
 
 TEST(RelationVersionTest, SetLogsEraseTheInsert) {
@@ -565,6 +512,8 @@ TEST(SensitivityCacheTest, DistinctOptionsGetDistinctEntries) {
 }
 
 TEST(SensitivityCacheTest, SingleAtomQueryIsConstant) {
+  // LS of a one-atom count is 1 on any data, but the cache keeps no special
+  // mode for it: the query repairs through its one-bag GHD like any other.
   Database db;
   Relation* rel = db.AddRelation("R", {"a", "b"});
   rel->AppendRow({1, 2});
@@ -577,9 +526,19 @@ TEST(SensitivityCacheTest, SingleAtomQueryIsConstant) {
   rel->AppendRow({3, 4});
   auto r2 = cache.Compute(q, db);
   ASSERT_TRUE(r2.ok());
-  // Data-independent: served as a hit without consulting any change log.
-  EXPECT_EQ(cache.stats().hits, 1u);
-  ExpectResultsIdentical(*r1, *r2, "constant");
+  EXPECT_EQ(cache.stats().repairs, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  auto fresh = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(fresh.ok());
+  ExpectResultsIdentical(*r2, *fresh, "single atom insert");
+  // Deleting every row still leaves LS 1: one inserted tuple is the answer.
+  while (rel->NumRows() > 0) rel->SwapRemoveRow(0);
+  auto r3 = cache.Compute(q, db);
+  ASSERT_TRUE(r3.ok());
+  EXPECT_EQ(r3->local_sensitivity, Count(1));
+  auto fresh_empty = ComputeLocalSensitivity(q, db);
+  ASSERT_TRUE(fresh_empty.ok());
+  ExpectResultsIdentical(*r3, *fresh_empty, "single atom emptied");
 }
 
 TEST(SensitivityCacheTest, SkipAtomsFlowThroughRepair) {
@@ -1177,11 +1136,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<uint64_t>(1, 2, 3),
                        ::testing::Values(0, 2, 8)));
 
-// Small deltas stay on the serial loops (the kShardMinWork gate); this
-// suite pushes batches of hundreds of changes over wide key domains so
-// both sharded repair stages — change-log partitioning and parallel group
-// re-aggregation — actually run, and must match serial and from-scratch.
-TEST(ShardedRepairTest, LargeBatchDeltasCrossTheShardingGate) {
+// Repair runs on the calling thread whatever join.threads says: batches of
+// hundreds of changes over wide key domains, repaired by a cache whose
+// full computes run threaded, must match a serial cache — results and
+// counters — and from-scratch.
+TEST(RepairThreadCountTest, LargeBatchDeltasMatchSerialAndScratch) {
   for (int threads : {2, 8}) {
     Rng rng(8675309 + static_cast<uint64_t>(threads));
     Database db;
@@ -1201,24 +1160,24 @@ TEST(ShardedRepairTest, LargeBatchDeltasCrossTheShardingGate) {
 
     SensitivityCacheConfig config;
     config.max_delta_fraction = 1.0;
-    SensitivityCache sharded_cache(config);
+    SensitivityCache threaded_cache(config);
     SensitivityCache serial_cache(config);
-    TSensComputeOptions sharded_options = ThreadedOptions(threads);
+    TSensComputeOptions threaded_options = ThreadedOptions(threads);
     TSensComputeOptions serial_options;
     for (int step = 0; step < 4; ++step) {
-      auto a = sharded_cache.Compute(q, db, sharded_options);
+      auto a = threaded_cache.Compute(q, db, threaded_options);
       auto b = serial_cache.Compute(q, serial_db, serial_options);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       ExpectResultsIdentical(
           *a, *b, "batch threads " + std::to_string(threads) + " step " +
                       std::to_string(step));
-      auto fresh = ComputeLocalSensitivity(q, db, sharded_options);
+      auto fresh = ComputeLocalSensitivity(q, db, threaded_options);
       ASSERT_TRUE(fresh.ok());
       ExpectResultsIdentical(*a, *fresh, "batch vs scratch step " +
                                              std::to_string(step));
       // One batch of ~200 inserts and ~100 deletes on a rotating
-      // relation: far over the gate, touching most join-key groups.
+      // relation, touching most join-key groups.
       Relation* rel = db.Find(q.atom(step % 3).relation);
       std::vector<std::vector<Value>> inserts;
       for (int i = 0; i < 200; ++i) {
@@ -1237,11 +1196,11 @@ TEST(ShardedRepairTest, LargeBatchDeltasCrossTheShardingGate) {
                       ->ApplyDelta(inserts, deletes)
                       .ok());
     }
-    EXPECT_GT(sharded_cache.stats().repairs, 0u);
-    EXPECT_EQ(sharded_cache.stats().repairs, serial_cache.stats().repairs);
-    EXPECT_EQ(sharded_cache.stats().delta_rows,
+    EXPECT_GT(threaded_cache.stats().repairs, 0u);
+    EXPECT_EQ(threaded_cache.stats().repairs, serial_cache.stats().repairs);
+    EXPECT_EQ(threaded_cache.stats().delta_rows,
               serial_cache.stats().delta_rows);
-    EXPECT_EQ(sharded_cache.stats().repair_rows,
+    EXPECT_EQ(threaded_cache.stats().repair_rows,
               serial_cache.stats().repair_rows);
   }
 }
@@ -1268,25 +1227,25 @@ TEST(SensitivityCacheTest, ByteBudgetedStreamStaysCorrect) {
   EXPECT_EQ(cache.stats().repairs, 0u);  // nothing survives to repair
 }
 
-// Sharded repair must be bit-identical to serial repair — results AND
-// work counters — so two caches replaying the same stream at different
-// thread counts may never disagree on anything observable.
-TEST(ShardedRepairTest, MatchesSerialRepairIncludingCounters) {
+// The thread count never changes repair — results AND work counters — so
+// two caches replaying the same stream at different thread counts may
+// never disagree on anything observable.
+TEST(RepairThreadCountTest, MatchesSerialRepairIncludingCounters) {
   for (int threads : {2, 8}) {
     Rng rng(314159);
     PaperExample serial_ex = MakeFigure3Example();
-    PaperExample sharded_ex = MakeFigure3Example();
+    PaperExample threaded_ex = MakeFigure3Example();
     SensitivityCacheConfig config;
     config.max_delta_fraction = 1.0;
     SensitivityCache serial_cache(config);
-    SensitivityCache sharded_cache(config);
+    SensitivityCache threaded_cache(config);
     TSensComputeOptions serial_options;   // threads = 0
-    TSensComputeOptions sharded_options = ThreadedOptions(threads);
+    TSensComputeOptions threaded_options = ThreadedOptions(threads);
     for (int step = 0; step < 16; ++step) {
       auto a = serial_cache.Compute(serial_ex.query, serial_ex.db,
                                     serial_options);
-      auto b = sharded_cache.Compute(sharded_ex.query, sharded_ex.db,
-                                     sharded_options);
+      auto b = threaded_cache.Compute(threaded_ex.query, threaded_ex.db,
+                                     threaded_options);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       ExpectResultsIdentical(
@@ -1296,16 +1255,16 @@ TEST(ShardedRepairTest, MatchesSerialRepairIncludingCounters) {
       Rng mutation_rng(rng.NextBounded(1u << 30));
       Rng mutation_rng_copy = mutation_rng;
       RandomMutation(mutation_rng, serial_ex.query, serial_ex.db, 3);
-      RandomMutation(mutation_rng_copy, sharded_ex.query, sharded_ex.db, 3);
+      RandomMutation(mutation_rng_copy, threaded_ex.query, threaded_ex.db, 3);
     }
     EXPECT_GT(serial_cache.stats().repairs, 0u);
-    EXPECT_EQ(serial_cache.stats().repairs, sharded_cache.stats().repairs);
+    EXPECT_EQ(serial_cache.stats().repairs, threaded_cache.stats().repairs);
     EXPECT_EQ(serial_cache.stats().delta_rows,
-              sharded_cache.stats().delta_rows);
+              threaded_cache.stats().delta_rows);
     EXPECT_EQ(serial_cache.stats().repair_rows,
-              sharded_cache.stats().repair_rows);
+              threaded_cache.stats().repair_rows);
     EXPECT_EQ(serial_cache.stats().fallback_stale,
-              sharded_cache.stats().fallback_stale);
+              threaded_cache.stats().fallback_stale);
   }
 }
 

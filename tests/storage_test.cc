@@ -685,10 +685,9 @@ TEST(ColumnarDifferentialTest, MatchesRowMajorModelSeed3) {
   RunDifferentialStreams(3);
 }
 
-TEST(ColumnarDifferentialTest, ProjectedShardsMatchShardedProjection) {
-  // CollectProjectedChangesShardedSince must be exactly: the sharded
-  // collection, filtered, with each surviving row projected onto key_cols —
-  // same shard routing, same per-shard order.
+TEST(ColumnarDifferentialTest, ProjectedChangesMatchFilteredProjection) {
+  // CollectProjectedChangesSince must be exactly: CollectChangesSince,
+  // filtered, with each surviving row projected onto key_cols, in log order.
   for (uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     Relation rel("R", {"A", "B", "C"});
@@ -703,43 +702,45 @@ TEST(ColumnarDifferentialTest, ProjectedShardsMatchShardedProjection) {
     }
     const std::vector<size_t> key_cols = {0, 2};
     auto filter = [](const RowChange& ch) { return ch.row[1] >= 0; };
-    for (size_t num_shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    for (int window = 0; window < 3; ++window) {
       const uint64_t since = rng.NextBounded(rel.version() + 1);
 
-      std::vector<std::vector<RowChange>> raw(num_shards);
-      ASSERT_TRUE(
-          rel.CollectChangesShardedSince(since, key_cols, num_shards, &raw));
-      std::vector<std::vector<ProjectedRowChange>> got(num_shards);
+      std::vector<RowChange> raw;
+      ASSERT_TRUE(rel.CollectChangesSince(since, &raw));
+      std::vector<ProjectedRowChange> got;
       size_t num_changes = 0;
-      ASSERT_TRUE(rel.CollectProjectedChangesShardedSince(
-          since, key_cols, num_shards, filter, &got, &num_changes));
+      ASSERT_TRUE(rel.CollectProjectedChangesSince(since, key_cols, filter,
+                                                   &got, &num_changes));
       ASSERT_EQ(num_changes, rel.NumChangesSince(since));
 
-      for (size_t s = 0; s < num_shards; ++s) {
-        std::vector<ProjectedRowChange> want;
-        for (const RowChange& ch : raw[s]) {
-          if (!filter(ch)) continue;
-          ProjectedRowChange pc;
-          pc.insert = ch.insert;
-          for (size_t col : key_cols) pc.key.push_back(ch.row[col]);
-          want.push_back(std::move(pc));
-        }
-        ASSERT_EQ(got[s].size(), want.size()) << "shard " << s;
-        for (size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got[s][i].insert, want[i].insert)
-              << "shard " << s << " entry " << i;
-          EXPECT_EQ(got[s][i].key, want[i].key)
-              << "shard " << s << " entry " << i;
-        }
+      std::vector<ProjectedRowChange> want;
+      for (const RowChange& ch : raw) {
+        if (!filter(ch)) continue;
+        ProjectedRowChange pc;
+        pc.insert = ch.insert;
+        for (size_t col : key_cols) pc.key.push_back(ch.row[col]);
+        want.push_back(std::move(pc));
+      }
+      ASSERT_EQ(got.size(), want.size()) << "window " << window;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].insert, want[i].insert) << "entry " << i;
+        EXPECT_EQ(got[i].key, want[i].key) << "entry " << i;
       }
     }
+
+    // Same answerability contract as CollectChangesSince: a future version
+    // cannot be answered, and nothing is appended.
+    std::vector<ProjectedRowChange> unanswerable;
+    EXPECT_FALSE(rel.CollectProjectedChangesSince(
+        rel.version() + 1, key_cols, filter, &unanswerable, nullptr));
+    EXPECT_TRUE(unanswerable.empty());
   }
 }
 
 TEST(ColumnarDifferentialTest, BatchHashMatchesScalarHash) {
   // The column-batch hash fold (seed + per-column folds) must produce
-  // bit-identical hashes to the scalar per-row HashValues — shard routing
-  // and hash-table bucketing agree everywhere or repair breaks.
+  // bit-identical hashes to the scalar per-row HashValues, so hash-table
+  // bucketing agrees whichever form produced the hash.
   Rng rng(77);
   Relation rel("R", {"A", "B", "C"});
   for (size_t i = 0; i < 2 * kChunkRows + 500; ++i) {

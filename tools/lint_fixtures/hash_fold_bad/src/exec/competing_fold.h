@@ -9,7 +9,7 @@
 namespace fixture {
 
 // A private murmur3-style finalizer: exactly the drift the rule exists to
-// stop (this fold would disagree with the shard router's).
+// stop (this fold would disagree with the flat tables' HashValues).
 inline uint64_t LocalFmix(uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;

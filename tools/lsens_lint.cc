@@ -614,7 +614,7 @@ void ScanHashFold(const std::string& rel, const FileText& text,
             {"hash-fold", rel, line,
              "mix-fold magic constant 0x" + digits +
                  " outside storage/value.h — a competing hash fold would "
-                 "break shard-routing/table-hash agreement"});
+                 "break table-hash agreement"});
       }
       pos = j;
     }

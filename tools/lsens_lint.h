@@ -18,8 +18,8 @@
 //                No other file may define a competing fold: the well-known
 //                mix magic constants and the finalizer names are banned
 //                elsewhere. Calls to the shared helpers are fine anywhere —
-//                it is redefinition that splits shard routing from table
-//                hashing. Not allowlistable.
+//                it is redefinition that makes one flat table's hashing
+//                disagree with another's. Not allowlistable.
 //
 //   unordered-iter
 //                No range-for or iterator loop (.begin/.cbegin/.rbegin)
