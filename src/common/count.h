@@ -38,8 +38,15 @@ class Count {
     return r;
   }
   Count operator*(Count o) const {
-    if (v_ == 0 || o.v_ == 0) return Zero();
     Count r;
+    if (((v_ | o.v_) >> 64) == 0) {
+      // Both operands fit 64 bits: one 64x64 -> 128-bit multiply, which
+      // cannot overflow, so no division check.
+      r.v_ = static_cast<unsigned __int128>(static_cast<uint64_t>(v_)) *
+             static_cast<uint64_t>(o.v_);
+      return r;
+    }
+    if (v_ == 0 || o.v_ == 0) return Zero();
     r.v_ = v_ * o.v_;
     if (r.v_ / v_ != o.v_) return Max();  // wrapped
     return r;

@@ -179,7 +179,8 @@ inline int CompareRowsUnchecked(std::span<const Value> a,
 // must be a subset of in.attrs(); input must not carry a default and need
 // not be unique or sorted. Runs on the same sort/merge machinery as
 // Normalize (row_sort.h): one sorted permutation over the group columns,
-// groups emitted merged and in order, so the output is sorted().
+// groups emitted merged and in order, so the output is sorted(). A sorted()
+// input grouped onto all of its attributes is returned as a copy.
 CountedRelation GroupBySum(const CountedRelation& in,
                            const AttributeSet& group_attrs,
                            ExecContext* ctx = nullptr);

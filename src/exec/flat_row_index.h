@@ -11,12 +11,15 @@
 namespace lsens {
 
 // The probing scheme every flat hash structure in exec/ shares: linear
-// probing over a power-of-two bucket array at load factor <= 0.5, with
-// collisions resolved by the caller verifying actual row values (a 64-bit
-// mixed hash plus verification can never produce a wrong match).
-// FlatGroupTable (the immutable batch-built join index) and FlatRowIndex
-// (the mutable index under DynTable) both sit on these two primitives, so
-// the layout is tested once and tuned once.
+// probing over a power-of-two bucket array at load factor <= 0.5, starting
+// at the bucket the low bits of a 64-bit mixed key hash pick, with
+// collisions resolved by the caller verifying actual row values (a stored
+// hash plus verification can never produce a wrong match).
+// FlatGroupTable (the immutable batch-built join index; its 16-byte
+// buckets keep a 32-bit tag and answer one-row groups in place, see
+// exec/hash_group_table.h) and FlatRowIndex (the mutable index under
+// DynTable) both sit on these two primitives, so the layout is tested once
+// and tuned once.
 
 // Bucket count for `entries` live entries: next power of two >= 2*entries
 // (and at least 8), i.e. load factor <= 0.5.

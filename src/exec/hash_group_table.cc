@@ -52,7 +52,7 @@ void FlatGroupTable::Build(const CountedRelation& rel,
   mask_ = cap - 1;
   slots_.assign(cap, Slot{});
   row_slot_.resize(n);
-  rows_.resize(n);
+  rows_.clear();
   num_groups_ = 0;
 
   // Key hashes for the whole build side in one column-batch pass; the
@@ -60,20 +60,22 @@ void FlatGroupTable::Build(const CountedRelation& rel,
   // keys.
   HashRowKeysBatch(rel, key_cols_, gather_, hashes_);
 
-  // Pass 1: count group sizes, linear-probing each row's key.
+  // Pass 1: count group sizes, linear-probing each row's key. A group's
+  // first row (its smallest index) becomes its representative.
   for (size_t i = 0; i < n; ++i) {
     const uint64_t h = hashes_[i];
+    const uint32_t tag = HashTag(h);
     FlatProbeSeq seq(h, mask_);
     for (;;) {
       Slot& slot = slots_[seq.idx];
       if (slot.size == 0) {
-        slot.hash = h;
+        slot.tag = tag;
         slot.rep = static_cast<uint32_t>(i);
         slot.size = 1;
         ++num_groups_;
         break;
       }
-      if (slot.hash == h &&
+      if (slot.tag == tag &&
           KeysMatch(rel.Row(slot.rep), key_cols_, rel.Row(i), key_cols_)) {
         ++slot.size;
         break;
@@ -82,18 +84,22 @@ void FlatGroupTable::Build(const CountedRelation& rel,
     }
     row_slot_[i] = static_cast<uint32_t>(seq.idx);
   }
+  // Every key distinct: each group is its bucket's `rep`, no runs.
+  if (num_groups_ == n) return;
 
-  // Assign each group a contiguous run in rows_, then scatter.
+  // Groups of two or more rows get a contiguous run in rows_. Each begin
+  // starts one past its run's end and counts down as a backward scatter
+  // fills the run, so the run ascends and begin ends at its first row.
   uint32_t offset = 0;
   for (Slot& slot : slots_) {
-    if (slot.size == 0) continue;
-    slot.begin = offset;
-    slot.cursor = offset;
+    if (slot.size < 2) continue;
     offset += slot.size;
+    slot.begin = offset;
   }
-  for (size_t i = 0; i < n; ++i) {
+  rows_.resize(offset);
+  for (size_t i = n; i-- > 0;) {
     Slot& slot = slots_[row_slot_[i]];
-    rows_[slot.cursor++] = static_cast<uint32_t>(i);
+    if (slot.size >= 2) rows_[--slot.begin] = static_cast<uint32_t>(i);
   }
 }
 
@@ -105,12 +111,14 @@ std::span<const uint32_t> FlatGroupTable::Probe(
 std::span<const uint32_t> FlatGroupTable::Probe(std::span<const Value> row,
                                                 std::span<const int> probe_cols,
                                                 uint64_t hash) const {
+  const uint32_t tag = HashTag(hash);
   FlatProbeSeq seq(hash, mask_);
   for (;;) {
     const Slot& slot = slots_[seq.idx];
     if (slot.size == 0) return {};
-    if (slot.hash == hash &&
+    if (slot.tag == tag &&
         KeysMatch(rel_->Row(slot.rep), key_cols_, row, probe_cols)) {
+      if (slot.size == 1) return {&slot.rep, 1};
       return {rows_.data() + slot.begin, slot.size};
     }
     seq.Next();

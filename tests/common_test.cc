@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "common/count.h"
 #include "common/macros.h"
@@ -72,6 +73,75 @@ TEST(CountTest, SaturatingMultiplication) {
   // Saturation is sticky.
   EXPECT_TRUE((d * Count(2)).IsSaturated());
   EXPECT_TRUE((d + Count::One()).IsSaturated());
+}
+
+// The wide value `x` built by addition alone (doubling the high half 64
+// times), so the multiplication under test never builds its own operands.
+Count CountFromWide(unsigned __int128 x) {
+  Count c(static_cast<uint64_t>(x >> 64));
+  for (int i = 0; i < 64; ++i) c += c;
+  return c + Count(static_cast<uint64_t>(x));
+}
+
+std::string WideToDecimal(unsigned __int128 x) {
+  std::string digits;
+  do {
+    digits.insert(digits.begin(), static_cast<char>('0' + x % 10));
+    x /= 10;
+  } while (x != 0);
+  return digits;
+}
+
+// Count's saturating product against __builtin_mul_overflow on the
+// unsigned 128-bit operands: exact when the product fits, Max() otherwise.
+// Covers products of 64-bit operands (no division check) and of wider
+// ones (the division check), at the boundaries and on seeded pairs.
+TEST(CountTest, MultiplicationMatchesWideReference) {
+  using Wide = unsigned __int128;
+  auto expect_product = [](Wide a, Wide b) {
+    Wide product = 0;
+    const bool overflow = __builtin_mul_overflow(a, b, &product);
+    const Count want = overflow ? Count::Max() : CountFromWide(product);
+    ASSERT_EQ(CountFromWide(a) * CountFromWide(b), want)
+        << WideToDecimal(a) << " * " << WideToDecimal(b);
+  };
+
+  const Wide u64_max = std::numeric_limits<uint64_t>::max();
+  const Wide boundaries[] = {0,
+                             1,
+                             Wide{1} << 32,
+                             u64_max,
+                             Wide{1} << 64,
+                             Wide{1} << 127,
+                             ~Wide{0}};
+  // The operand builder itself is exact (Max() prints with a SAT suffix).
+  for (Wide b : boundaries) {
+    if (b != ~Wide{0}) {
+      EXPECT_EQ(CountFromWide(b).ToString(), WideToDecimal(b));
+    }
+  }
+  EXPECT_EQ(CountFromWide(~Wide{0}), Count::Max());
+  for (Wide a : boundaries) {
+    for (Wide b : boundaries) expect_product(a, b);
+  }
+
+  Rng rng(4242);
+  for (int i = 0; i < 100000; ++i) {
+    Wide a = rng.NextUint64();
+    Wide b = rng.NextUint64();
+    if (i % 2 == 1) {
+      // Operands of random width up to 128 bits, so that some wide
+      // products fit and others saturate.
+      a = (a << 64 | rng.NextUint64()) >> rng.NextBounded(128);
+      b = (b << 64 | rng.NextUint64()) >> rng.NextBounded(128);
+    }
+    expect_product(a, b);
+  }
+
+  // (2^64 - 1)^2 = 2^128 - 2^65 + 1 fits: exact, not saturated.
+  const Count square = Count(~uint64_t{0}) * Count(~uint64_t{0});
+  EXPECT_FALSE(square.IsSaturated());
+  EXPECT_EQ(square.ToString(), "340282366920938463426481119284349108225");
 }
 
 TEST(CountTest, SaturatingAddition) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "exec/counted_relation.h"
 #include "exec/exec_context.h"
 #include "exec/fold_join.h"
+#include "exec/hash_group_table.h"
 #include "exec/join.h"
 #include "exec/row_sort.h"
 #include "query/atom_scan.h"
@@ -436,6 +439,50 @@ TEST(CountedRelationTest, GroupBySum) {
   EXPECT_EQ(total.CountAt(0), Count(7));
 }
 
+// γ onto every attribute: a sorted input comes back as it is, recorded as
+// one group_by_sum call over n rows; an unsorted unique input is still
+// sorted by the merge.
+TEST(CountedRelationTest, GroupBySumOntoAllAttributes) {
+  Rng rng(29);
+  std::map<std::vector<Value>, Count> want;
+  CountedRelation unsorted({1, 2, 3});
+  for (int i = 0; i < 500; ++i) {
+    const std::vector<Value> row = {rng.NextInRange(-9, 9),
+                                    rng.NextInRange(0, 30),
+                                    rng.NextInRange(-5, 5)};
+    const Count count(1 + rng.NextBounded(5));
+    if (!want.emplace(row, count).second) continue;
+    unsorted.AppendRow(row, count);
+  }
+  unsorted.MarkUnique();
+  ASSERT_TRUE(unsorted.unique());
+  ASSERT_FALSE(unsorted.sorted());
+
+  const CountedRelation merged = GroupBySum(unsorted, unsorted.attrs());
+  EXPECT_TRUE(merged.sorted());
+  ASSERT_EQ(merged.NumRows(), want.size());
+  size_t i = 0;
+  for (const auto& [row, count] : want) {
+    ASSERT_TRUE(std::ranges::equal(merged.Row(i), row)) << "row " << i;
+    ASSERT_EQ(merged.CountAt(i), count) << "row " << i;
+    ++i;
+  }
+
+  CountedRelation sorted = unsorted;
+  sorted.Normalize();
+  ASSERT_TRUE(sorted.sorted());
+  ExecContext ctx;
+  const CountedRelation copy = GroupBySum(sorted, sorted.attrs(), &ctx);
+  EXPECT_TRUE(copy.sorted());
+  EXPECT_TRUE(copy.unique());
+  EXPECT_TRUE(testing::SameRowsInOrder(sorted, copy));
+  const OperatorStats* stats = ctx.FindStats("group_by_sum");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->calls, 1u);
+  EXPECT_EQ(stats->rows_in, sorted.NumRows());
+  EXPECT_EQ(stats->rows_out, sorted.NumRows());
+}
+
 TEST(CountedRelationTest, GroupByMaxKeepsFirstRowAttainingTheMax) {
   // Attrs {1, 2}; grouping on attr 2 (the second column) needs a sort.
   CountedRelation r = MakeCounted(
@@ -498,6 +545,128 @@ TEST(CountedRelationTest, FilterDropsRows) {
   r.Filter([](std::span<const Value> row) { return row[0] != 2; });
   EXPECT_EQ(r.NumRows(), 2u);
   EXPECT_EQ(r.TotalCount(), Count(6));
+}
+
+// FlatGroupTable against a std::map from key to its rows in ascending
+// order. One table is rebuilt across every case, so each build must wholly
+// replace the last (a large build is followed by smaller ones).
+class FlatGroupTableTest : public ::testing::Test {
+ protected:
+  // Relation of `arity` columns (attrs 1..arity) whose `num_keys` leading
+  // columns draw from `key_of(i)` and whose others are noise.
+  static CountedRelation MakeRows(size_t arity, size_t num_keys, size_t n,
+                                  Rng& rng,
+                                  const std::function<Value(size_t)>& key_of) {
+    AttributeSet attrs;
+    for (size_t c = 0; c < arity; ++c) {
+      attrs.push_back(static_cast<AttrId>(c + 1));
+    }
+    CountedRelation r(attrs);
+    std::vector<Value> row(arity);
+    for (size_t i = 0; i < n; ++i) {
+      const Value key = key_of(i);
+      for (size_t c = 0; c < arity; ++c) {
+        // Key column c holds a different function of the key, so a probe
+        // must match every key column, not just the first.
+        row[c] = c < num_keys ? key * static_cast<Value>(c + 1) - 3
+                              : static_cast<Value>(rng.NextUint64());
+      }
+      r.AppendRow(row, Count(1));
+    }
+    return r;
+  }
+
+  // Builds `table_` on `rel`'s first `num_keys` columns (in reverse order)
+  // and checks num_groups() and both Probe overloads for every present key
+  // and for absent ones.
+  void ExpectMatchesReference(const CountedRelation& rel, size_t num_keys,
+                              const std::string& what) {
+    std::vector<int> build_cols;
+    for (size_t c = num_keys; c-- > 0;) {
+      build_cols.push_back(static_cast<int>(c));
+    }
+    std::map<std::vector<Value>, std::vector<uint32_t>> want;
+    for (size_t i = 0; i < rel.NumRows(); ++i) {
+      std::vector<Value> key;
+      for (int c : build_cols) {
+        key.push_back(rel.Row(i)[static_cast<size_t>(c)]);
+      }
+      want[key].push_back(static_cast<uint32_t>(i));
+    }
+    table_.Build(rel, build_cols);
+    EXPECT_EQ(table_.num_groups(), want.size()) << what;
+
+    // Probe rows carry a leading noise column and the key reversed
+    // again, so the probe routing differs from the build's.
+    std::vector<int> probe_cols;
+    for (size_t j = 0; j < num_keys; ++j) {
+      probe_cols.push_back(static_cast<int>(num_keys - j));
+    }
+    auto probe_row = [&](const std::vector<Value>& key) {
+      std::vector<Value> row(num_keys + 1, 12345);
+      for (size_t j = 0; j < num_keys; ++j) {
+        row[static_cast<size_t>(probe_cols[j])] = key[j];
+      }
+      return row;
+    };
+    auto expect_probe = [&](const std::vector<Value>& key,
+                            const std::vector<uint32_t>& rows) {
+      const std::vector<Value> row = probe_row(key);
+      const std::span<const uint32_t> plain = table_.Probe(row, probe_cols);
+      const std::span<const uint32_t> hashed =
+          table_.Probe(row, probe_cols, HashRowKey(row, probe_cols));
+      EXPECT_TRUE(std::ranges::equal(plain, rows)) << what;
+      EXPECT_TRUE(std::ranges::equal(hashed, rows)) << what;
+    };
+    for (const auto& [key, rows] : want) expect_probe(key, rows);
+    // Absent keys: outside every column's range, and present values in
+    // combinations no row has.
+    expect_probe(std::vector<Value>(num_keys, -1'000'000'007), {});
+    for (const auto& [key, rows] : want) {
+      if (num_keys < 2) break;
+      std::vector<Value> mixed = key;
+      mixed.back() += 1;
+      if (!want.contains(mixed)) expect_probe(mixed, {});
+    }
+  }
+
+  FlatGroupTable table_;
+};
+
+TEST_F(FlatGroupTableTest, ProbeMatchesMapReference) {
+  Rng rng(71);
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    for (size_t num_keys = 1; num_keys <= arity; ++num_keys) {
+      const std::string what = "arity " + std::to_string(arity) + " keys " +
+                               std::to_string(num_keys);
+      const size_t n = 2000 + rng.NextBounded(2000);
+      // A large build first; the cases after it rebuild the same table
+      // smaller.
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, n, rng,
+                   [](size_t i) { return static_cast<Value>(i); }),
+          num_keys, what + " all distinct");
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, n / 4, rng,
+                   [&](size_t) {
+                     return static_cast<Value>(rng.NextBounded(n / 8));
+                   }),
+          num_keys, what + " mixed group sizes");
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, 300, rng,
+                   [](size_t i) { return static_cast<Value>(i / 2); }),
+          num_keys, what + " pairs");
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, 200, rng, [](size_t) { return 7; }),
+          num_keys, what + " one group");
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, 0, rng, [](size_t) { return 0; }),
+          num_keys, what + " empty");
+      ExpectMatchesReference(
+          MakeRows(arity, num_keys, 1, rng, [](size_t) { return 5; }),
+          num_keys, what + " one row");
+    }
+  }
 }
 
 class JoinAlgoTest : public ::testing::TestWithParam<JoinAlgorithm> {};

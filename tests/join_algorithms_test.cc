@@ -290,6 +290,42 @@ TEST(JoinGroupBySumTest, PartitionedProbeMatchesSerial) {
       }
     }
   }
+
+  // A build side whose keys are all distinct, so every group the
+  // partitions read concurrently is a one-row group answered from its
+  // bucket: once keyed on part of the build's attributes (a counting probe
+  // sizes the output) and once on all of them.
+  for (const AttributeSet& build_attrs :
+       {AttributeSet{2, 4}, AttributeSet{2}}) {
+    CountedRelation build(build_attrs);
+    for (Value key = 0; key < 3000;
+         key += 1 + static_cast<Value>(rng.NextBounded(2))) {
+      std::vector<Value> row = {key};
+      if (build_attrs.size() == 2) row.push_back(rng.NextInRange(-50, 50));
+      build.AppendRow(row, Count(1 + rng.NextBounded(4)));
+    }
+    build.Normalize();
+    ASSERT_LT(build.NumRows(), a.NumRows());
+    const std::string what =
+        "distinct build of arity " + std::to_string(build_attrs.size());
+    EXPECT_TRUE(testing::SameRowsInOrder(
+        NaturalJoin(a, build, {JoinAlgorithm::kHash}),
+        NaturalJoin(a, build, {JoinAlgorithm::kHash, nullptr, 4})))
+        << what;
+    for (const AttributeSet& group :
+         {AttributeSet{}, AttributeSet{1}, AttributeSet{2},
+          Union(a.attrs(), build_attrs)}) {
+      const CountedRelation serial_grouped =
+          JoinGroupBySum(a, build, group, {JoinAlgorithm::kHash});
+      ExpectFusedMatchesTwoStep(a, build, group, JoinAlgorithm::kHash, 4,
+                                what + " group size " +
+                                    std::to_string(group.size()));
+      EXPECT_TRUE(testing::SameRowsInOrder(
+          serial_grouped,
+          JoinGroupBySum(a, build, group, {JoinAlgorithm::kHash, nullptr, 4})))
+          << what;
+    }
+  }
 }
 
 TEST(JoinGroupBySumTest, FallbacksMatchGroupBySumOfNaturalJoin) {
